@@ -248,7 +248,6 @@ def _cmd_verify(args) -> ResultDocument:
     budget = search.SearchBudget(
         max_voters=effective,
         max_candidates=max(args.m, 5),
-        seed=args.seed,
         workers=args.workers,
     )
     q = Fraction(args.q)
@@ -363,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--max-voters", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("worstcase", parents=[common],

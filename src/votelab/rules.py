@@ -4,26 +4,37 @@ Every rule maps a profile to a nonempty set of tied winners; no arbitrary
 tie-breaking is ever applied.  Scores are exact: integers, rationals, or
 quadratic irrationals, so argmin/argmax decisions are never made in floating
 point.
+
+A tally-based rule is decided by a statistic-level function of its
+sufficient statistics alone, ``decide(m, n, h, pos) -> (winners, scores,
+trace)``.  ``h[a*m + b]`` counts the voters preferring a to b and
+``pos[l*m + a]`` the voters ranking a at position l + 1, both flat integer
+sequences; a report passes None for a statistic its rule does not read.
+Winners come back as ascending candidate indices and scores in the rule's
+raw form, integers wherever the value is an integer; the report turns them
+into its public score values.  The exhaustive search calls the same
+functions on tallies it updates incrementally, so each rule has one
+definition.  Instant runoff, Young, Dodgson and the veto core read ballots
+and have no such function.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import SearchBudgetExceeded
 from .exact import ExactNumber, exact
-from .model import (
-    ChoiceSet,
-    Profile,
-    condorcet_winner,
-    majority_winner,
-    positional_matrix,
-    tournament_matrix,
-)
+from .model import ChoiceSet, Profile, positional_matrix, tournament_matrix
 
 ExactScore = ExactNumber | Fraction | int
+Decision = Callable[
+    [int, int, Sequence[int] | None, Sequence[int] | None],
+    tuple[tuple[int, ...], list | None, dict | None],
+]
 
 RULE_IDS = (
     "plurality",
@@ -96,20 +107,24 @@ class ScoreReport:
     trace: dict = field(default_factory=dict)
 
 
-def _argmax(values: dict[int, ExactScore]) -> ChoiceSet:
-    best = None
-    for v in values.values():
-        if best is None or exact(v) > exact(best):
-            best = v
-    return ChoiceSet(c for c, v in values.items() if exact(v) == exact(best))
+def _argmax(values: Sequence) -> tuple[int, ...]:
+    best = max(values)
+    return tuple(a for a, v in enumerate(values) if v == best)
 
 
-def _argmin(values: dict[int, ExactScore]) -> ChoiceSet:
-    best = None
-    for v in values.values():
-        if best is None or exact(v) < exact(best):
-            best = v
-    return ChoiceSet(c for c, v in values.items() if exact(v) == exact(best))
+def _argmin(values: Sequence) -> tuple[int, ...]:
+    best = min(values)
+    return tuple(a for a, v in enumerate(values) if v == best)
+
+
+def _pairwise(profile: Profile) -> list[int]:
+    """Flat tournament counts h[a*m + b]."""
+    return [x for row in tournament_matrix(profile).h for x in row]
+
+
+def _positional(profile: Profile) -> list[int]:
+    """Flat rank counts pos[l*m + a]."""
+    return [x for row in positional_matrix(profile).counts for x in row]
 
 
 def simple_majority_winners(profile: Profile) -> ChoiceSet:
@@ -123,15 +138,33 @@ def simple_majority_winners(profile: Profile) -> ChoiceSet:
 # -- positional scoring rules -------------------------------------------------
 
 
+def _integer_weights(scores: ScoreVector) -> tuple[tuple[int, ...], int]:
+    """The score vector times the least common denominator, and that denominator."""
+    den = math.lcm(*(s.denominator for s in scores.scores))
+    return tuple(int(s * den) for s in scores.scores), den
+
+
+def scoring_decision(weights: Sequence[int]) -> Decision:
+    """Positional rule with integer weights, one per rank: maximize the total."""
+    terms = [(l, w) for l, w in enumerate(weights) if w]
+
+    def decide(m, n, h, pos):
+        totals = [sum(w * pos[l * m + a] for l, w in terms) for a in range(m)]
+        return _argmax(totals), totals, None
+
+    return decide
+
+
 def scoring_report(profile: Profile, scores: ScoreVector) -> ScoreReport:
     if len(scores) != profile.m:
         raise ValueError(f"score vector has {len(scores)} entries for m={profile.m}")
-    pos = positional_matrix(profile)
-    totals = {
-        a: sum((scores[l] * pos.counts[l][a] for l in range(profile.m)), Fraction(0))
-        for a in range(profile.m)
-    }
-    return ScoreReport("scoring", _argmax(totals), dict(totals))
+    weights, den = _integer_weights(scores)
+    won, totals, _ = scoring_decision(weights)(
+        profile.m, profile.n, None, _positional(profile)
+    )
+    return ScoreReport(
+        "scoring", ChoiceSet(won), {a: Fraction(t, den) for a, t in enumerate(totals)}
+    )
 
 
 def scoring_winners(profile: Profile, scores: ScoreVector) -> ChoiceSet:
@@ -169,45 +202,40 @@ def antiplurality_winners(profile: Profile) -> ChoiceSet:
 # -- plurality with runoff ----------------------------------------------------
 
 
-def plurality_runoff_report(profile: Profile) -> ScoreReport:
-    """Top-two runoff; finalist ties produce the union over all resolutions."""
-    m = profile.m
-    if m == 1:
-        return ScoreReport("runoff", ChoiceSet({0}), {0: profile.n})
-    pos = positional_matrix(profile)
-    top = pos.counts[0]
-    scores = {a: top[a] for a in range(m)}
+def runoff_decision(m, n, h, pos):
+    """Top-two runoff (m >= 2); finalist ties produce the union over all resolutions."""
+    top = list(pos[:m])
     if m == 2:
-        return ScoreReport("runoff", simple_majority_winners(profile), scores)
+        return _argmax(top), top, None
     first = max(top)
     leaders = [a for a in range(m) if top[a] == first]
-    pairs: list[tuple[int, int]] = []
     if len(leaders) >= 2:
-        pairs = [
-            (leaders[i], leaders[j])
-            for i in range(len(leaders))
-            for j in range(i + 1, len(leaders))
-        ]
+        pairs = list(itertools.combinations(leaders, 2))
     else:
         x = leaders[0]
         second = max(top[a] for a in range(m) if a != x)
         pairs = [(x, y) for y in range(m) if y != x and top[y] == second]
-    tm = tournament_matrix(profile)
-    n = profile.n
     winners: set[int] = set()
     duels = {}
     for x, y in pairs:
-        if 2 * tm.h[x][y] > n:
-            w = {x}
-        elif 2 * tm.h[x][y] < n:
-            w = {y}
+        hxy, hyx = h[x * m + y], h[y * m + x]
+        if 2 * hxy > n:
+            winners.add(x)
+        elif 2 * hxy < n:
+            winners.add(y)
         else:
-            w = {x, y}
-        winners |= w
-        duels[(x, y)] = (tm.h[x][y], tm.h[y][x])
-    return ScoreReport(
-        "runoff", ChoiceSet(winners), scores, {"finalist_pairs": pairs, "duels": duels}
+            winners |= {x, y}
+        duels[(x, y)] = (hxy, hyx)
+    return tuple(sorted(winners)), top, {"finalist_pairs": pairs, "duels": duels}
+
+
+def plurality_runoff_report(profile: Profile) -> ScoreReport:
+    if profile.m == 1:
+        return ScoreReport("runoff", ChoiceSet({0}), {0: profile.n})
+    won, top, trace = runoff_decision(
+        profile.m, profile.n, _pairwise(profile), _positional(profile)
     )
+    return ScoreReport("runoff", ChoiceSet(won), dict(enumerate(top)), trace or {})
 
 
 def plurality_runoff_winners(profile: Profile) -> ChoiceSet:
@@ -279,49 +307,64 @@ def instant_runoff_winners(profile: Profile) -> ChoiceSet:
 # -- pairwise-comparison rules --------------------------------------------------
 
 
+def simpson_decision(m, n, h, pos):
+    """Maximin: maximize the worst pairwise support min_b h(a, b) (m >= 2)."""
+    scores = [min(h[a * m + b] for b in range(m) if b != a) for a in range(m)]
+    return _argmax(scores), scores, None
+
+
 def simpson_report(profile: Profile) -> ScoreReport:
-    """Maximin: maximize the worst pairwise support."""
     if profile.m == 1:
         return ScoreReport("simpson", ChoiceSet({0}), {0: profile.n})
-    tm = tournament_matrix(profile)
-    scores = {
-        a: min(tm.h[a][b] for b in range(profile.m) if b != a)
-        for a in range(profile.m)
-    }
-    return ScoreReport("simpson", _argmax(scores), dict(scores))
+    won, scores, _ = simpson_decision(profile.m, profile.n, _pairwise(profile), None)
+    return ScoreReport("simpson", ChoiceSet(won), dict(enumerate(scores)))
 
 
 def simpson_winners(profile: Profile) -> ChoiceSet:
     return simpson_report(profile).winners
 
 
+def clr_decision(m, n, h, pos):
+    """Minimize the total of losing pairwise margins below n/2.
+
+    Scores are the doubled deficits sum_b max(n - 2 h(a, b), 0), integers.
+    """
+    doubled = [
+        sum(max(n - 2 * h[a * m + b], 0) for b in range(m) if b != a) for a in range(m)
+    ]
+    return _argmin(doubled), doubled, None
+
+
 def clr_report(profile: Profile) -> ScoreReport:
-    """Minimize the total of losing pairwise margins below n/2."""
-    tm = tournament_matrix(profile)
-    half = Fraction(profile.n, 2)
-    scores = {
-        a: sum(
-            (max(half - tm.h[a][b], Fraction(0)) for b in range(profile.m) if b != a),
-            Fraction(0),
-        )
-        for a in range(profile.m)
-    }
-    return ScoreReport("clr", _argmin(scores), dict(scores))
+    won, doubled, _ = clr_decision(profile.m, profile.n, _pairwise(profile), None)
+    return ScoreReport(
+        "clr", ChoiceSet(won), {a: Fraction(d, 2) for a, d in enumerate(doubled)}
+    )
 
 
 def clr_winners(profile: Profile) -> ChoiceSet:
     return clr_report(profile).winners
 
 
+def black_decision(m, n, h, pos):
+    """The strict pairwise-unbeaten candidate if one exists, else the Borda winners.
+
+    Borda scores are read off the tournament as sum_b h(a, b).
+    """
+    borda = [sum(h[a * m : a * m + m]) for a in range(m)]
+    for a in range(m):
+        if all(2 * h[a * m + b] > n for b in range(m) if b != a):
+            return (a,), borda, {"condorcet_winner": a}
+    return _argmax(borda), borda, {"condorcet_winner": None}
+
+
 def black_report(profile: Profile) -> ScoreReport:
-    """The strict pairwise-unbeaten candidate if one exists, else the Borda winners."""
-    cw = condorcet_winner(profile)
-    borda = borda_report(profile)
-    if cw is not None:
-        return ScoreReport(
-            "black", ChoiceSet({cw}), borda.scores, {"condorcet_winner": cw}
-        )
-    return ScoreReport("black", borda.winners, borda.scores, {"condorcet_winner": None})
+    if profile.m == 1:
+        return ScoreReport("black", ChoiceSet({0}), {0: 1}, {"condorcet_winner": 0})
+    won, borda, trace = black_decision(profile.m, profile.n, _pairwise(profile), None)
+    return ScoreReport(
+        "black", ChoiceSet(won), {a: Fraction(b) for a, b in enumerate(borda)}, trace
+    )
 
 
 def black_winners(profile: Profile) -> ChoiceSet:
@@ -389,8 +432,8 @@ def young_score(profile: Profile, cand: int) -> int:
 
 
 def young_report(profile: Profile) -> ScoreReport:
-    scores = {a: young_score(profile, a) for a in range(profile.m)}
-    return ScoreReport("young", _argmin(scores), dict(scores))
+    scores = [young_score(profile, a) for a in range(profile.m)]
+    return ScoreReport("young", ChoiceSet(_argmin(scores)), dict(enumerate(scores)))
 
 
 def young_winners(profile: Profile) -> ChoiceSet:
@@ -485,8 +528,8 @@ def dodgson_score(profile: Profile, cand: int) -> int:
 
 
 def dodgson_report(profile: Profile) -> ScoreReport:
-    scores = {a: dodgson_score(profile, a) for a in range(profile.m)}
-    return ScoreReport("dodgson", _argmin(scores), dict(scores))
+    scores = [dodgson_score(profile, a) for a in range(profile.m)]
+    return ScoreReport("dodgson", ChoiceSet(_argmin(scores)), dict(enumerate(scores)))
 
 
 def dodgson_winners(profile: Profile) -> ChoiceSet:
@@ -511,6 +554,33 @@ def _piecewise_depth_pieces(pos_column: Sequence[int], m: int):
             C -= j * pos_column[j]
 
 
+def _column(pos: Sequence[int], m: int, cand: int) -> list[int]:
+    """Rank counts of one candidate, rank 1 first."""
+    return [pos[l * m + cand] for l in range(m)]
+
+
+def _majority_winner(m: int, n: int, pos: Sequence[int]) -> int | None:
+    for a in range(m):
+        if 2 * pos[a] > n:
+            return a
+    return None
+
+
+def _convex_median_depth(col: Sequence[int], m: int, n: int) -> tuple[int, int]:
+    """The convex median score of a rank-count column as (numerator, denominator)."""
+    if 2 * col[0] > n:
+        raise ValueError("score undefined for a strict majority winner")
+    for j, N, C in _piecewise_depth_pieces(col, m):
+        right = C + (j + 1) * N
+        if 2 * right <= n * (j + 1):
+            continue
+        # Crossing inside [j, j+1): solve 2(C + tN) = n t exactly; the
+        # left side grows faster than n t there, so 2N - n > 0.
+        num, den = -2 * C, 2 * N - n
+        assert j * den <= num < (j + 1) * den
+        return num, den
+
+
 def convex_median_score(profile: Profile, cand: int) -> Fraction:
     """Largest depth t with truncated-score average B_t/t still at most n/2.
 
@@ -518,30 +588,36 @@ def convex_median_score(profile: Profile, cand: int) -> Fraction:
     interval.  Undefined (raises) when the candidate is a strict majority
     winner, since then no depth satisfies the condition.
     """
-    pos = positional_matrix(profile)
-    n = profile.n
-    col = [pos.counts[l][cand] for l in range(profile.m)]
-    if 2 * col[0] > n:
-        raise ValueError("score undefined for a strict majority winner")
-    for j, N, C in _piecewise_depth_pieces(col, profile.m):
-        right = C + (j + 1) * N
-        if 2 * right <= n * (j + 1):
-            continue
-        # Crossing inside [j, j+1): solve 2(C + tN) = n t exactly.
-        t = Fraction(-2 * C, 2 * N - n)
-        assert j <= t < j + 1
-        return t
+    col = _column(_positional(profile), profile.m, cand)
+    return Fraction(*_convex_median_depth(col, profile.m, profile.n))
+
+
+def convex_median_decision(m, n, h, pos):
+    """The strict majority winner, else the least convex median scores.
+
+    Scores are (numerator, denominator) pairs compared by cross-multiplying.
+    """
+    mw = _majority_winner(m, n, pos)
+    if mw is not None:
+        return (mw,), None, {"majority_winner": mw}
+    depths = [_convex_median_depth(_column(pos, m, a), m, n) for a in range(m)]
+    low, low_den = depths[0]
+    for num, den in depths[1:]:
+        if num * low_den < low * den:
+            low, low_den = num, den
+    won = tuple(a for a, (num, den) in enumerate(depths) if num * low_den == low * den)
+    return won, depths, None
 
 
 def convex_median_report(profile: Profile) -> ScoreReport:
-    mw = majority_winner(profile)
-    if mw is not None:
+    won, depths, trace = convex_median_decision(
+        profile.m, profile.n, None, _positional(profile)
+    )
+    if depths is None:
         scores: dict[int, ExactScore | None] = {a: None for a in range(profile.m)}
-        return ScoreReport(
-            "convexmedian", ChoiceSet({mw}), scores, {"majority_winner": mw}
-        )
-    scores = {a: convex_median_score(profile, a) for a in range(profile.m)}
-    return ScoreReport("convexmedian", _argmin(scores), dict(scores))
+    else:
+        scores = {a: Fraction(num, den) for a, (num, den) in enumerate(depths)}
+    return ScoreReport("convexmedian", ChoiceSet(won), scores, trace or {})
 
 
 def convex_median_winners(profile: Profile) -> ChoiceSet:
@@ -617,13 +693,13 @@ def proportional_veto_core(profile: Profile, max_types: int = 18) -> ChoiceSet:
 # -- depth-threshold rule trading off with positional dominance --------------------
 
 
+def _truncated_scores(col: Sequence[int], m: int) -> list[int]:
+    return [sum((t - i) * col[i] for i in range(t + 1)) for t in range(1, m)]
+
+
 def integer_truncated_scores(profile: Profile, cand: int) -> list[int]:
     """B_t(cand) for integer depths t = 1..m-1 (integer arithmetic)."""
-    pos = positional_matrix(profile)
-    out = []
-    for t in range(1, profile.m):
-        out.append(sum((t - i) * pos.counts[i][cand] for i in range(t + 1)))
-    return out
+    return _truncated_scores(_column(_positional(profile), profile.m, cand), profile.m)
 
 
 def second_order_dominates(bt_a: Sequence[int], bt_b: Sequence[int]) -> bool:
@@ -641,12 +717,14 @@ def tradeoff_score(profile: Profile, cand: int) -> ExactNumber:
     interval the boundary is a quadratic with integer coefficients, solved
     exactly.  Undefined (raises) for a strict majority winner.
     """
-    pos = positional_matrix(profile)
-    n = profile.n
-    col = [pos.counts[l][cand] for l in range(profile.m)]
+    col = _column(_positional(profile), profile.m, cand)
+    return _tradeoff_depth(col, profile.m, profile.n)
+
+
+def _tradeoff_depth(col: Sequence[int], m: int, n: int) -> ExactNumber:
     if 2 * col[0] > n:
         raise ValueError("score undefined for a strict majority winner")
-    for j, N, C in _piecewise_depth_pieces(col, profile.m):
+    for j, N, C in _piecewise_depth_pieces(col, m):
         t1 = j + 1
         right = C + t1 * N
         if (3 * t1 + 1) * right <= n * t1 * (t1 + 1):
@@ -658,30 +736,35 @@ def tradeoff_score(profile: Profile, cand: int) -> ExactNumber:
         return in_piece[-1]
 
 
-def theorem12_report(profile: Profile) -> ScoreReport:
-    """Winners: lowest tradeoff score, dropping dominated candidates on ties.
+def theorem12_decision(m, n, h, pos):
+    """The strict majority winner, else the lowest tradeoff scores, dropping
+    dominated candidates on ties.
 
     When several candidates tie at the minimal score, any of them that is
     second-order positionally dominated loses to its dominator (which
     necessarily ties too); dropping dominated candidates keeps the choice
     set nonempty and makes the rule respect positional dominance.
     """
-    m = profile.m
-    mw = majority_winner(profile)
+    mw = _majority_winner(m, n, pos)
     if mw is not None:
-        scores: dict[int, ExactScore | None] = {a: None for a in range(m)}
-        return ScoreReport("t12rule", ChoiceSet({mw}), scores, {"majority_winner": mw})
-    scores = {a: tradeoff_score(profile, a) for a in range(m)}
+        return (mw,), None, {"majority_winner": mw}
+    cols = [_column(pos, m, a) for a in range(m)]
+    scores = [_tradeoff_depth(col, m, n) for col in cols]
     argmin = _argmin(scores)
-    if len(argmin) > 1 and m > 1:
-        bt = {a: integer_truncated_scores(profile, a) for a in argmin}
-        undominated = [
+    won = argmin
+    if len(argmin) > 1:
+        bt = {a: _truncated_scores(cols[a], m) for a in argmin}
+        won = tuple(
             a for a in argmin if not any(second_order_dominates(bt[b], bt[a]) for b in argmin)
-        ]
-        winners = ChoiceSet(undominated)
-    else:
-        winners = argmin
-    return ScoreReport("t12rule", winners, dict(scores), {"score_argmin": sorted(argmin)})
+        )
+    return won, scores, {"score_argmin": list(argmin)}
+
+
+def theorem12_report(profile: Profile) -> ScoreReport:
+    won, scores, trace = theorem12_decision(profile.m, profile.n, None, _positional(profile))
+    if scores is None:
+        scores = [None] * profile.m
+    return ScoreReport("t12rule", ChoiceSet(won), dict(enumerate(scores)), trace)
 
 
 def theorem12_rule_winners(profile: Profile) -> ChoiceSet:
@@ -708,12 +791,42 @@ _REPORTS: dict[str, Callable[[Profile], ScoreReport]] = {
 }
 
 
+_FIXED_VECTORS: dict[str, Callable[[int], ScoreVector]] = {
+    "plurality": ScoreVector.plurality,
+    "borda": ScoreVector.borda,
+    "antiplurality": ScoreVector.antiplurality,
+}
+
+_TALLY_DECISIONS: dict[str, Decision] = {
+    "runoff": runoff_decision,
+    "simpson": simpson_decision,
+    "clr": clr_decision,
+    "black": black_decision,
+    "convexmedian": convex_median_decision,
+    "t12rule": theorem12_decision,
+}
+
+
 def parse_score_vector(spec: str, m: int) -> ScoreVector:
     """Parse the payload of a scoring:<s1,...,sm> rule id."""
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != m:
         raise ValueError(f"scoring rule has {len(parts)} weights for m={m}")
     return ScoreVector(tuple(Fraction(p) for p in parts))
+
+
+def tally_decision(rule_id: str, m: int) -> Decision | None:
+    """The statistic-level decision of a rule at m >= 2 candidates.
+
+    None for the rules that read ballots (irv, young, dodgson, vetocore).
+    """
+    if rule_id.startswith("scoring:"):
+        vector = parse_score_vector(rule_id[len("scoring:") :], m)
+    elif rule_id in _FIXED_VECTORS:
+        vector = _FIXED_VECTORS[rule_id](m)
+    else:
+        return _TALLY_DECISIONS.get(rule_id)
+    return scoring_decision(_integer_weights(vector)[0])
 
 
 def report(rule_id: str, profile: Profile) -> ScoreReport:

@@ -7,20 +7,23 @@ reported witnesses are minimal and reproducible regardless of worker count.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import heapq
 import itertools
 import math
 import os
 import random as _random
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .criteria import Violation
 from .errors import SearchBudgetExceeded
 from .exact import ExactNumber, exact
 from .model import ChoiceSet, Profile, default_candidates
-from .rules import is_rule_id, winners as rule_winners
+from .rules import Decision, is_rule_id, tally_decision, winners
 
 ENV_MAX_VOTERS = "VOTELAB_MAX_VOTERS"
 
@@ -326,7 +329,11 @@ def _split_types(m: int, k: int):
 
 
 def _profiles_with_support(m: int, k: int, n: int, support: int):
-    """Profiles with exactly `support` voters top-ranking B = {0..k-1}."""
+    """Profiles with exactly `support` voters top-ranking B = {0..k-1}.
+
+    The plain enumeration of one slice, which the tests use as the
+    reference for the search below.
+    """
     b_types, o_types = _split_types(m, k)
     labels = default_candidates(m)
     for bvec in _count_vectors(support, len(b_types)):
@@ -338,26 +345,215 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
             yield Profile(labels, ballots)
 
 
-def _violations_in_slice(rule_id: str, m: int, k: int, n: int, support: int):
-    """Minimal violation key in one (n, support) slice, or None."""
-    b_set = frozenset(range(k))
+# The search fixes the qualified set B = {0..k-1} (every rule is neutral)
+# and walks (n, support) slices: the profiles with n voters of whom exactly
+# `support` rank B on top.  A profile in a slice is a count vector over the
+# ballot types, those top-ranking B first.  The walk keeps the profile's
+# pairwise and positional tallies packed into one integer, a lane of whole
+# bytes per tally entry, and adds a type's packed contribution as its count
+# changes; a tally-based rule is then decided on the unpacked lanes without
+# building a Profile.
+#
+# The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
+# onto itself and, as every rule is neutral, a violation onto a violation.
+# Only the lexicographically largest count vector of each orbit is
+# evaluated: its B part must be the largest in its orbit, and its other part
+# the largest under the permutations fixing the B part.  A violating
+# representative stands for the smallest Profile.ballots key over its
+# orbit, so each slice yields the same minimal witness as full enumeration.
+
+_LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # bytes per lane, memoryview format
+
+
+class _Tables(NamedTuple):
+    """Ballot types and the action of S_k x S_{m-k} on them, for one (m, k)."""
+
+    types: tuple[tuple[int, ...], ...]  # types top-ranking B, then the rest
+    split: int  # number of types top-ranking B
+    group: tuple[tuple[int, ...], ...]  # candidate permutations, identity first
+    images: tuple[tuple[int, ...], ...]  # images[g][t]: the type g maps t to
+    # per non-identity g, the positions whose counts move to each position
+    # of the B part and of the other part: image[j] = counts[pull[j]]
+    pulls: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+@functools.cache
+def _tables(m: int, k: int) -> _Tables:
+    b_types, o_types = _split_types(m, k)
+    types = tuple(b_types + o_types)
+    split = len(b_types)
+    index = {r: t for t, r in enumerate(types)}
+    group = tuple(
+        head + tail
+        for head in itertools.permutations(range(k))
+        for tail in itertools.permutations(range(k, m))
+    )
+    images = tuple(tuple(index[tuple(g[c] for c in r)] for r in types) for g in group)
+    pulls = []
+    for image in images[1:]:
+        pull = [0] * len(types)
+        for t, to in enumerate(image):
+            pull[to] = t
+        pulls.append((tuple(pull[:split]), tuple(pull[split:])))
+    return _Tables(types, split, group, images, tuple(pulls))
+
+
+@functools.cache
+def _contributions(m: int, k: int, lane_bytes: int) -> tuple[int, ...]:
+    """Per ballot type, its packed tallies: lane a*m + b holds h(a, b) and
+    lane m*m + l*m + a the count of rank l + 1 for a."""
+    bits = 8 * lane_bytes
+    out = []
+    for r in _tables(m, k).types:
+        lanes = [r[i] * m + r[j] for i in range(m) for j in range(i + 1, m)]
+        lanes += [m * m + l * m + a for l, a in enumerate(r)]
+        out.append(sum(1 << (bits * lane) for lane in lanes))
+    return tuple(out)
+
+
+class _Kernel(NamedTuple):
+    """One rule at m candidates, for profiles of a given voter count."""
+
+    rule_id: str
+    m: int
+    decide: Decision | None  # None for a rule that reads ballots
+    types: tuple[tuple[int, ...], ...]
+    contrib: tuple[int, ...]
+    tally_bytes: int
+    lane_format: str
+
+    def profile(self, counts) -> Profile:
+        ballots = tuple((c, self.types[t]) for t, c in enumerate(counts) if c)
+        return Profile(default_candidates(self.m), ballots)
+
+
+def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
+    size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
+    return _Kernel(
+        rule_id, m, tally_decision(rule_id, m), _tables(m, k).types,
+        _contributions(m, k, size), 2 * m * m * size, fmt,
+    )
+
+
+def rule_winners(kernel: _Kernel, n: int, tally: int, counts) -> Sequence[int]:
+    """Winners of the enumerated profile with these counts and packed tallies.
+
+    A tally-based rule is decided by its statistic-level function on the
+    unpacked tallies; a rule that reads ballots gets a Profile.
+    """
+    if kernel.decide is None:
+        return winners(kernel.rule_id, kernel.profile(counts))
+    m = kernel.m
+    lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
+    lanes = lanes.cast(kernel.lane_format)
+    return kernel.decide(m, n, lanes[: m * m], lanes[m * m :])[0]
+
+
+def _fill(counts: list[int], lo: int, hi: int, total: int, contrib, tally: int):
+    """Write every count vector over positions lo..hi-1 summing to total into
+    counts, in increasing lexicographic order, and yield the tally plus their
+    packed contributions after each."""
+    last = hi - 1
+    counts[lo:hi] = [0] * (hi - lo)
+    counts[last] = total
+    tally += total * contrib[last]
+    top = -1  # the last nonzero position before `last`, if any
+    while True:
+        yield tally
+        if counts[last] and last > lo:
+            counts[last - 1] += 1
+            counts[last] -= 1
+            tally += contrib[last - 1] - contrib[last]
+            top = last - 1
+        elif top > lo:
+            # counts[top] voters: one moves up to top - 1, the rest to last
+            c = counts[top]
+            counts[top] = 0
+            counts[top - 1] += 1
+            counts[last] = c - 1
+            tally += contrib[top - 1] - c * contrib[top] + (c - 1) * contrib[last]
+            top -= 1
+        else:
+            return
+
+
+def _orbit_minimum(tables: _Tables, counts) -> tuple[tuple, tuple[int, ...]]:
+    """The smallest Profile.ballots key over the orbit of a count vector,
+    and the candidate permutation reaching it."""
+    held = [(t, c) for t, c in enumerate(counts) if c]
     best = None
-    for profile in _profiles_with_support(m, k, n, support):
-        won = rule_winners(rule_id, profile)
-        if not won <= b_set:
-            key = profile.ballots
-            if best is None or key < best[0]:
-                best = (key, profile, won, support)
+    for g, image in zip(tables.group, tables.images):
+        ranked = sorted((tables.types[image[t]], c) for t, c in held)
+        key = tuple((c, r) for r, c in ranked)
+        if best is None or key < best[0]:
+            best = key, g
     return best
 
 
-def _search_slice(args):
+def _min_violation(args):
+    """The smallest violation key in one (n, support) slice, with its
+    support and winners, or None when the slice is clean."""
     rule_id, m, k, n, support = args
-    found = _violations_in_slice(rule_id, m, k, n, support)
-    if found is None:
-        return None
-    key, profile, won, support = found
-    return (n, key, profile.ballots, tuple(sorted(won)), support)
+    tables = _tables(m, k)
+    kernel = _kernel(rule_id, m, k, n)
+    split = tables.split
+    counts = [0] * len(tables.types)
+    best = None
+    for b_tally in _fill(counts, 0, split, support, kernel.contrib, 0):
+        head = counts[:split]
+        stabiliser = []
+        for pull_b, pull_o in tables.pulls:
+            image = [head[j] for j in pull_b]
+            if image > head:
+                break  # not its orbit's representative
+            if image == head:
+                stabiliser.append(pull_o)
+        else:
+            for tally in _fill(counts, split, len(counts), n - support, kernel.contrib, b_tally):
+                if stabiliser:
+                    tail = counts[split:]
+                    if any([counts[j] for j in pull] > tail for pull in stabiliser):
+                        continue
+                won = rule_winners(kernel, n, tally, counts)
+                if max(won) >= k:
+                    key, g = _orbit_minimum(tables, counts)
+                    if best is None or key < best[0]:
+                        best = key, support, tuple(sorted(g[a] for a in won))
+    return best
+
+
+def _check_query(rule_id: str, m: int, k: int, budget: SearchBudget) -> None:
+    if not is_rule_id(rule_id):
+        raise ValueError(f"unknown rule id {rule_id!r}")
+    if not 1 <= k < m:
+        raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
+    if m > budget.max_candidates:
+        raise SearchBudgetExceeded(
+            f"m={m} exceeds the candidate budget {budget.max_candidates}"
+        )
+
+
+def _violations(rule_id: str, m: int, k: int, budget: SearchBudget, supports):
+    """For n = 1..max_voters, yield n and the minimal violations of the
+    slices with the supports that supports(n) names, in that order.
+
+    Slices go to a process pool when the budget has more than one worker.
+    """
+    pool = None
+    if budget.workers > 1:
+        # imported on demand: multiprocessing is a large share of the
+        # time `import votelab` takes
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(budget.workers)
+    try:
+        for n in range(1, budget.max_voters + 1):
+            slices = [(rule_id, m, k, n, s) for s in supports(n)]
+            results = (pool.map if pool else map)(_min_violation, slices)
+            yield n, [r for r in results if r is not None]
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def exhaustive_criterion_search(
@@ -375,71 +571,48 @@ def exhaustive_criterion_search(
     twice the voter budget; a witness found there is returned as-is, without
     the minimality guarantee.
     """
-    if not is_rule_id(rule_id):
-        raise ValueError(f"unknown rule id {rule_id!r}")
-    if not 1 <= k < m:
-        raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
-    if m > budget.max_candidates:
-        raise SearchBudgetExceeded(
-            f"m={m} exceeds the candidate budget {budget.max_candidates}"
-        )
+    _check_query(rule_id, m, k, budget)
     qq = exact(q)
     if not exact(0) < qq <= exact(1):
         raise ValueError("q must lie in (0, 1]")
-    b_set = frozenset(range(k))
-    labels = default_candidates(m)
-    pool = ProcessPoolExecutor(budget.workers) if budget.workers > 1 else None
-    try:
-        for n in range(1, budget.max_voters + 1):
-            min_support = _exact_floor(qq * n) + 1
-            slices = [
-                (rule_id, m, k, n, s) for s in range(min_support, n + 1)
-            ]
-            if pool is None:
-                results = map(_search_slice, slices)
-            else:
-                results = pool.map(_search_slice, slices)
-            hits = [r for r in results if r is not None]
+
+    def supports(n):
+        return range(_exact_floor(qq * n) + 1, n + 1)
+
+    with contextlib.closing(_violations(rule_id, m, k, budget, supports)) as scan:
+        for n, hits in scan:
             if hits:
-                hits.sort(key=lambda r: r[1])
-                _, _, ballots, won, support = hits[0]
-                profile = Profile(labels, ballots)
-                return Violation(b_set, support, ChoiceSet(won), profile, qq)
-        return _sampled_violation(rule_id, m, k, qq, budget)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                key, support, won = min(hits)
+                profile = Profile(default_candidates(m), key)
+                return Violation(frozenset(range(k)), support, ChoiceSet(won), profile, qq)
+    return _sampled_violation(rule_id, m, k, qq, budget)
 
 
 def _sampled_violation(rule_id, m, k, qq, budget: SearchBudget) -> Violation | None:
     if not budget.samples:
         return None
     rng = _random.Random(budget.seed)
-    b_types, o_types = _split_types(m, k)
-    b_set = frozenset(range(k))
-    labels = default_candidates(m)
+    tables = _tables(m, k)
+    split = tables.split
+    others = len(tables.types) - split
     for _ in range(budget.samples):
         n = rng.randint(budget.max_voters + 1, 2 * budget.max_voters)
         min_support = _exact_floor(qq * n) + 1
         if min_support > n:
             continue
         support = rng.randint(min_support, n)
-        ballots = [(1, rng.choice(b_types)) for _ in range(support)]
-        ballots += [(1, rng.choice(o_types)) for _ in range(n - support)]
-        profile = Profile(labels, tuple(ballots))
-        won = rule_winners(rule_id, profile)
-        if not won <= b_set:
-            return Violation(b_set, support, won, profile, qq)
+        counts = [0] * len(tables.types)
+        for _ in range(support):
+            counts[rng.randrange(split)] += 1
+        for _ in range(n - support):
+            counts[split + rng.randrange(others)] += 1
+        kernel = _kernel(rule_id, m, k, n)
+        tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+        won = rule_winners(kernel, n, tally, counts)
+        if max(won) >= k:
+            profile = kernel.profile(counts)
+            return Violation(frozenset(range(k)), support, ChoiceSet(won), profile, qq)
     return None
-
-
-def _max_share_slice(args):
-    rule_id, m, k, n, support = args
-    found = _violations_in_slice(rule_id, m, k, n, support)
-    if found is None:
-        return None
-    key, profile, won, support = found
-    return (Fraction(support, n), n, key, profile.ballots, tuple(sorted(won)), support)
 
 
 def max_violation(
@@ -450,44 +623,22 @@ def max_violation(
     The witness attains the maximal share at the smallest voter count and
     ballot-count order among attaining profiles.
     """
-    if not is_rule_id(rule_id):
-        raise ValueError(f"unknown rule id {rule_id!r}")
-    if not 1 <= k < m:
-        raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
-    if m > budget.max_candidates:
-        raise SearchBudgetExceeded(
-            f"m={m} exceeds the candidate budget {budget.max_candidates}"
-        )
-    b_set = frozenset(range(k))
-    labels = default_candidates(m)
-    best: tuple | None = None
-    pool = ProcessPoolExecutor(budget.workers) if budget.workers > 1 else None
-    try:
-        for n in range(1, budget.max_voters + 1):
-            slices = []
-            for s in range(1, n + 1):
-                if best is not None and Fraction(s, n) <= best[0]:
-                    continue
-                slices.append((rule_id, m, k, n, s))
-            if not slices:
-                continue
-            if pool is None:
-                results = map(_max_share_slice, slices)
-            else:
-                results = pool.map(_max_share_slice, slices)
-            for r in results:
-                if r is None:
-                    continue
-                if best is None or r[0] > best[0]:
-                    best = r
-        if best is None:
-            return None
-        share, n, _, ballots, won, support = best
-        profile = Profile(labels, ballots)
-        return share, Violation(b_set, support, ChoiceSet(won), profile)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    _check_query(rule_id, m, k, budget)
+    best = None  # (share, key, support, winners)
+
+    def supports(n):
+        return [s for s in range(1, n + 1) if best is None or Fraction(s, n) > best[0]]
+
+    with contextlib.closing(_violations(rule_id, m, k, budget, supports)) as scan:
+        for n, hits in scan:
+            for key, support, won in hits:
+                if best is None or Fraction(support, n) > best[0]:
+                    best = Fraction(support, n), key, support, won
+    if best is None:
+        return None
+    share, key, support, won = best
+    profile = Profile(default_candidates(m), key)
+    return share, Violation(frozenset(range(k)), support, ChoiceSet(won), profile)
 
 
 def empirical_quota(rule_id: str, m: int, k: int, budget: SearchBudget) -> Fraction:

@@ -181,6 +181,13 @@ class TestCli:
                      "--q", "2/3", "--max-voters", "6"])
         assert code == 0
 
+    def test_verify_has_no_seed_option(self, capsys):
+        # verify is exhaustive only; it takes no sampling seed
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--rule", "plurality", "--m", "3", "--k", "2",
+                  "--q", "2/3", "--max-voters", "6", "--seed", "3"])
+        assert exit_.value.code == 2
+
     def test_verify_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("VOTELAB_MAX_VOTERS", "4")
         code = main(["verify", "--rule", "plurality", "--m", "3", "--k", "2",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from votelab import (
     ChoiceSet,
     ExactNumber,
     Profile,
+    all_profiles,
     black_winners,
     borda_winners,
     clr_winners,
@@ -22,6 +24,7 @@ from votelab import (
     plurality_runoff_winners,
     plurality_winners,
     proportional_veto_core,
+    random_profile,
     relabel_profile,
     report,
     scoring_winners,
@@ -365,6 +368,29 @@ def test_neutrality_of_rules(p):
     for rule_id in ALL_RULES:
         mapped = {perm[a] for a in winners(rule_id, p)}
         assert mapped == set(winners(rule_id, q))
+
+
+def _neutrality_cases():
+    """all_profiles(m, 5) for m <= 3 and seeded 4-candidate samples."""
+    yield from all_profiles(2, 5)
+    yield from all_profiles(3, 5)
+    rng = random.Random(31)
+    for _ in range(12):
+        yield random_profile(rng, 4, rng.randint(1, 8))
+
+
+def test_neutrality_under_every_permutation():
+    """Relabelling candidates relabels the winners, for every permutation at
+    m <= 4.  The exhaustive search evaluates one profile per orbit of the
+    permutations fixing the qualified set, which is sound only if this holds."""
+    non_borda = {2: "scoring:1,0", 3: "scoring:5,2,0", 4: "scoring:6,3,1,0"}
+    perms = {m: list(itertools.permutations(range(m))) for m in (2, 3, 4)}
+    for p in _neutrality_cases():
+        for rule_id in ALL_RULES + [non_borda[p.m]]:
+            won = winners(rule_id, p)
+            for perm in perms[p.m]:
+                relabelled = winners(rule_id, relabel_profile(p, perm))
+                assert relabelled == {perm[a] for a in won}, (rule_id, p, perm)
 
 
 @settings(max_examples=30, deadline=None)

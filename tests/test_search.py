@@ -177,6 +177,27 @@ class TestExhaustiveSearch:
         ea = max_violation("black", 3, 2, serial)
         eb = max_violation("black", 3, 2, parallel)
         assert ea[0] == eb[0] and ea[1].profile == eb[1].profile
+        # an m = 4 witness found through the orbit-reduced search
+        a = exhaustive_criterion_search("convexmedian", 4, 2, F(11, 20), serial)
+        b = exhaustive_criterion_search("convexmedian", 4, 2, F(11, 20), parallel)
+        assert a.profile == b.profile and a.support == b.support
+        assert a.winners == b.winners
+        assert (a.profile.n, a.support) == (7, 4)
+
+    def test_sampled_stage(self):
+        """Past a clean exhaustive range, the seeded stage draws larger profiles."""
+        budget = SearchBudget(max_voters=2, samples=50, seed=11)
+        found = exhaustive_criterion_search("plurality", 3, 2, F(3, 5), budget)
+        again = exhaustive_criterion_search("plurality", 3, 2, F(3, 5), budget)
+        assert found is not None and found.profile.n >= 3
+        assert (found.profile, found.support, found.winners) == (
+            again.profile, again.support, again.winners
+        )
+        assert 5 * found.support > 3 * found.profile.n
+        assert found.winners == report("plurality", found.profile).winners
+        assert not found.winners <= {0, 1}
+        without = SearchBudget(max_voters=2)
+        assert exhaustive_criterion_search("plurality", 3, 2, F(3, 5), without) is None
 
     def test_empirical_quota_plurality(self):
         budget = SearchBudget(max_voters=12)

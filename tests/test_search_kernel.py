@@ -1,0 +1,228 @@
+"""Differential tests of the statistic-level rule functions and the search kernel.
+
+The references here are deliberately plain: rules computed on a Profile with
+Fraction arithmetic, and slices enumerated profile by profile with
+`_profiles_with_support` and `rules.winners`.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from votelab import (
+    Profile,
+    all_profiles,
+    condorcet_winner,
+    majority_winner,
+    positional_matrix,
+    random_profile,
+    relabel_profile,
+    tournament_matrix,
+    tradeoff_score,
+    winners,
+)
+from votelab.rules import (
+    RULE_IDS,
+    ScoreVector,
+    integer_truncated_scores,
+    parse_score_vector,
+    second_order_dominates,
+    tally_decision,
+)
+from votelab import search
+from votelab.search import _kernel, _min_violation, _profiles_with_support, rule_winners
+
+F = Fraction
+TALLY_RULES = (
+    "plurality", "runoff", "borda", "antiplurality", "simpson", "clr", "black",
+    "convexmedian", "t12rule",
+)
+SCORING = {3: "scoring:5,2,0", 4: "scoring:6,3,1,0", 5: "scoring:9,4,3,1,0"}
+FIXED_VECTORS = {
+    "plurality": ScoreVector.plurality,
+    "borda": ScoreVector.borda,
+    "antiplurality": ScoreVector.antiplurality,
+}
+
+
+def _best(scores, better):
+    top = scores[0]
+    for v in scores[1:]:
+        if better(v, top):
+            top = v
+    return {a for a, v in enumerate(scores) if v == top}
+
+
+def _convex_median_score(pos, n, m, a):
+    """Largest t with B_t(a) <= t n / 2, B_t piecewise linear in t."""
+    col = [pos[l][a] for l in range(m)]
+    for j in itertools.count(1):  # on [j, j + 1], B_t = const + t * inside
+        top = col[: j + 1]  # voters ranking a in the top j + 1 positions
+        inside = sum(top)
+        const = -sum(i * x for i, x in enumerate(top))
+        if 2 * (const + (j + 1) * inside) > n * (j + 1):
+            return F(-2 * const, 2 * inside - n)
+
+
+def reference_winners(rule_id, p):
+    """Winners of a tally-based rule, computed on the Profile with Fractions."""
+    m, n = p.m, p.n
+    h = tournament_matrix(p).h
+    pos = positional_matrix(p).counts
+    others = [[b for b in range(m) if b != a] for a in range(m)]
+    if rule_id in FIXED_VECTORS or rule_id.startswith("scoring:"):
+        if rule_id in FIXED_VECTORS:
+            vec = FIXED_VECTORS[rule_id](m)
+        else:
+            vec = parse_score_vector(rule_id[len("scoring:"):], m)
+        totals = [sum((vec[l] * pos[l][a] for l in range(m)), F(0)) for a in range(m)]
+        return _best(totals, lambda x, y: x > y)
+    if rule_id == "runoff":
+        top = list(pos[0])
+        first = max(top)
+        leaders = [a for a in range(m) if top[a] == first]
+        if len(leaders) == 1:
+            second = max(top[a] for a in others[leaders[0]])
+            finalists = [(leaders[0], y) for y in others[leaders[0]] if top[y] == second]
+        else:
+            finalists = [(x, y) for x in leaders for y in leaders if x < y]
+        won = set()
+        for x, y in finalists:
+            margin = F(h[x][y]) - F(n, 2)
+            won |= {x} if margin > 0 else {y} if margin < 0 else {x, y}
+        return won
+    if rule_id == "simpson":
+        return _best([min(h[a][b] for b in others[a]) for a in range(m)], lambda x, y: x > y)
+    if rule_id == "clr":
+        deficits = [
+            sum((max(F(n, 2) - h[a][b], F(0)) for b in others[a]), F(0)) for a in range(m)
+        ]
+        return _best(deficits, lambda x, y: x < y)
+    if rule_id == "black":
+        cw = condorcet_winner(p)
+        if cw is not None:
+            return {cw}
+        borda = [sum((m - 1 - l) * pos[l][a] for l in range(m)) for a in range(m)]
+        return _best(borda, lambda x, y: x > y)
+    if rule_id == "convexmedian":
+        mw = majority_winner(p)
+        if mw is not None:
+            return {mw}
+        return _best([_convex_median_score(pos, n, m, a) for a in range(m)], lambda x, y: x < y)
+    if rule_id == "t12rule":
+        mw = majority_winner(p)
+        if mw is not None:
+            return {mw}
+        low = _best([tradeoff_score(p, a) for a in range(m)], lambda x, y: x < y)
+        bt = {a: integer_truncated_scores(p, a) for a in low}
+        return {a for a in low if not any(second_order_dominates(bt[b], bt[a]) for b in low)}
+    raise AssertionError(rule_id)
+
+
+def _counts(p, kernel):
+    """The count vector of a profile over the kernel's ballot types."""
+    index = {r: t for t, r in enumerate(kernel.types)}
+    counts = [0] * len(kernel.types)
+    for c, r in p.ballots:
+        counts[index[r]] = c
+    return counts
+
+
+def _decision_cases():
+    yield from all_profiles(3, 6)
+    rng = random.Random(77)
+    for m in (4, 5):
+        for _ in range(60):
+            yield random_profile(rng, m, rng.randint(1, 12))
+
+
+def test_statistic_level_functions_match_reference():
+    """Each statistic-level function, fed the search's packed tallies, gives
+    the winners of rules.winners and of the Fraction reference."""
+    for p in _decision_cases():
+        kernel_rules = {rule_id: _kernel(rule_id, p.m, 1, p.n) for rule_id in TALLY_RULES}
+        kernel_rules[SCORING[p.m]] = _kernel(SCORING[p.m], p.m, 1, p.n)
+        counts = _counts(p, kernel_rules["clr"])
+        tally = sum(c * part for c, part in zip(counts, kernel_rules["clr"].contrib))
+        for rule_id, kernel in kernel_rules.items():
+            expected = reference_winners(rule_id, p)
+            assert set(winners(rule_id, p)) == expected, (rule_id, p)
+            assert set(rule_winners(kernel, p.n, tally, counts)) == expected, (rule_id, p)
+
+
+def test_wide_lanes_hold_large_counts():
+    """Counts above 255 move the packed tallies to two-byte lanes."""
+    p = Profile(("a", "b", "c"), ((300, (0, 1, 2)), (200, (1, 2, 0)), (100, (2, 0, 1))))
+    kernel = _kernel("clr", 3, 1, p.n)
+    assert kernel.lane_format == "H"
+    counts = _counts(p, kernel)
+    tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+    assert set(rule_winners(kernel, p.n, tally, counts)) == reference_winners("clr", p)
+
+
+def test_ballot_rules_have_no_statistic_level_function():
+    tally_based = {r for r in RULE_IDS if tally_decision(r, 3) is not None}
+    assert tally_based == set(TALLY_RULES)
+    assert tally_decision("scoring:2,1,0", 3) is not None
+
+
+def plain_min_violation(rule_id, m, k, n, support):
+    """The slice's smallest Profile.ballots key among violations, enumerated
+    profile by profile."""
+    best = None
+    for p in _profiles_with_support(m, k, n, support):
+        won = winners(rule_id, p)
+        if max(won) >= k and (best is None or p.ballots < best[0]):
+            best = p.ballots, support, tuple(sorted(won))
+    return best
+
+
+@pytest.mark.parametrize("rule_id", list(RULE_IDS) + [SCORING[3]])
+def test_orbit_reduced_slices_match_plain_enumeration_m3(rule_id):
+    for k in (1, 2):
+        for n in range(1, 7):
+            for s in range(1, n + 1):
+                expected = plain_min_violation(rule_id, 3, k, n, s)
+                assert _min_violation((rule_id, 3, k, n, s)) == expected, (k, n, s)
+
+
+def test_orbit_reduced_slices_match_plain_enumeration_convexmedian_m4():
+    """The slices the convex median search walks at q = 11/20 up to 7 voters."""
+    hits = 0
+    for n in range(1, 8):
+        for s in range(11 * n // 20 + 1, n + 1):
+            expected = plain_min_violation("convexmedian", 4, 2, n, s)
+            assert _min_violation(("convexmedian", 4, 2, n, s)) == expected, (n, s)
+            hits += expected is not None
+    assert hits  # the witness slice n = 7, support 4 is among them
+
+
+def _orbit_count(m, k, n, support):
+    """Orbits of S_k x S_{m-k} on one slice, counted by relabelling profiles."""
+    group = [
+        head + tail
+        for head in itertools.permutations(range(k))
+        for tail in itertools.permutations(range(k, m))
+    ]
+    return len({
+        min(relabel_profile(p, g).ballots for g in group)
+        for p in _profiles_with_support(m, k, n, support)
+    })
+
+
+@pytest.mark.parametrize("m, k, n", [(3, 1, 5), (3, 2, 5), (4, 2, 3), (4, 3, 3)])
+def test_one_evaluation_per_orbit(monkeypatch, m, k, n):
+    calls = []
+    evaluate = search.rule_winners
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(search, "rule_winners", counted)
+    for s in range(1, n + 1):
+        calls.clear()
+        _min_violation(("plurality", m, k, n, s))
+        assert len(calls) == _orbit_count(m, k, n, s), s
