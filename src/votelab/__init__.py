@@ -66,6 +66,7 @@ from .search import (
     exhaustive_criterion_search,
     max_violation,
     oracle_dodgson_score,
+    oracle_veto_core,
     oracle_young_score,
     parallel_universe_irv,
     random_profile,

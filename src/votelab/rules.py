@@ -20,13 +20,13 @@ and have no such function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import SearchBudgetExceeded
 from .exact import ExactNumber, exact
 from .model import ChoiceSet, Profile, positional_matrix, tournament_matrix
 
@@ -125,6 +125,17 @@ def _pairwise(profile: Profile) -> list[int]:
 def _positional(profile: Profile) -> list[int]:
     """Flat rank counts pos[l*m + a]."""
     return [x for row in positional_matrix(profile).counts for x in row]
+
+
+def _upper_contours(profile: Profile) -> list[list[int]]:
+    """up[a][i]: bitmask of the candidates ballot type i ranks above a."""
+    up = [[0] * len(profile.ballots) for _ in range(profile.m)]
+    for i, (_, ranking) in enumerate(profile.ballots):
+        seen = 0
+        for c in ranking:
+            up[c][i] = seen
+            seen |= 1 << c
+    return up
 
 
 def simple_majority_winners(profile: Profile) -> ChoiceSet:
@@ -374,66 +385,104 @@ def black_winners(profile: Profile) -> ChoiceSet:
 # -- Young ---------------------------------------------------------------------
 
 
-def _compositions(total: int, caps: Sequence[int]):
-    """All tuples x with 0 <= x_i <= caps[i] and sum(x) == total."""
-    k = len(caps)
+def _least_removal(start, caps, signs, slack) -> tuple[int, ...]:
+    """The least total, then the lexicographically greatest x, with
+    0 <= x_i <= caps[i], sum(x) >= start and sum_i x_i * signs[i][j] <=
+    slack[j] for every j.
 
-    def rec(i: int, left: int, prefix: tuple[int, ...]):
-        if i == k - 1:
-            if left <= caps[i]:
-                yield prefix + (left,)
-            return
-        tail_cap = sum(caps[i + 1 :])
-        lo = max(0, left - tail_cap)
-        hi = min(caps[i], left)
-        for x in range(lo, hi + 1):
-            yield from rec(i + 1, left - x, prefix + (x,))
+    Totals are tried in increasing order.  A branch is cut when even its
+    best completion breaks some slack: the r units still to place add r to
+    coordinate j, minus twice those put on later entries with a -1 there.
+    With r = 0 that bound is exact, so a branch passing it is a solution.
+    """
+    k, d = len(caps), len(slack)
+    tail_cap = [0] * (k + 1)
+    tail_neg = [[0] * d for _ in range(k + 1)]
+    for i in range(k - 1, -1, -1):
+        tail_cap[i] = tail_cap[i + 1] + caps[i]
+        tail_neg[i] = [
+            lower + (caps[i] if g < 0 else 0) for lower, g in zip(tail_neg[i + 1], signs[i])
+        ]
 
-    if total <= sum(caps):
-        yield from rec(0, total, ())
+    def rec(i, left, sums):
+        sign, neg = signs[i], tail_neg[i + 1]
+        for x in range(min(caps[i], left), max(0, left - tail_cap[i + 1]) - 1, -1):
+            rest = left - x
+            new = [s + x * g for s, g in zip(sums, sign)]
+            if any(s + rest - 2 * min(rest, lower) > z for s, lower, z in zip(new, neg, slack)):
+                continue
+            if not rest:
+                return (x,) + (0,) * (k - 1 - i)
+            tail = rec(i + 1, rest, new)
+            if tail is not None:
+                return (x,) + tail
+        return None
+
+    for total in range(start, tail_cap[0] + 1):
+        found = rec(0, total, [0] * d)
+        if found is not None:
+            return found
+    raise AssertionError("taking every unit meets every slack")
+
+
+def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: int):
+    """Young score of cand and a minimal removal, as voters per ballot type.
+
+    ``row`` is cand's tournament row h(cand, .), ``up`` its upper contour
+    in each ballot type and ``counts`` the types' voter counts.  Writing h'
+    for the kept votes, the target "2 h'(cand, b) >= n - removed" becomes,
+    per opponent, (removed voters ranking cand above b) - (removed voters
+    ranking b above cand) <= 2 h(cand, b) - n, which no longer mentions the
+    removal size; so one removal improves each pairwise deficit by at most
+    one, giving the starting size max_b (n - 2 h(cand, b)), and voters
+    ranking cand on top never belong to a minimal removal set.  The
+    constraints see a removed voter only through its sign pattern, cand
+    above or below each opponent, which its upper contour determines.  So
+    the voters are pooled per contour, at most 2^(m-1) - 1 pools, and
+    removals are searched per pool in increasing total size, larger
+    contours first and larger removals from a pool first.  Each pool's
+    removals are spread over its types in ballot order.
+    """
+    n = sum(counts)
+    opponents = [b for b in range(len(row)) if b != cand]
+    slack = [2 * row[b] - n for b in opponents]
+    removals = [0] * len(counts)
+    start = -min(slack, default=0)
+    if start <= 0:
+        return 0, removals
+    pools: dict[int, int] = {}
+    for contour, count in zip(up, counts):
+        if contour:
+            pools[contour] = pools.get(contour, 0) + count
+    contours = sorted(pools, key=lambda c: (-c.bit_count(), c))
+    signs = [[-1 if c >> b & 1 else 1 for b in opponents] for c in contours]
+    comp = _least_removal(start, [pools[c] for c in contours], signs, slack)
+    left = dict(zip(contours, comp))
+    for i, contour in enumerate(up):
+        if left.get(contour):
+            removals[i] = min(left[contour], counts[i])
+            left[contour] -= removals[i]
+    return sum(comp), removals
 
 
 def young_score(profile: Profile, cand: int) -> int:
-    """Fewest voters whose removal leaves cand unbeaten in every pairwise duel.
-
-    Removals are searched per ballot type in increasing total size, which is
-    exhaustive because the profile is anonymous.  Writing h' for the kept
-    votes, the target "2 h'(cand, b) >= n - removed" becomes, per opponent,
-    (removed voters ranking cand above b) - (removed voters ranking b above
-    cand) <= 2 h(cand, b) - n, which no longer mentions the removal size; so
-    one removal improves each pairwise deficit by at most one, giving the
-    starting size max_b (n - 2 h(cand, b)), and voters ranking cand on top
-    never belong to a minimal removal set.
-    """
-    tm = tournament_matrix(profile)
-    n = profile.n
-    opponents = [b for b in range(profile.m) if b != cand]
-    slack = [2 * tm.h[cand][b] - n for b in opponents]
-    if all(s >= 0 for s in slack):
-        return 0
-    caps = [
-        0 if ranking[0] == cand else count for count, ranking in profile.ballots
-    ]
-    signs = [
-        [1 if ranking.index(cand) < ranking.index(b) else -1 for b in opponents]
-        for _, ranking in profile.ballots
-    ]
-    start = max(-s for s in slack)
-    for removed in range(max(start, 1), sum(caps) + 1):
-        for comp in _compositions(removed, caps):
-            ok = True
-            for j, limit in enumerate(slack):
-                if sum(x * sign[j] for x, sign in zip(comp, signs)) > limit:
-                    ok = False
-                    break
-            if ok:
-                return removed
-    raise AssertionError("removing every opposing voter always works")
+    """Fewest voters whose removal leaves cand unbeaten in every pairwise duel."""
+    row = tournament_matrix(profile).h[cand]
+    counts = [count for count, _ in profile.ballots]
+    return _young(row, _upper_contours(profile)[cand], counts, cand)[0]
 
 
 def young_report(profile: Profile) -> ScoreReport:
-    scores = [young_score(profile, a) for a in range(profile.m)]
-    return ScoreReport("young", ChoiceSet(_argmin(scores)), dict(enumerate(scores)))
+    h = tournament_matrix(profile).h
+    counts = [count for count, _ in profile.ballots]
+    found = [_young(h[a], up, counts, a) for a, up in enumerate(_upper_contours(profile))]
+    scores = [score for score, _ in found]
+    return ScoreReport(
+        "young",
+        ChoiceSet(_argmin(scores)),
+        dict(enumerate(scores)),
+        {"removals": {a: removed for a, (_, removed) in enumerate(found)}},
+    )
 
 
 def young_winners(profile: Profile) -> ChoiceSet:
@@ -444,18 +493,22 @@ def young_winners(profile: Profile) -> ChoiceSet:
 
 
 def dodgson_score(profile: Profile, cand: int) -> int:
-    """Fewest adjacent swaps making cand beat everyone strictly.
+    """Fewest adjacent swaps making cand beat everyone strictly."""
+    return _dodgson(profile, tournament_matrix(profile).h[cand], cand)
+
+
+def _dodgson(profile: Profile, row: Sequence[int], cand: int) -> int:
+    """Dodgson score of cand, given its tournament row h(cand, .).
 
     Only upward moves of cand are searched: a swap not lifting cand never
     increases any h(cand, .), and displacing a blocker costs exactly as much
     as passing it.  The unrestricted-swap oracle in the search module
     cross-checks this restriction.
     """
-    tm = tournament_matrix(profile)
     n = profile.n
     need = n // 2 + 1
     opponents = [b for b in range(profile.m) if b != cand]
-    deficits = tuple(max(0, need - tm.h[cand][b]) for b in opponents)
+    deficits = tuple(max(0, need - row[b]) for b in opponents)
     if not any(deficits):
         return 0
     opp_index = {b: j for j, b in enumerate(opponents)}
@@ -528,7 +581,8 @@ def dodgson_score(profile: Profile, cand: int) -> int:
 
 
 def dodgson_report(profile: Profile) -> ScoreReport:
-    scores = [dodgson_score(profile, a) for a in range(profile.m)]
+    h = tournament_matrix(profile).h
+    scores = [_dodgson(profile, h[a], a) for a in range(profile.m)]
     return ScoreReport("dodgson", ChoiceSet(_argmin(scores)), dict(enumerate(scores)))
 
 
@@ -627,67 +681,54 @@ def convex_median_winners(profile: Profile) -> ChoiceSet:
 # -- proportional veto core -------------------------------------------------------
 
 
-def proportional_veto_core_report(profile: Profile, max_types: int = 18) -> ScoreReport:
+def proportional_veto_core_report(profile: Profile) -> ScoreReport:
     """All candidates no coalition can block.
 
-    A coalition of t voters blocks candidate a through the set B of
-    candidates they all prefer to a when |A \\ B| * n < m * t.  Only
-    coalitions taking every voter of each included ballot type need
-    checking: adding a voter of a type already present never shrinks the
-    common upper contour.
+    A coalition of t voters blocks candidate a through a nonempty set B of
+    candidates they all prefer to a when |A \\ B| * n < m * t.  For a fixed
+    B the largest such coalition is every voter ranking all of B above a,
+    so a is blocked iff some B within A \\ {a} has (m - |B|) * n < m * t(B),
+    where t(B) counts the voters whose upper contour of a contains B.  Each
+    ballot type adds its count to t(B) for every nonempty B within its upper
+    contour of a; then the blocking sets are tried in increasing bitmask
+    order.  That is at most 2^(m-1) steps per candidate and ballot type,
+    whatever the number of types.
     """
-    T = len(profile.ballots)
-    if T > max_types:
-        raise SearchBudgetExceeded(
-            f"{T} ballot types exceed the veto-core budget of {max_types}"
-        )
     m, n = profile.m, profile.n
-    counts = [count for count, _ in profile.ballots]
-    above_masks = []
-    for _, ranking in profile.ballots:
-        masks = [0] * m
-        seen = 0
-        for c in ranking:
-            masks[c] = seen
-            seen |= 1 << c
-        above_masks.append(masks)
-    blocked: dict[int, dict] = {}
     full = (1 << m) - 1
-    for a in range(m):
-        relevant = [i for i in range(T) if above_masks[i][a]]
-        found = None
-        for mask in range(1, 1 << len(relevant)):
-            inter = full
-            t = 0
-            mm = mask
-            while mm:
-                bit = (mm & -mm).bit_length() - 1
-                i = relevant[bit]
-                inter &= above_masks[i][a]
-                t += counts[i]
-                mm &= mm - 1
-            outside = m - inter.bit_count()
-            if outside * n < m * t:
-                coalition = [relevant[b] for b in range(len(relevant)) if mask >> b & 1]
-                found = {
-                    "coalition_types": coalition,
-                    "coalition_size": t,
-                    "blocking_set": sorted(
-                        c for c in range(m) if inter >> c & 1
-                    ),
+    counts = [count for count, _ in profile.ballots]
+    blocked: dict[int, dict] = {}
+    for a, up in enumerate(_upper_contours(profile)):
+        voters = [0] * (1 << m)
+        for contour, count in zip(up, counts):
+            for bset in _nonempty_submasks(contour):
+                voters[bset] += count
+        for bset in _nonempty_submasks(full ^ (1 << a)):
+            if (m - bset.bit_count()) * n < m * voters[bset]:
+                blocked[a] = {
+                    "coalition_types": [i for i, c in enumerate(up) if c & bset == bset],
+                    "coalition_size": voters[bset],
+                    "blocking_set": [c for c in range(m) if bset >> c & 1],
                 }
                 break
-        if found:
-            blocked[a] = found
     stable = [a for a in range(m) if a not in blocked]
     scores = {a: 0 if a in blocked else 1 for a in range(m)}
-    return ScoreReport(
-        "vetocore", ChoiceSet(stable), scores, {"blocked": blocked}
-    )
+    return ScoreReport("vetocore", ChoiceSet(stable), scores, {"blocked": blocked})
 
 
-def proportional_veto_core(profile: Profile, max_types: int = 18) -> ChoiceSet:
-    return proportional_veto_core_report(profile, max_types).winners
+@functools.lru_cache(maxsize=64)
+def _nonempty_submasks(mask: int) -> tuple[int, ...]:
+    """The nonempty submasks of a bitmask, in increasing order."""
+    subs = []
+    sub = mask
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & mask
+    return tuple(reversed(subs))
+
+
+def proportional_veto_core(profile: Profile) -> ChoiceSet:
+    return proportional_veto_core_report(profile).winners
 
 
 # -- depth-threshold rule trading off with positional dominance --------------------

@@ -271,6 +271,44 @@ def oracle_dodgson_score(
     raise AssertionError("the all-top state is always reachable")
 
 
+def oracle_veto_core(profile: Profile, max_types: int = 18) -> ChoiceSet:
+    """Proportional veto core by scanning every coalition of ballot types.
+
+    A coalition of t voters blocks a through the set B of candidates they
+    all prefer to a when (m - |B|) * n < m * t.  Only coalitions taking
+    every voter of each included type need checking, since adding a voter
+    of a type already present never shrinks the common upper contour; so
+    the scan covers 2^T coalitions and refuses more than max_types types.
+    Independent of the blocking-set search in the rules module.
+    """
+    types = len(profile.ballots)
+    if types > max_types:
+        raise SearchBudgetExceeded(
+            f"{types} ballot types exceed the veto-core oracle's budget of {max_types}"
+        )
+    m, n = profile.m, profile.n
+
+    def blocks(coalition) -> bool:
+        common = frozenset.intersection(*(up for _, up in coalition))
+        return (m - len(common)) * n < m * sum(count for count, _ in coalition)
+
+    stable = []
+    for a in range(m):
+        # voters ranking a on top belong to no blocking coalition
+        contours = [
+            (count, frozenset(ranking[: ranking.index(a)]))
+            for count, ranking in profile.ballots
+            if ranking[0] != a
+        ]
+        if not any(
+            blocks(coalition)
+            for size in range(1, len(contours) + 1)
+            for coalition in itertools.combinations(contours, size)
+        ):
+            stable.append(a)
+    return ChoiceSet(stable)
+
+
 def parallel_universe_irv(profile: Profile, max_candidates: int = 8) -> ChoiceSet:
     """Union of instant-runoff winners over every single-elimination order.
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from votelab import (
     exact,
     instant_runoff_winners,
     majority_winner,
+    oracle_young_score,
     plurality_runoff_winners,
     plurality_winners,
     proportional_veto_core,
@@ -28,6 +30,7 @@ from votelab import (
     relabel_profile,
     report,
     scoring_winners,
+    serialize_profile,
     simple_majority_winners,
     simpson_winners,
     theorem12_rule_winners,
@@ -37,6 +40,7 @@ from votelab import (
     young_score,
     young_winners,
 )
+from votelab.cli import main
 from votelab.rules import RULE_IDS, ScoreVector
 
 from conftest import profiles
@@ -160,6 +164,33 @@ class TestYoung:
         assert [young_score(cycle3, a) for a in range(3)] == [1, 1, 1]
         assert young_winners(cycle3) == {0, 1, 2}
 
+    def test_removal_trace(self):
+        """Each candidate's traced removal is checked from the trace alone:
+        it stays within the ballot counts, its size is the score, and the
+        candidate is weakly unbeaten once those voters are gone."""
+        rng = random.Random(8)
+        cases = list(all_profiles(3, 5))
+        cases += [random_profile(rng, m, rng.randint(1, 24)) for m in (4, 5) for _ in range(40)]
+        for p in cases:
+            rep = report("young", p)
+            for a in range(p.m):
+                removed = rep.trace["removals"][a]
+                assert len(removed) == len(p.ballots)
+                assert all(0 <= x <= count for x, (count, _) in zip(removed, p.ballots))
+                assert sum(removed) == rep.scores[a]
+                kept = [(count - x, r) for x, (count, r) in zip(removed, p.ballots)]
+                left = sum(count for count, _ in kept)
+                for b in range(p.m):
+                    wins = sum(count for count, r in kept if r.index(a) < r.index(b))
+                    assert b == a or 2 * wins >= left, (p, a, b)
+
+    def test_matches_oracle_at_five_candidates(self):
+        rng = random.Random(55)
+        for _ in range(25):
+            p = random_profile(rng, 5, rng.randint(1, 9))
+            for a in range(5):
+                assert young_score(p, a) == oracle_young_score(p, a)
+
 
 class TestDodgson:
     def test_condorcet_winner_scores_zero(self, four_bloc):
@@ -260,11 +291,17 @@ class TestVetoCore:
         p = Profile.from_names("abcd", [(1, "cadb")])
         assert proportional_veto_core(p) == {2}
 
-    def test_type_budget(self, four_bloc):
-        from votelab import SearchBudgetExceeded
-
-        with pytest.raises(SearchBudgetExceeded):
-            proportional_veto_core(four_bloc, max_types=2)
+    def test_many_ballot_types_answered(self, tmp_path, capsys):
+        # no cap on ballot types: 31 types here, where a scan over
+        # coalitions of types would need 2^31 steps per candidate
+        p = random_profile(random.Random(1), 5, 40)
+        assert len(p.ballots) > 18
+        rep = report("vetocore", p)
+        assert rep.winners == {0, 1, 2}
+        path = tmp_path / "many_types.txt"
+        path.write_text(serialize_profile(p))
+        assert main(["winners", "--rule", "vetocore", "--format", "json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["winners"] == ["a", "b", "c"]
 
 
 class TestTradeoffRule:

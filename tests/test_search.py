@@ -15,6 +15,7 @@ from votelab import (
     instant_runoff_winners,
     max_violation,
     oracle_dodgson_score,
+    oracle_veto_core,
     oracle_young_score,
     parallel_universe_irv,
     positional_matrix,
@@ -133,6 +134,53 @@ class TestOracles:
             oracle_young_score(p, 0)
         with pytest.raises(SearchBudgetExceeded):
             oracle_dodgson_score(p, 0, max_nodes=1)
+
+
+def _check_blocked_trace(p, rep):
+    """Every blocked candidate's trace entry proves the block on its own."""
+    for a, entry in rep.trace["blocked"].items():
+        bset, types = entry["blocking_set"], entry["coalition_types"]
+        assert bset and a not in bset
+        assert (p.m - len(bset)) * p.n < p.m * entry["coalition_size"]
+        assert entry["coalition_size"] == sum(p.ballots[i][0] for i in types)
+        for i in types:
+            ranking = p.ballots[i][1]
+            assert all(ranking.index(b) < ranking.index(a) for b in bset)
+    assert rep.winners == {a for a in range(p.m) if a not in rep.trace["blocked"]}
+
+
+class TestVetoCoreOracle:
+    def test_all_three_candidate_profiles(self):
+        for p in all_profiles(3, 7):
+            rep = report("vetocore", p)
+            assert rep.winners == oracle_veto_core(p), p
+            _check_blocked_trace(p, rep)
+
+    def test_seeded_four_and_five_candidates(self):
+        rng = random.Random(4242)
+        for m in (4, 5):
+            for _ in range(60):
+                # at most 18 types, with counts other than 1
+                drawn = random_profile(rng, m, rng.randint(1, 18))
+                p = Profile(drawn.candidates, tuple((rng.randint(1, 4), r) for _, r in drawn.ballots))
+                rep = report("vetocore", p)
+                assert rep.winners == oracle_veto_core(p), p
+                _check_blocked_trace(p, rep)
+
+    def test_homogeneity(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            p = random_profile(rng, rng.choice((3, 4, 5)), rng.randint(1, 16))
+            core = report("vetocore", p).winners
+            for factor in (2, 3):
+                scaled = Profile(p.candidates, tuple((factor * c, r) for c, r in p.ballots))
+                assert report("vetocore", scaled).winners == core
+
+    def test_oracle_budget(self):
+        p = random_profile(random.Random(1), 5, 40)
+        assert len(p.ballots) > 18
+        with pytest.raises(SearchBudgetExceeded):
+            oracle_veto_core(p)
 
 
 class TestParallelUniverseIrv:
