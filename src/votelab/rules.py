@@ -20,7 +20,6 @@ and have no such function.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -385,44 +384,23 @@ def black_winners(profile: Profile) -> ChoiceSet:
 # -- Young ---------------------------------------------------------------------
 
 
-def _least_removal(start, caps, signs, slack) -> tuple[int, ...]:
-    """The least total, then the lexicographically greatest x, with
-    0 <= x_i <= caps[i], sum(x) >= start and sum_i x_i * signs[i][j] <=
-    slack[j] for every j.
+def _compositions(total: int, caps: Sequence[int]):
+    """All tuples x with 0 <= x_i <= caps[i] and sum(x) == total."""
+    k = len(caps)
 
-    Totals are tried in increasing order.  A branch is cut when even its
-    best completion breaks some slack: the r units still to place add r to
-    coordinate j, minus twice those put on later entries with a -1 there.
-    With r = 0 that bound is exact, so a branch passing it is a solution.
-    """
-    k, d = len(caps), len(slack)
-    tail_cap = [0] * (k + 1)
-    tail_neg = [[0] * d for _ in range(k + 1)]
-    for i in range(k - 1, -1, -1):
-        tail_cap[i] = tail_cap[i + 1] + caps[i]
-        tail_neg[i] = [
-            lower + (caps[i] if g < 0 else 0) for lower, g in zip(tail_neg[i + 1], signs[i])
-        ]
+    def rec(i: int, left: int, prefix: tuple[int, ...]):
+        if i == k - 1:
+            if left <= caps[i]:
+                yield prefix + (left,)
+            return
+        tail_cap = sum(caps[i + 1 :])
+        lo = max(0, left - tail_cap)
+        hi = min(caps[i], left)
+        for x in range(lo, hi + 1):
+            yield from rec(i + 1, left - x, prefix + (x,))
 
-    def rec(i, left, sums):
-        sign, neg = signs[i], tail_neg[i + 1]
-        for x in range(min(caps[i], left), max(0, left - tail_cap[i + 1]) - 1, -1):
-            rest = left - x
-            new = [s + x * g for s, g in zip(sums, sign)]
-            if any(s + rest - 2 * min(rest, lower) > z for s, lower, z in zip(new, neg, slack)):
-                continue
-            if not rest:
-                return (x,) + (0,) * (k - 1 - i)
-            tail = rec(i + 1, rest, new)
-            if tail is not None:
-                return (x,) + tail
-        return None
-
-    for total in range(start, tail_cap[0] + 1):
-        found = rec(0, total, [0] * d)
-        if found is not None:
-            return found
-    raise AssertionError("taking every unit meets every slack")
+    if total <= sum(caps):
+        yield from rec(0, total, ())
 
 
 def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: int):
@@ -439,9 +417,9 @@ def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: i
     constraints see a removed voter only through its sign pattern, cand
     above or below each opponent, which its upper contour determines.  So
     the voters are pooled per contour, at most 2^(m-1) - 1 pools, and
-    removals are searched per pool in increasing total size, larger
-    contours first and larger removals from a pool first.  Each pool's
-    removals are spread over its types in ballot order.
+    removals are searched per pool in increasing total size, which is
+    exhaustive because the profile is anonymous.  The first removal found
+    is spread over each pool's types in ballot order.
     """
     n = sum(counts)
     opponents = [b for b in range(len(row)) if b != cand]
@@ -454,15 +432,21 @@ def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: i
     for contour, count in zip(up, counts):
         if contour:
             pools[contour] = pools.get(contour, 0) + count
-    contours = sorted(pools, key=lambda c: (-c.bit_count(), c))
-    signs = [[-1 if c >> b & 1 else 1 for b in opponents] for c in contours]
-    comp = _least_removal(start, [pools[c] for c in contours], signs, slack)
-    left = dict(zip(contours, comp))
-    for i, contour in enumerate(up):
-        if left.get(contour):
-            removals[i] = min(left[contour], counts[i])
-            left[contour] -= removals[i]
-    return sum(comp), removals
+    caps = list(pools.values())
+    signs = [[-1 if c >> b & 1 else 1 for b in opponents] for c in pools]
+    for removed in range(start, sum(caps) + 1):
+        for comp in _compositions(removed, caps):
+            if all(
+                sum(x * sign[j] for x, sign in zip(comp, signs)) <= limit
+                for j, limit in enumerate(slack)
+            ):
+                left = dict(zip(pools, comp))
+                for i, contour in enumerate(up):
+                    if left.get(contour):
+                        removals[i] = min(left[contour], counts[i])
+                        left[contour] -= removals[i]
+                return removed, removals
+    raise AssertionError("removing every opposing voter always works")
 
 
 def young_score(profile: Profile, cand: int) -> int:
@@ -687,44 +671,38 @@ def proportional_veto_core_report(profile: Profile) -> ScoreReport:
     A coalition of t voters blocks candidate a through a nonempty set B of
     candidates they all prefer to a when |A \\ B| * n < m * t.  For a fixed
     B the largest such coalition is every voter ranking all of B above a,
-    so a is blocked iff some B within A \\ {a} has (m - |B|) * n < m * t(B),
-    where t(B) counts the voters whose upper contour of a contains B.  Each
-    ballot type adds its count to t(B) for every nonempty B within its upper
-    contour of a; then the blocking sets are tried in increasing bitmask
-    order.  That is at most 2^(m-1) steps per candidate and ballot type,
-    whatever the number of types.
+    so a is blocked iff some nonempty B within A \\ {a} has
+    (m - |B|) * n < m * t(B), where t(B) counts the voters whose upper
+    contour of a contains B.  Widening B to the intersection of every
+    contour containing it keeps t(B) and only lowers m - |B|, so only the
+    nonempty intersections of contours need trying: at most
+    min(2^T, 2^(m-1)) - 1 sets for T ballot types, tried in increasing
+    bitmask order.
     """
     m, n = profile.m, profile.n
-    full = (1 << m) - 1
     counts = [count for count, _ in profile.ballots]
     blocked: dict[int, dict] = {}
     for a, up in enumerate(_upper_contours(profile)):
-        voters = [0] * (1 << m)
+        pooled: dict[int, int] = {}
         for contour, count in zip(up, counts):
-            for bset in _nonempty_submasks(contour):
-                voters[bset] += count
-        for bset in _nonempty_submasks(full ^ (1 << a)):
-            if (m - bset.bit_count()) * n < m * voters[bset]:
+            if contour:
+                pooled[contour] = pooled.get(contour, 0) + count
+        family: set[int] = set()
+        for contour in pooled:
+            family |= {contour} | {contour & s for s in family}
+        family.discard(0)
+        for bset in sorted(family):
+            voters = sum(t for c, t in pooled.items() if c & bset == bset)
+            if (m - bset.bit_count()) * n < m * voters:
                 blocked[a] = {
                     "coalition_types": [i for i, c in enumerate(up) if c & bset == bset],
-                    "coalition_size": voters[bset],
+                    "coalition_size": voters,
                     "blocking_set": [c for c in range(m) if bset >> c & 1],
                 }
                 break
     stable = [a for a in range(m) if a not in blocked]
     scores = {a: 0 if a in blocked else 1 for a in range(m)}
     return ScoreReport("vetocore", ChoiceSet(stable), scores, {"blocked": blocked})
-
-
-@functools.lru_cache(maxsize=64)
-def _nonempty_submasks(mask: int) -> tuple[int, ...]:
-    """The nonempty submasks of a bitmask, in increasing order."""
-    subs = []
-    sub = mask
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & mask
-    return tuple(reversed(subs))
 
 
 def proportional_veto_core(profile: Profile) -> ChoiceSet:

@@ -22,6 +22,7 @@ from votelab import (
     exact,
     instant_runoff_winners,
     majority_winner,
+    oracle_veto_core,
     oracle_young_score,
     plurality_runoff_winners,
     plurality_winners,
@@ -302,6 +303,24 @@ class TestVetoCore:
         path.write_text(serialize_profile(p))
         assert main(["winners", "--rule", "vetocore", "--format", "json", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["winners"] == ["a", "b", "c"]
+
+    def test_many_candidates_few_types(self, tmp_path, capsys):
+        # only intersections of upper contours are tried as blocking sets,
+        # so 30 candidates with few ballot types need no 2^29 scan
+        labels = [f"c{i}" for i in range(30)]
+        p = Profile.from_names(labels, [(1, labels[::-1])])
+        rep = report("vetocore", p)
+        assert rep.winners == {29}
+        assert rep.trace["blocked"][0]["blocking_set"] == list(range(1, 30))
+        path = tmp_path / "many_candidates.txt"
+        path.write_text(serialize_profile(p))
+        assert main(["winners", "--rule", "vetocore", "--format", "json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["winners"] == ["c29"]
+        rng = random.Random(30)
+        for _ in range(5):
+            groups = [(rng.randint(1, 6), rng.sample(labels, 30)) for _ in range(4)]
+            p = Profile.from_names(labels, groups)
+            assert proportional_veto_core(p) == oracle_veto_core(p), p
 
 
 class TestTradeoffRule:
