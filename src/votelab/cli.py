@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,7 +209,7 @@ def _cmd_tables(args) -> ResultDocument:
             row["sup"] = _quota_payload(sup)
         rows.append(row)
     payload = {"which": args.which, "title": data.title, "rows": rows}
-    return ResultDocument("tables", payload, plain=emit_table(args.which))
+    return ResultDocument("tables", payload, plain=emit_table(args.which).rstrip("\n"))
 
 
 def _cmd_check(args) -> ResultDocument:
@@ -243,13 +244,12 @@ def _cmd_check(args) -> ResultDocument:
 
 def _cmd_verify(args) -> ResultDocument:
     requested = args.max_voters
-    cap = search.env_max_voters()
-    effective = requested if cap is None else min(requested, cap)
-    budget = search.SearchBudget(
-        max_voters=effective,
+    budget = search.SearchBudget.default(
+        max_voters=requested,
         max_candidates=max(args.m, 5),
         workers=args.workers,
     )
+    effective = budget.max_voters
     q = Fraction(args.q)
     violation = search.exhaustive_criterion_search(args.rule, args.m, args.k, q, budget)
     payload = {
@@ -395,7 +395,14 @@ def main(argv=None) -> int:
     except (VotelabError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    print(result.render(args.format))
+    try:
+        print(result.render(args.format), flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early (`votelab ... | head`): send the
+        # rest, and the interpreter's final flush, to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return result.status
 
 

@@ -16,7 +16,6 @@ from .model import ChoiceSet, Profile
 from .rules import (
     ScoreVector,
     integer_truncated_scores,
-    is_rule_id,
     parse_score_vector,
     second_order_dominates,
     winners as rule_winners,
@@ -160,8 +159,6 @@ def _coerce_q(q) -> ExactNumber:
 def check_qk_majority(rule_id: str, profile: Profile, q, k: int) -> Violation | None:
     """None when every sufficiently supported k-set contains all winners."""
     qq = _coerce_q(q)
-    if not is_rule_id(rule_id):
-        raise ValueError(f"unknown rule id {rule_id!r}")
     groups = mutual_majority_groups(profile, k)
     n = profile.n
     won = rule_winners(rule_id, profile)
@@ -174,8 +171,6 @@ def check_qk_majority(rule_id: str, profile: Profile, q, k: int) -> Violation | 
 def check_ql_veto(rule_id: str, profile: Profile, q, l: int) -> Violation | None:
     """None when no sufficiently supported bottom l-set intersects the winners."""
     qq = _coerce_q(q)
-    if not is_rule_id(rule_id):
-        raise ValueError(f"unknown rule id {rule_id!r}")
     groups = mutual_minority_groups(profile, l)
     n = profile.n
     won = rule_winners(rule_id, profile)

@@ -16,6 +16,10 @@ into its public score values.  The exhaustive search calls the same
 functions on tallies it updates incrementally, so each rule has one
 definition.  Instant runoff, Young, Dodgson and the veto core read ballots
 and have no such function.
+
+The registry at the end of the module maps each rule id to one record: its
+report and, for a tally-based rule, the factory of its decision per m.
+``scoring:<s1,...,sm>`` ids are the one parametric case outside it.
 """
 
 from __future__ import annotations
@@ -34,22 +38,6 @@ Decision = Callable[
     [int, int, Sequence[int] | None, Sequence[int] | None],
     tuple[tuple[int, ...], list | None, dict | None],
 ]
-
-RULE_IDS = (
-    "plurality",
-    "runoff",
-    "irv",
-    "borda",
-    "antiplurality",
-    "simpson",
-    "young",
-    "dodgson",
-    "clr",
-    "black",
-    "convexmedian",
-    "vetocore",
-    "t12rule",
-)
 
 
 @dataclass(frozen=True)
@@ -137,14 +125,6 @@ def _upper_contours(profile: Profile) -> list[list[int]]:
     return up
 
 
-def simple_majority_winners(profile: Profile) -> ChoiceSet:
-    """Candidates with the most top positions (the m = 2 baseline rule)."""
-    pos = positional_matrix(profile)
-    top = pos.counts[0]
-    best = max(top)
-    return ChoiceSet(a for a in range(profile.m) if top[a] == best)
-
-
 # -- positional scoring rules -------------------------------------------------
 
 
@@ -182,31 +162,24 @@ def scoring_winners(profile: Profile, scores: ScoreVector) -> ChoiceSet:
     return scoring_report(profile, scores).winners
 
 
-def _fixed_scoring_report(rule_id: str, make: Callable[[int], ScoreVector]):
-    def report(profile: Profile) -> ScoreReport:
-        if profile.m == 1:
-            return ScoreReport(rule_id, ChoiceSet({0}), {0: 1})
-        rep = scoring_report(profile, make(profile.m))
-        return ScoreReport(rule_id, rep.winners, rep.scores)
-
-    return report
-
-
-plurality_report = _fixed_scoring_report("plurality", ScoreVector.plurality)
-borda_report = _fixed_scoring_report("borda", ScoreVector.borda)
-antiplurality_report = _fixed_scoring_report("antiplurality", ScoreVector.antiplurality)
+def _vector_decision(scores: ScoreVector) -> Decision:
+    return scoring_decision(_integer_weights(scores)[0])
 
 
 def plurality_winners(profile: Profile) -> ChoiceSet:
-    return plurality_report(profile).winners
+    return winners("plurality", profile)
+
+
+# The m = 2 baseline rule: the candidates with the most top positions.
+simple_majority_winners = plurality_winners
 
 
 def borda_winners(profile: Profile) -> ChoiceSet:
-    return borda_report(profile).winners
+    return winners("borda", profile)
 
 
 def antiplurality_winners(profile: Profile) -> ChoiceSet:
-    return antiplurality_report(profile).winners
+    return winners("antiplurality", profile)
 
 
 # -- plurality with runoff ----------------------------------------------------
@@ -713,7 +686,9 @@ def proportional_veto_core(profile: Profile) -> ChoiceSet:
 
 
 def _truncated_scores(col: Sequence[int], m: int) -> list[int]:
-    return [sum((t - i) * col[i] for i in range(t + 1)) for t in range(1, m)]
+    """B_t for t = 1..m-1: the piece j = t gives B_t = C + t*N."""
+    pieces = itertools.islice(_piecewise_depth_pieces(col, m), m - 1)
+    return [C + t * N for t, N, C in pieces]
 
 
 def integer_truncated_scores(profile: Profile, cand: int) -> list[int]:
@@ -793,37 +768,48 @@ def theorem12_rule_winners(profile: Profile) -> ChoiceSet:
 # -- registry -----------------------------------------------------------------------
 
 
-_REPORTS: dict[str, Callable[[Profile], ScoreReport]] = {
-    "plurality": plurality_report,
-    "runoff": plurality_runoff_report,
-    "irv": instant_runoff_report,
-    "borda": borda_report,
-    "antiplurality": antiplurality_report,
-    "simpson": simpson_report,
-    "young": young_report,
-    "dodgson": dodgson_report,
-    "clr": clr_report,
-    "black": black_report,
-    "convexmedian": convex_median_report,
-    "vetocore": proportional_veto_core_report,
-    "t12rule": theorem12_report,
-}
+@dataclass(frozen=True)
+class _Rule:
+    """A registered rule: its report and, for a rule decided on tallies alone,
+    the factory giving its statistic-level decision at m >= 2 candidates."""
+
+    report: Callable[[Profile], ScoreReport]
+    decision: Callable[[int], Decision] | None = None  # None: reads ballots
 
 
-_FIXED_VECTORS: dict[str, Callable[[int], ScoreVector]] = {
-    "plurality": ScoreVector.plurality,
-    "borda": ScoreVector.borda,
-    "antiplurality": ScoreVector.antiplurality,
+def _vector_rule(rule_id: str, make: Callable[[int], ScoreVector]) -> _Rule:
+    """The positional rule scoring m candidates with the vector make(m)."""
+
+    def report(profile: Profile) -> ScoreReport:
+        if profile.m == 1:
+            return ScoreReport(rule_id, ChoiceSet({0}), {0: 1})
+        rep = scoring_report(profile, make(profile.m))
+        return ScoreReport(rule_id, rep.winners, rep.scores)
+
+    return _Rule(report, lambda m: _vector_decision(make(m)))
+
+
+def _tally_rule(report: Callable[[Profile], ScoreReport], decide: Decision) -> _Rule:
+    return _Rule(report, lambda m: decide)
+
+
+_RULES: dict[str, _Rule] = {
+    "plurality": _vector_rule("plurality", ScoreVector.plurality),
+    "runoff": _tally_rule(plurality_runoff_report, runoff_decision),
+    "irv": _Rule(instant_runoff_report),
+    "borda": _vector_rule("borda", ScoreVector.borda),
+    "antiplurality": _vector_rule("antiplurality", ScoreVector.antiplurality),
+    "simpson": _tally_rule(simpson_report, simpson_decision),
+    "young": _Rule(young_report),
+    "dodgson": _Rule(dodgson_report),
+    "clr": _tally_rule(clr_report, clr_decision),
+    "black": _tally_rule(black_report, black_decision),
+    "convexmedian": _tally_rule(convex_median_report, convex_median_decision),
+    "vetocore": _Rule(proportional_veto_core_report),
+    "t12rule": _tally_rule(theorem12_report, theorem12_decision),
 }
 
-_TALLY_DECISIONS: dict[str, Decision] = {
-    "runoff": runoff_decision,
-    "simpson": simpson_decision,
-    "clr": clr_decision,
-    "black": black_decision,
-    "convexmedian": convex_median_decision,
-    "t12rule": theorem12_decision,
-}
+RULE_IDS = tuple(_RULES)
 
 
 def parse_score_vector(spec: str, m: int) -> ScoreVector:
@@ -840,12 +826,11 @@ def tally_decision(rule_id: str, m: int) -> Decision | None:
     None for the rules that read ballots (irv, young, dodgson, vetocore).
     """
     if rule_id.startswith("scoring:"):
-        vector = parse_score_vector(rule_id[len("scoring:") :], m)
-    elif rule_id in _FIXED_VECTORS:
-        vector = _FIXED_VECTORS[rule_id](m)
-    else:
-        return _TALLY_DECISIONS.get(rule_id)
-    return scoring_decision(_integer_weights(vector)[0])
+        return _vector_decision(parse_score_vector(rule_id[len("scoring:") :], m))
+    rule = _RULES.get(rule_id)
+    if rule is None or rule.decision is None:
+        return None
+    return rule.decision(m)
 
 
 def report(rule_id: str, profile: Profile) -> ScoreReport:
@@ -854,10 +839,9 @@ def report(rule_id: str, profile: Profile) -> ScoreReport:
         vec = parse_score_vector(rule_id[len("scoring:") :], profile.m)
         rep = scoring_report(profile, vec)
         return ScoreReport(rule_id, rep.winners, rep.scores)
-    try:
-        return _REPORTS[rule_id](profile)
-    except KeyError:
-        raise ValueError(f"unknown rule id {rule_id!r}") from None
+    if rule_id not in _RULES:
+        raise ValueError(f"unknown rule id {rule_id!r}")
+    return _RULES[rule_id].report(profile)
 
 
 def winners(rule_id: str, profile: Profile) -> ChoiceSet:
@@ -865,4 +849,4 @@ def winners(rule_id: str, profile: Profile) -> ChoiceSet:
 
 
 def is_rule_id(rule_id: str) -> bool:
-    return rule_id in _REPORTS or rule_id.startswith("scoring:")
+    return rule_id in _RULES or rule_id.startswith("scoring:")

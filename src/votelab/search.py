@@ -312,37 +312,27 @@ def oracle_veto_core(profile: Profile, max_types: int = 18) -> ChoiceSet:
 def parallel_universe_irv(profile: Profile, max_candidates: int = 8) -> ChoiceSet:
     """Union of instant-runoff winners over every single-elimination order.
 
-    Cross-check oracle for the simultaneous-elimination tie handling of the
-    main instant-runoff implementation.
+    Tries each of the m! candidate orders as an elimination sequence, with
+    no memo: an order counts when each candidate it eliminates has the
+    fewest first preferences among the candidates still in, and its last
+    candidate is then a winner.  Independent of the memoised recursion in
+    the rules module, whose tie handling it cross-checks.
     """
     if profile.m > max_candidates:
         raise SearchBudgetExceeded(
             f"parallel-universe search limited to {max_candidates} candidates"
         )
-    ballots = profile.ballots
-
-    cache: dict[frozenset[int], frozenset[int]] = {}
-
-    def wins(active: frozenset[int]) -> frozenset[int]:
-        if len(active) == 1:
-            return active
-        if active in cache:
-            return cache[active]
-        tally = {a: 0 for a in active}
-        for count, ranking in ballots:
-            for c in ranking:
-                if c in active:
-                    tally[c] += count
-                    break
-        low = min(tally.values())
-        out: set[int] = set()
-        for loser in [a for a in active if tally[a] == low]:
-            out |= wins(active - {loser})
-        result = frozenset(out)
-        cache[active] = result
-        return result
-
-    return ChoiceSet(wins(frozenset(range(profile.m))))
+    won = set()
+    for order in itertools.permutations(range(profile.m)):
+        for i, loser in enumerate(order[:-1]):
+            firsts = dict.fromkeys(order[i:], 0)
+            for count, ranking in profile.ballots:
+                firsts[next(c for c in ranking if c in firsts)] += count
+            if firsts[loser] > min(firsts.values()):
+                break
+        else:
+            won.add(order[-1])
+    return ChoiceSet(won)
 
 
 # -- exhaustive criterion verification -----------------------------------------------

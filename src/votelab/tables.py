@@ -90,19 +90,8 @@ def _majority_power_table() -> TableData:
 
 
 def _per_m_table() -> TableData:
-    order = (
-        "irv",
-        "clr",
-        "convexmedian",
-        "runoff",
-        "simpson",
-        "young",
-        "plurality",
-        "black",
-        "vetocore",
-        "borda",
-        "antiplurality",
-    )
+    # table 3's rows, with clr's even/odd split merged
+    order = dict.fromkeys(key.partition(":")[0] for key in _MAJORITY_FORMULA)
     combos = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
     rows = []
     for rule in order:

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import votelab
 from votelab import (
     Profile,
     ProfileFormatError,
@@ -11,6 +16,8 @@ from votelab import (
     serialize_profile,
 )
 from votelab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 FOUR_BLOC_TEXT = """\
 # four blocs over four candidates
@@ -152,6 +159,26 @@ class TestCli:
         assert main(["tables", "--which", "3"]) == 0
         out = capsys.readouterr().out
         assert "0.563" in out and "(5k-2)/(8k)" in out
+
+    @pytest.mark.parametrize("which", [3, 4, 5, 6])
+    def test_tables_match_golden(self, which, capsys):
+        assert main(["tables", "--which", str(which)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"table{which}.txt").read_text()
+
+    def test_closed_pipe_is_quiet(self):
+        """A reader that stops early (`votelab ktuple ... | head -c 50`) gets
+        no traceback, and the command keeps its own exit status."""
+        env = {**os.environ, "PYTHONPATH": str(Path(votelab.__file__).parents[1])}
+        argv = ["ktuple", "--k", "400", "--voters", "400"]  # about 1 MB of output
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "votelab.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(50).startswith(b"m 400\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_check_pass_and_violation_exit_codes(self, four_bloc_file, capsys):
         assert main(["check", "--rule", "borda", "--q", "5/8", "--k", "2",

@@ -456,3 +456,36 @@ def test_borda_dual_formulas(p):
     tm = tournament_matrix(p)
     for a in range(p.m):
         assert rep.scores[a] == sum(tm.h[a][b] for b in range(p.m) if b != a)
+
+
+def _homogeneity_cases():
+    """all_profiles(3, 5) and seeded 4- and 5-candidate samples."""
+    yield from all_profiles(3, 5)
+    rng = random.Random(77)
+    for _ in range(120):
+        yield random_profile(rng, rng.choice((4, 5)), rng.randint(1, 8))
+
+
+def _scaled(p: Profile, factor: int) -> Profile:
+    return Profile(p.candidates, tuple((factor * c, r) for c, r in p.ballots))
+
+
+def test_homogeneity():
+    """Doubling or tripling every count leaves the winners unchanged, for
+    every rule but Dodgson (see the next test)."""
+    homogeneous = [r for r in ALL_RULES if r != "dodgson"]
+    for p in _homogeneity_cases():
+        for rule_id in homogeneous + (["scoring:3,1,0"] if p.m == 3 else []):
+            won = winners(rule_id, p)
+            for factor in (2, 3):
+                assert winners(rule_id, _scaled(p, factor)) == won, (rule_id, p, factor)
+
+
+def test_dodgson_is_not_homogeneous():
+    """Dodgson's rule is not homogeneous (Fishburn 1977): doubling every
+    count of this profile changes its winners from {b, e} to {e}."""
+    p = Profile.from_names(
+        "abcde", [(1, r) for r in ("badec", "bedca", "cadeb", "daecb", "ebadc", "ebdac")]
+    )
+    assert names(p, dodgson_winners(p)) == {"b", "e"}
+    assert names(p, dodgson_winners(_scaled(p, 2))) == {"e"}

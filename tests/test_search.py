@@ -212,6 +212,18 @@ class TestExhaustiveSearch:
         tops = positional_matrix(violation.profile).counts[0]
         assert tops == (1, 1, 1)
 
+    def test_clr_reduced_quota_witness_at_nine_voters(self):
+        """Below CLR's k = 3 quota the first witness needs n = 9 (share 5/9);
+        acceptance criterion 7's strict xfail shows there is none at n <= 8."""
+        budget = SearchBudget(max_voters=9)
+        found = exhaustive_criterion_search("clr", 4, 3, F(5, 9) - F(1, 20), budget)
+        assert (found.profile.n, found.support) == (9, 5)
+        assert found.winners == {0, 1, 2, 3}
+        assert found.profile == Profile.from_names(
+            "abcd",
+            [(1, "abcd"), (1, "bcad"), (3, "cabd"), (2, "dabc"), (2, "dbca")],
+        )
+
     def test_irv_clean_at_half(self):
         budget = SearchBudget(max_voters=12)
         assert exhaustive_criterion_search("irv", 3, 2, F(1, 2), budget) is None
