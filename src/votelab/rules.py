@@ -5,21 +5,22 @@ tie-breaking is ever applied.  Scores are exact: integers, rationals, or
 quadratic irrationals, so argmin/argmax decisions are never made in floating
 point.
 
-A tally-based rule is decided by a statistic-level function of its
-sufficient statistics alone, ``decide(m, n, h, pos) -> (winners, scores,
-trace)``.  ``h[a*m + b]`` counts the voters preferring a to b and
-``pos[l*m + a]`` the voters ranking a at position l + 1, both flat integer
-sequences; a report passes None for a statistic its rule does not read.
+Every rule is decided by one function that needs no Profile,
+``decide(m, n, h, stat) -> (winners, scores, trace)``.  ``h[a*m + b]``
+counts the voters preferring a to b, a flat integer sequence.  A tally-based
+rule's ``stat`` is the flat rank counts, ``pos[l*m + a]`` voters ranking a
+at position l + 1; instant runoff, Young, Dodgson and the veto core read
+ballots instead, and their ``stat`` is the nonzero (count, ranking) pairs
+in any order.  A report passes None for a statistic its rule does not read.
 Winners come back as ascending candidate indices and scores in the rule's
 raw form, integers wherever the value is an integer; the report turns them
 into its public score values.  The exhaustive search calls the same
-functions on tallies it updates incrementally, so each rule has one
-definition.  Instant runoff, Young, Dodgson and the veto core read ballots
-and have no such function.
+functions on tallies it updates incrementally and on its count vectors, so
+each rule has one definition.
 
 The registry at the end of the module maps each rule id to one record: its
-report and, for a tally-based rule, the factory of its decision per m.
-``scoring:<s1,...,sm>`` ids are the one parametric case outside it.
+report and the factory of its decision per m.  ``scoring:<s1,...,sm>`` ids
+are the one parametric case outside it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .exact import ExactNumber, exact
 from .model import ChoiceSet, Profile, positional_matrix, tournament_matrix
 
 ExactScore = ExactNumber | Fraction | int
+Ballots = Sequence[tuple[int, Sequence[int]]]  # nonzero (count, ranking) pairs
 Decision = Callable[
-    [int, int, Sequence[int] | None, Sequence[int] | None],
+    [int, int, Sequence[int] | None, Sequence[int] | Ballots | None],
     tuple[tuple[int, ...], list | None, dict | None],
 ]
 
@@ -114,10 +116,10 @@ def _positional(profile: Profile) -> list[int]:
     return [x for row in positional_matrix(profile).counts for x in row]
 
 
-def _upper_contours(profile: Profile) -> list[list[int]]:
+def _upper_contours(m: int, ballots: Ballots) -> list[list[int]]:
     """up[a][i]: bitmask of the candidates ballot type i ranks above a."""
-    up = [[0] * len(profile.ballots) for _ in range(profile.m)]
-    for i, (_, ranking) in enumerate(profile.ballots):
+    up = [[0] * len(ballots) for _ in range(m)]
+    for i, (_, ranking) in enumerate(ballots):
         seen = 0
         for c in ranking:
             up[c][i] = seen
@@ -228,9 +230,9 @@ def plurality_runoff_winners(profile: Profile) -> ChoiceSet:
 # -- instant runoff -----------------------------------------------------------
 
 
-def _transfer_tally(profile: Profile, active: frozenset[int]) -> dict[int, int]:
+def _transfer_tally(ballots: Ballots, active: frozenset[int]) -> dict[int, int]:
     tally = {a: 0 for a in active}
-    for count, ranking in profile.ballots:
+    for count, ranking in ballots:
         for c in ranking:
             if c in active:
                 tally[c] += count
@@ -238,14 +240,17 @@ def _transfer_tally(profile: Profile, active: frozenset[int]) -> dict[int, int]:
     return tally
 
 
-def instant_runoff_report(profile: Profile) -> ScoreReport:
+def instant_runoff_decision(m, n, h, ballots):
     """Iteratively delete a candidate with the fewest top positions.
 
     When several candidates tie at the minimum, the winners are the union
     over all ways of deleting one of them (deleting the whole tied group at
     once can wipe out a mutually top-ranked majority set, so the union over
     single deletions is the tie handling consistent with the runoff rule's).
+    Scores are the first-round tallies; the trace follows the elimination
+    path while it is unambiguous.
     """
+    tallies: dict[frozenset[int], dict[int, int]] = {}
     winners_of: dict[frozenset[int], frozenset[int]] = {}
 
     def resolve(active: frozenset[int]) -> frozenset[int]:
@@ -254,7 +259,7 @@ def instant_runoff_report(profile: Profile) -> ScoreReport:
         hit = winners_of.get(active)
         if hit is not None:
             return hit
-        tally = _transfer_tally(profile, active)
+        tally = tallies[active] = _transfer_tally(ballots, active)
         low = min(tally.values())
         out: set[int] = set()
         for loser in active:
@@ -264,23 +269,29 @@ def instant_runoff_report(profile: Profile) -> ScoreReport:
         winners_of[active] = result
         return result
 
-    # Trace the deterministic path while eliminations are unambiguous.
+    everyone = frozenset(range(m))
+    final = resolve(everyone)
+    # Every set on the unambiguous path was resolved, so its tally is known.
     rounds = []
-    active = frozenset(range(profile.m))
-    unique_path = True
-    while len(active) > 1 and unique_path:
-        tally = _transfer_tally(profile, active)
+    active = everyone
+    while len(active) > 1:
+        tally = tallies[active]
         low = min(tally.values())
         losers = sorted(a for a in active if tally[a] == low)
-        if len(losers) == 1:
-            rounds.append({"scores": dict(tally), "eliminated": losers})
-            active = active - {losers[0]}
-        else:
-            unique_path = False
-    final = resolve(frozenset(range(profile.m)))
-    scores = _transfer_tally(profile, frozenset(range(profile.m)))
-    trace = {"rounds": rounds, "tie_branching": not unique_path}
-    return ScoreReport("irv", ChoiceSet(final), dict(scores), trace)
+        if len(losers) > 1:
+            break
+        rounds.append({"scores": dict(tally), "eliminated": losers})
+        active = active - {losers[0]}
+    first = tallies[everyone] if m > 1 else {0: n}
+    trace = {"rounds": rounds, "tie_branching": len(active) > 1}
+    return tuple(sorted(final)), [first[a] for a in range(m)], trace
+
+
+def instant_runoff_report(profile: Profile) -> ScoreReport:
+    won, scores, trace = instant_runoff_decision(
+        profile.m, profile.n, None, profile.ballots
+    )
+    return ScoreReport("irv", ChoiceSet(won), dict(enumerate(scores)), trace)
 
 
 def instant_runoff_winners(profile: Profile) -> ChoiceSet:
@@ -311,17 +322,26 @@ def clr_decision(m, n, h, pos):
     """Minimize the total of losing pairwise margins below n/2.
 
     Scores are the doubled deficits sum_b max(n - 2 h(a, b), 0), integers.
+    The trace's ``doubled_deficits[a*m + b]`` is the pair's term; on the
+    diagonal, where h(a, a) = 0, it reads n, which the scores take off.
     """
-    doubled = [
-        sum(max(n - 2 * h[a * m + b], 0) for b in range(m) if b != a) for a in range(m)
-    ]
-    return _argmin(doubled), doubled, None
+    deficits = [n - 2 * x if 2 * x < n else 0 for x in h]
+    doubled = [sum(deficits[a * m : a * m + m]) - n for a in range(m)]
+    return _argmin(doubled), doubled, {"doubled_deficits": deficits}
 
 
 def clr_report(profile: Profile) -> ScoreReport:
-    won, doubled, _ = clr_decision(profile.m, profile.n, _pairwise(profile), None)
+    """Scores are the deficits; the trace maps each a to its doubled
+    deficits max(n - 2 h(a, b), 0) against every b."""
+    m = profile.m
+    won, doubled, trace = clr_decision(m, profile.n, _pairwise(profile), None)
+    flat = trace["doubled_deficits"]
+    deficits = {a: {b: flat[a * m + b] for b in range(m) if b != a} for a in range(m)}
     return ScoreReport(
-        "clr", ChoiceSet(won), {a: Fraction(d, 2) for a, d in enumerate(doubled)}
+        "clr",
+        ChoiceSet(won),
+        {a: Fraction(d, 2) for a, d in enumerate(doubled)},
+        {"doubled_deficits": deficits},
     )
 
 
@@ -426,20 +446,26 @@ def young_score(profile: Profile, cand: int) -> int:
     """Fewest voters whose removal leaves cand unbeaten in every pairwise duel."""
     row = tournament_matrix(profile).h[cand]
     counts = [count for count, _ in profile.ballots]
-    return _young(row, _upper_contours(profile)[cand], counts, cand)[0]
+    return _young(row, _upper_contours(profile.m, profile.ballots)[cand], counts, cand)[0]
+
+
+def young_decision(m, n, h, ballots):
+    """The least Young scores; the trace's removals are per ballot in order."""
+    counts = [count for count, _ in ballots]
+    found = [
+        _young(h[a * m : a * m + m], up, counts, a)
+        for a, up in enumerate(_upper_contours(m, ballots))
+    ]
+    scores = [score for score, _ in found]
+    removals = {a: removed for a, (_, removed) in enumerate(found)}
+    return _argmin(scores), scores, {"removals": removals}
 
 
 def young_report(profile: Profile) -> ScoreReport:
-    h = tournament_matrix(profile).h
-    counts = [count for count, _ in profile.ballots]
-    found = [_young(h[a], up, counts, a) for a, up in enumerate(_upper_contours(profile))]
-    scores = [score for score, _ in found]
-    return ScoreReport(
-        "young",
-        ChoiceSet(_argmin(scores)),
-        dict(enumerate(scores)),
-        {"removals": {a: removed for a, (_, removed) in enumerate(found)}},
+    won, scores, trace = young_decision(
+        profile.m, profile.n, _pairwise(profile), profile.ballots
     )
+    return ScoreReport("young", ChoiceSet(won), dict(enumerate(scores)), trace)
 
 
 def young_winners(profile: Profile) -> ChoiceSet:
@@ -451,10 +477,11 @@ def young_winners(profile: Profile) -> ChoiceSet:
 
 def dodgson_score(profile: Profile, cand: int) -> int:
     """Fewest adjacent swaps making cand beat everyone strictly."""
-    return _dodgson(profile, tournament_matrix(profile).h[cand], cand)
+    row = tournament_matrix(profile).h[cand]
+    return _dodgson(profile.m, profile.n, profile.ballots, row, cand)
 
 
-def _dodgson(profile: Profile, row: Sequence[int], cand: int) -> int:
+def _dodgson(m: int, n: int, ballots: Ballots, row: Sequence[int], cand: int) -> int:
     """Dodgson score of cand, given its tournament row h(cand, .).
 
     Only upward moves of cand are searched: a swap not lifting cand never
@@ -462,9 +489,8 @@ def _dodgson(profile: Profile, row: Sequence[int], cand: int) -> int:
     as passing it.  The unrestricted-swap oracle in the search module
     cross-checks this restriction.
     """
-    n = profile.n
     need = n // 2 + 1
-    opponents = [b for b in range(profile.m) if b != cand]
+    opponents = [b for b in range(m) if b != cand]
     deficits = tuple(max(0, need - row[b]) for b in opponents)
     if not any(deficits):
         return 0
@@ -474,13 +500,16 @@ def _dodgson(profile: Profile, row: Sequence[int], cand: int) -> int:
     # Per type the choice is the nonincreasing vector z, where z[d] voters
     # lift past depth d+1; its cost is sum(z).
     types = []
-    for count, ranking in profile.ballots:
+    for count, ranking in ballots:
         p = ranking.index(cand)
         above = [opp_index[ranking[p - 1 - off]] for off in range(p)]
         types.append((count, above))
 
-    INF = float("inf")
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
+    # Lifting cand to the top of every ballot costs at most n * (m - 1)
+    # swaps, so this bound marks a state with no completion: it exceeds every
+    # feasible cost.
+    INFEASIBLE = n * (m - 1) + 1
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def type_options(count, above, defs):
         """(waste, cost, reduced deficits) per useful lift vector, sorted to
@@ -511,16 +540,16 @@ def _dodgson(profile: Profile, row: Sequence[int], cand: int) -> int:
         options.sort()
         return [(cost, new) for _, _, cost, new in options]
 
-    def best(i: int, defs: tuple[int, ...]) -> float:
+    def best(i: int, defs: tuple[int, ...]) -> int:
         if not any(defs):
             return 0
         if i == len(types):
-            return INF
+            return INFEASIBLE
         key = (i, defs)
         if key in memo:
             return memo[key]
         count, above = types[i]
-        result = INF
+        result = INFEASIBLE
         for cost, new in type_options(count, above, defs):
             # each swap gains at most one needed duel vote, so the remaining
             # deficit bounds the remaining cost from below
@@ -533,14 +562,21 @@ def _dodgson(profile: Profile, row: Sequence[int], cand: int) -> int:
         return result
 
     score = best(0, deficits)
-    assert score != INF, "lifting cand to the top of every ballot always works"
-    return int(score)
+    assert score < INFEASIBLE, "lifting cand to the top of every ballot always works"
+    return score
+
+
+def dodgson_decision(m, n, h, ballots):
+    """The least Dodgson scores."""
+    scores = [_dodgson(m, n, ballots, h[a * m : a * m + m], a) for a in range(m)]
+    return _argmin(scores), scores, None
 
 
 def dodgson_report(profile: Profile) -> ScoreReport:
-    h = tournament_matrix(profile).h
-    scores = [_dodgson(profile, h[a], a) for a in range(profile.m)]
-    return ScoreReport("dodgson", ChoiceSet(_argmin(scores)), dict(enumerate(scores)))
+    won, scores, _ = dodgson_decision(
+        profile.m, profile.n, _pairwise(profile), profile.ballots
+    )
+    return ScoreReport("dodgson", ChoiceSet(won), dict(enumerate(scores)))
 
 
 def dodgson_winners(profile: Profile) -> ChoiceSet:
@@ -638,7 +674,7 @@ def convex_median_winners(profile: Profile) -> ChoiceSet:
 # -- proportional veto core -------------------------------------------------------
 
 
-def proportional_veto_core_report(profile: Profile) -> ScoreReport:
+def proportional_veto_core_decision(m, n, h, ballots):
     """All candidates no coalition can block.
 
     A coalition of t voters blocks candidate a through a nonempty set B of
@@ -650,12 +686,12 @@ def proportional_veto_core_report(profile: Profile) -> ScoreReport:
     contour containing it keeps t(B) and only lowers m - |B|, so only the
     nonempty intersections of contours need trying: at most
     min(2^T, 2^(m-1)) - 1 sets for T ballot types, tried in increasing
-    bitmask order.
+    bitmask order.  Scores are 1 for a stable candidate and 0 for a blocked
+    one.
     """
-    m, n = profile.m, profile.n
-    counts = [count for count, _ in profile.ballots]
+    counts = [count for count, _ in ballots]
     blocked: dict[int, dict] = {}
-    for a, up in enumerate(_upper_contours(profile)):
+    for a, up in enumerate(_upper_contours(m, ballots)):
         pooled: dict[int, int] = {}
         for contour, count in zip(up, counts):
             if contour:
@@ -673,9 +709,15 @@ def proportional_veto_core_report(profile: Profile) -> ScoreReport:
                     "blocking_set": [c for c in range(m) if bset >> c & 1],
                 }
                 break
-    stable = [a for a in range(m) if a not in blocked]
-    scores = {a: 0 if a in blocked else 1 for a in range(m)}
-    return ScoreReport("vetocore", ChoiceSet(stable), scores, {"blocked": blocked})
+    stable = tuple(a for a in range(m) if a not in blocked)
+    return stable, [0 if a in blocked else 1 for a in range(m)], {"blocked": blocked}
+
+
+def proportional_veto_core_report(profile: Profile) -> ScoreReport:
+    won, scores, trace = proportional_veto_core_decision(
+        profile.m, profile.n, None, profile.ballots
+    )
+    return ScoreReport("vetocore", ChoiceSet(won), dict(enumerate(scores)), trace)
 
 
 def proportional_veto_core(profile: Profile) -> ChoiceSet:
@@ -770,11 +812,13 @@ def theorem12_rule_winners(profile: Profile) -> ChoiceSet:
 
 @dataclass(frozen=True)
 class _Rule:
-    """A registered rule: its report and, for a rule decided on tallies alone,
-    the factory giving its statistic-level decision at m >= 2 candidates."""
+    """A registered rule: its report, the factory giving its decision at
+    m >= 2 candidates, and whether that decision reads ballots instead of
+    rank counts."""
 
     report: Callable[[Profile], ScoreReport]
-    decision: Callable[[int], Decision] | None = None  # None: reads ballots
+    decision: Callable[[int], Decision]
+    reads_ballots: bool = False
 
 
 def _vector_rule(rule_id: str, make: Callable[[int], ScoreVector]) -> _Rule:
@@ -793,19 +837,25 @@ def _tally_rule(report: Callable[[Profile], ScoreReport], decide: Decision) -> _
     return _Rule(report, lambda m: decide)
 
 
+def _ballot_rule(report: Callable[[Profile], ScoreReport], decide: Decision) -> _Rule:
+    return _Rule(report, lambda m: decide, reads_ballots=True)
+
+
 _RULES: dict[str, _Rule] = {
     "plurality": _vector_rule("plurality", ScoreVector.plurality),
     "runoff": _tally_rule(plurality_runoff_report, runoff_decision),
-    "irv": _Rule(instant_runoff_report),
+    "irv": _ballot_rule(instant_runoff_report, instant_runoff_decision),
     "borda": _vector_rule("borda", ScoreVector.borda),
     "antiplurality": _vector_rule("antiplurality", ScoreVector.antiplurality),
     "simpson": _tally_rule(simpson_report, simpson_decision),
-    "young": _Rule(young_report),
-    "dodgson": _Rule(dodgson_report),
+    "young": _ballot_rule(young_report, young_decision),
+    "dodgson": _ballot_rule(dodgson_report, dodgson_decision),
     "clr": _tally_rule(clr_report, clr_decision),
     "black": _tally_rule(black_report, black_decision),
     "convexmedian": _tally_rule(convex_median_report, convex_median_decision),
-    "vetocore": _Rule(proportional_veto_core_report),
+    "vetocore": _ballot_rule(
+        proportional_veto_core_report, proportional_veto_core_decision
+    ),
     "t12rule": _tally_rule(theorem12_report, theorem12_decision),
 }
 
@@ -820,17 +870,15 @@ def parse_score_vector(spec: str, m: int) -> ScoreVector:
     return ScoreVector(tuple(Fraction(p) for p in parts))
 
 
-def tally_decision(rule_id: str, m: int) -> Decision | None:
-    """The statistic-level decision of a rule at m >= 2 candidates.
-
-    None for the rules that read ballots (irv, young, dodgson, vetocore).
-    """
+def decision(rule_id: str, m: int) -> tuple[Decision, bool]:
+    """The decision of a rule at m >= 2 candidates, and whether it reads
+    ballots (irv, young, dodgson, vetocore) instead of rank counts."""
     if rule_id.startswith("scoring:"):
-        return _vector_decision(parse_score_vector(rule_id[len("scoring:") :], m))
-    rule = _RULES.get(rule_id)
-    if rule is None or rule.decision is None:
-        return None
-    return rule.decision(m)
+        return _vector_decision(parse_score_vector(rule_id[len("scoring:") :], m)), False
+    if rule_id not in _RULES:
+        raise ValueError(f"unknown rule id {rule_id!r}")
+    rule = _RULES[rule_id]
+    return rule.decision(m), rule.reads_ballots
 
 
 def report(rule_id: str, profile: Profile) -> ScoreReport:

@@ -23,7 +23,7 @@ from .criteria import Violation
 from .errors import SearchBudgetExceeded
 from .exact import ExactNumber, exact
 from .model import ChoiceSet, Profile, default_candidates
-from .rules import Decision, is_rule_id, tally_decision, winners
+from .rules import Decision, decision, is_rule_id
 
 ENV_MAX_VOTERS = "VOTELAB_MAX_VOTERS"
 
@@ -379,8 +379,9 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
 # ballot types, those top-ranking B first.  The walk keeps the profile's
 # pairwise and positional tallies packed into one integer, a lane of whole
 # bytes per tally entry, and adds a type's packed contribution as its count
-# changes; a tally-based rule is then decided on the unpacked lanes without
-# building a Profile.
+# changes.  A rule is then decided on the unpacked tournament lanes and,
+# as it reads them, the rank-count lanes or the count vector's nonzero
+# (count, ballot type) pairs, without building a Profile.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
 # onto itself and, as every rule is neutral, a violation onto a violation.
@@ -442,9 +443,9 @@ def _contributions(m: int, k: int, lane_bytes: int) -> tuple[int, ...]:
 class _Kernel(NamedTuple):
     """One rule at m candidates, for profiles of a given voter count."""
 
-    rule_id: str
     m: int
-    decide: Decision | None  # None for a rule that reads ballots
+    decide: Decision
+    reads_ballots: bool
     types: tuple[tuple[int, ...], ...]
     contrib: tuple[int, ...]
     tally_bytes: int
@@ -458,7 +459,7 @@ class _Kernel(NamedTuple):
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
     return _Kernel(
-        rule_id, m, tally_decision(rule_id, m), _tables(m, k).types,
+        m, *decision(rule_id, m), _tables(m, k).types,
         _contributions(m, k, size), 2 * m * m * size, fmt,
     )
 
@@ -466,15 +467,18 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
 def rule_winners(kernel: _Kernel, n: int, tally: int, counts) -> Sequence[int]:
     """Winners of the enumerated profile with these counts and packed tallies.
 
-    A tally-based rule is decided by its statistic-level function on the
-    unpacked tallies; a rule that reads ballots gets a Profile.
+    The rule's decision gets the unpacked tournament counts and either the
+    unpacked rank counts or, for a rule that reads ballots, the nonzero
+    (count, ballot type) pairs.
     """
-    if kernel.decide is None:
-        return winners(kernel.rule_id, kernel.profile(counts))
     m = kernel.m
     lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
     lanes = lanes.cast(kernel.lane_format)
-    return kernel.decide(m, n, lanes[: m * m], lanes[m * m :])[0]
+    if kernel.reads_ballots:
+        stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
+    else:
+        stat = lanes[m * m :]
+    return kernel.decide(m, n, lanes[: m * m], stat)[0]
 
 
 def _fill(counts: list[int], lo: int, hi: int, total: int, contrib, tally: int):

@@ -220,6 +220,26 @@ class TestCLR:
         assert set(rep.scores.values()) == {Fraction(1, 2)}
         assert rep.winners == {0, 1, 2}
 
+    def test_trace_recomputes_scores(self):
+        """Each score is half the sum of the trace's doubled per-pair deficits,
+        and each deficit is max(n - 2 h(a, b), 0)."""
+        rng = random.Random(31)
+        samples = [
+            random_profile(rng, rng.choice((4, 5)), rng.randint(1, 15)) for _ in range(80)
+        ]
+        for p in itertools.chain(all_profiles(3, 5), samples):
+            rep = report("clr", p)
+            deficits = rep.trace["doubled_deficits"]
+            assert set(deficits) == set(range(p.m))
+            for a, row in deficits.items():
+                assert set(row) == set(range(p.m)) - {a}
+                assert rep.scores[a] == Fraction(sum(row.values()), 2), (p, a)
+            h = tournament_matrix(p).h
+            assert deficits == {
+                a: {b: max(p.n - 2 * h[a][b], 0) for b in range(p.m) if b != a}
+                for a in range(p.m)
+            }
+
 
 class TestBlack:
     def test_four_bloc_condorcet_branch(self, four_bloc):

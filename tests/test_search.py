@@ -20,8 +20,10 @@ from votelab import (
     parallel_universe_irv,
     positional_matrix,
     random_profile,
+    exact,
     report,
     tournament_matrix,
+    tradeoff_threshold,
     worst_case_profile,
     young_score,
 )
@@ -269,6 +271,19 @@ class TestExhaustiveSearch:
     def test_empirical_quota_irv_bounded(self):
         budget = SearchBudget(max_voters=8)
         assert empirical_quota("irv", 3, 2, budget) <= F(1, 2)
+
+    def test_t12rule_empirical_quotas(self):
+        """t12rule has no closed-form quota; the paper leaves its per-m quota
+        open.  Its exhaustive empirical quotas for m = 3 (n <= 10) and m = 4
+        (n <= 6) are all 1/2, at most tradeoff_threshold(k) = 2k/(3k+1)."""
+        table = {
+            (m, k): empirical_quota("t12rule", m, k, SearchBudget(max_voters=n))
+            for m, n in ((3, 10), (4, 6))
+            for k in range(1, m)
+        }
+        assert table == dict.fromkeys([(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)], F(1, 2))
+        for (m, k), share in table.items():
+            assert exact(share) <= tradeoff_threshold(k).value, (m, k)
 
     def test_candidate_budget(self):
         with pytest.raises(SearchBudgetExceeded):

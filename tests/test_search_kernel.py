@@ -1,8 +1,9 @@
 """Differential tests of the statistic-level rule functions and the search kernel.
 
 The references here are deliberately plain: rules computed on a Profile with
-Fraction arithmetic, and slices enumerated profile by profile with
-`_profiles_with_support` and `rules.winners`.
+Fraction arithmetic, the brute-force oracles for the rules that read ballots,
+and slices enumerated profile by profile with `_profiles_with_support` and
+`rules.winners`.
 """
 
 import itertools
@@ -26,19 +27,30 @@ from votelab import (
 from votelab.rules import (
     RULE_IDS,
     ScoreVector,
+    decision,
     integer_truncated_scores,
     parse_score_vector,
     second_order_dominates,
-    tally_decision,
 )
 from votelab import search
-from votelab.search import _kernel, _min_violation, _profiles_with_support, rule_winners
+from votelab.search import (
+    _kernel,
+    _min_violation,
+    _profiles_with_support,
+    max_violation,
+    oracle_dodgson_score,
+    oracle_veto_core,
+    oracle_young_score,
+    parallel_universe_irv,
+    rule_winners,
+)
 
 F = Fraction
 TALLY_RULES = (
     "plurality", "runoff", "borda", "antiplurality", "simpson", "clr", "black",
     "convexmedian", "t12rule",
 )
+BALLOT_RULES = ("irv", "young", "dodgson", "vetocore")
 SCORING = {3: "scoring:5,2,0", 4: "scoring:6,3,1,0", 5: "scoring:9,4,3,1,0"}
 FIXED_VECTORS = {
     "plurality": ScoreVector.plurality,
@@ -162,10 +174,67 @@ def test_wide_lanes_hold_large_counts():
     assert set(rule_winners(kernel, p.n, tally, counts)) == reference_winners("clr", p)
 
 
-def test_ballot_rules_have_no_statistic_level_function():
-    tally_based = {r for r in RULE_IDS if tally_decision(r, 3) is not None}
-    assert tally_based == set(TALLY_RULES)
-    assert tally_decision("scoring:2,1,0", 3) is not None
+def test_every_registered_rule_has_a_kernel_decision():
+    """Every rule id, and a scoring: vector, has one decision the kernel
+    calls; exactly the ballot rules read ballots instead of rank counts."""
+    assert set(RULE_IDS) == set(TALLY_RULES) | set(BALLOT_RULES)
+    for m in (2, 3, 4):
+        for rule_id in RULE_IDS:
+            decide, reads_ballots = decision(rule_id, m)
+            assert callable(decide), rule_id
+            assert reads_ballots == (rule_id in BALLOT_RULES), rule_id
+            assert _kernel(rule_id, m, 1, 1).reads_ballots == reads_ballots, rule_id
+    assert decision(SCORING[3], 3)[1] is False
+    with pytest.raises(ValueError, match="unknown rule id"):
+        decision("nosuchrule", 3)
+
+
+def _argmin_oracle(p, score):
+    values = [score(p, a) for a in range(p.m)]
+    return {a for a, x in enumerate(values) if x == min(values)}
+
+
+def test_ballot_decisions_match_rules_and_oracles():
+    """The ballot rules' decisions, fed the kernel's packed tallies and
+    count vectors, give rules.winners' answer and the independent oracles'
+    (the Dodgson oracle on profiles of up to 7 voters, within its budget)."""
+    dodgson_checked = 0
+    for p in _decision_cases():
+        kernels = {rule_id: _kernel(rule_id, p.m, 1, p.n) for rule_id in BALLOT_RULES}
+        counts = _counts(p, kernels["irv"])
+        tally = sum(c * part for c, part in zip(counts, kernels["irv"].contrib))
+        got = {
+            rule_id: set(rule_winners(kernel, p.n, tally, counts))
+            for rule_id, kernel in kernels.items()
+        }
+        for rule_id in BALLOT_RULES:
+            assert got[rule_id] == set(winners(rule_id, p)), (rule_id, p)
+        assert got["irv"] == set(parallel_universe_irv(p)), p
+        assert got["vetocore"] == set(oracle_veto_core(p)), p
+        assert got["young"] == _argmin_oracle(p, oracle_young_score), p
+        if p.n <= 7:
+            assert got["dodgson"] == _argmin_oracle(p, oracle_dodgson_score), p
+            dodgson_checked += 1
+    assert dodgson_checked >= 923 + 60  # every m = 3 profile, most seeded ones
+
+
+@pytest.mark.parametrize("rule_id", BALLOT_RULES)
+def test_ballot_rule_search_builds_profiles_only_for_witnesses(monkeypatch, rule_id):
+    """A full m = 3 max_violation scan decides every profile without a
+    Profile; only the returned witness builds one."""
+    built = []
+
+    class Counted(Profile):
+        __slots__ = ()
+
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(search, "Profile", Counted)
+    found = max_violation(rule_id, 3, 2, search.SearchBudget(max_voters=7))
+    assert found is not None
+    assert built == [found[1].profile]
 
 
 def plain_min_violation(rule_id, m, k, n, support):
