@@ -214,20 +214,19 @@ def _cmd_tables(args) -> ResultDocument:
 
 def _cmd_check(args) -> ResultDocument:
     profile = _read_profile(args)
-    q = Fraction(args.q)
     if args.k is not None:
-        violation = criteria.check_qk_majority(args.rule, profile, q, args.k)
+        violation = criteria.check_qk_majority(args.rule, profile, args.q, args.k)
         mode = "majority"
         size = args.k
     else:
-        violation = criteria.check_ql_veto(args.rule, profile, q, args.l)
+        violation = criteria.check_ql_veto(args.rule, profile, args.q, args.l)
         mode = "veto"
         size = args.l
     payload = {
         "rule": args.rule,
         "mode": mode,
         "size": size,
-        "q": str(q),
+        "q": str(args.q),
         "pass": violation is None,
     }
     if violation is None:
@@ -250,13 +249,14 @@ def _cmd_verify(args) -> ResultDocument:
         workers=args.workers,
     )
     effective = budget.max_voters
-    q = Fraction(args.q)
-    violation = search.exhaustive_criterion_search(args.rule, args.m, args.k, q, budget)
+    violation = search.exhaustive_criterion_search(
+        args.rule, args.m, args.k, args.q, budget
+    )
     payload = {
         "rule": args.rule,
         "m": args.m,
         "k": args.k,
-        "q": str(q),
+        "q": str(args.q),
         "requested_max_voters": requested,
         "covered_max_voters": effective,
         "partial": effective < requested,
@@ -278,7 +278,7 @@ def _cmd_verify(args) -> ResultDocument:
 
 
 def _cmd_worstcase(args) -> ResultDocument:
-    profile = search.worst_case_profile(args.m, args.k, Fraction(args.q), args.voters)
+    profile = search.worst_case_profile(args.m, args.k, args.q, args.voters)
     text = serialize_profile(profile)
     return ResultDocument("worstcase", {"profile": text}, plain=text.rstrip("\n"))
 
@@ -300,6 +300,14 @@ def _cmd_dominance(args) -> ResultDocument:
 
 
 # -- parser -------------------------------------------------------------------------
+
+
+def _quota(text: str) -> Fraction:
+    """A --q value: an exact fraction such as 3/5 or 0.6."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid quota {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common, file_common],
                        help="check one profile against a criterion")
     p.add_argument("--rule", required=True)
-    p.add_argument("--q", required=True, help="quota as a fraction P/S")
+    p.add_argument("--q", type=_quota, required=True, help="quota as a fraction P/S")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int)
     group.add_argument("--l", type=int)
@@ -359,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", required=True)
+    p.add_argument("--q", type=_quota, required=True)
     p.add_argument("--max-voters", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
@@ -368,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="generate the adversarial qualified-majority profile")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", required=True)
+    p.add_argument("--q", type=_quota, required=True)
     p.add_argument("--voters", type=int, required=True)
     p.set_defaults(fn=_cmd_worstcase)
 

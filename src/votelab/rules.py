@@ -11,20 +11,24 @@ counts the voters preferring a to b, a flat integer sequence.  A tally-based
 rule's ``stat`` is the flat rank counts, ``pos[l*m + a]`` voters ranking a
 at position l + 1; instant runoff, Young, Dodgson and the veto core read
 ballots instead, and their ``stat`` is the nonzero (count, ranking) pairs
-in any order.  A report passes None for a statistic its rule does not read.
-Winners come back as ascending candidate indices and scores in the rule's
-raw form, integers wherever the value is an integer; the report turns them
-into its public score values.  The exhaustive search calls the same
-functions on tallies it updates incrementally and on its count vectors, so
-each rule has one definition.
+in any order.  Winners come back as ascending candidate indices and scores
+in the rule's raw form, integers wherever the value is an integer.  The
+exhaustive search calls the same functions on tallies it updates
+incrementally and on its count vectors, so each rule has one definition.
 
-The registry at the end of the module maps each rule id to one record: its
-report and the factory of its decision per m.  ``scoring:<s1,...,sm>`` ids
-are the one parametric case outside it.
+The registry at the end of the module maps each rule id to one record: the
+factory of its decision per m, the statistics the decision reads, and how
+its raw scores and trace are shown.  ``report`` is the one function that
+builds a ``ScoreReport``: it tallies only what the record says the decision
+reads, passes None for the rest, and presents the result as the record
+says.  ``scoring:<s1,...,sm>`` ids are the one parametric case; their record
+is built from the vector.  Adding a rule means writing its decision and one
+registry entry.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -147,25 +151,9 @@ def scoring_decision(weights: Sequence[int]) -> Decision:
     return decide
 
 
-def scoring_report(profile: Profile, scores: ScoreVector) -> ScoreReport:
-    if len(scores) != profile.m:
-        raise ValueError(f"score vector has {len(scores)} entries for m={profile.m}")
-    weights, den = _integer_weights(scores)
-    won, totals, _ = scoring_decision(weights)(
-        profile.m, profile.n, None, _positional(profile)
-    )
-    return ScoreReport(
-        "scoring", ChoiceSet(won), {a: Fraction(t, den) for a, t in enumerate(totals)}
-    )
-
-
 def scoring_winners(profile: Profile, scores: ScoreVector) -> ChoiceSet:
     """All candidates maximizing the positional score sum."""
-    return scoring_report(profile, scores).winners
-
-
-def _vector_decision(scores: ScoreVector) -> Decision:
-    return scoring_decision(_integer_weights(scores)[0])
+    return winners("scoring:" + ",".join(map(str, scores.scores)), profile)
 
 
 def plurality_winners(profile: Profile) -> ChoiceSet:
@@ -180,17 +168,14 @@ def borda_winners(profile: Profile) -> ChoiceSet:
     return winners("borda", profile)
 
 
-def antiplurality_winners(profile: Profile) -> ChoiceSet:
-    return winners("antiplurality", profile)
-
-
 # -- plurality with runoff ----------------------------------------------------
 
 
 def runoff_decision(m, n, h, pos):
-    """Top-two runoff (m >= 2); finalist ties produce the union over all resolutions."""
+    """Top-two runoff; finalist ties produce the union over all resolutions.
+    With at most two candidates it is plurality."""
     top = list(pos[:m])
-    if m == 2:
+    if m <= 2:
         return _argmax(top), top, None
     first = max(top)
     leaders = [a for a in range(m) if top[a] == first]
@@ -214,17 +199,8 @@ def runoff_decision(m, n, h, pos):
     return tuple(sorted(winners)), top, {"finalist_pairs": pairs, "duels": duels}
 
 
-def plurality_runoff_report(profile: Profile) -> ScoreReport:
-    if profile.m == 1:
-        return ScoreReport("runoff", ChoiceSet({0}), {0: profile.n})
-    won, top, trace = runoff_decision(
-        profile.m, profile.n, _pairwise(profile), _positional(profile)
-    )
-    return ScoreReport("runoff", ChoiceSet(won), dict(enumerate(top)), trace or {})
-
-
 def plurality_runoff_winners(profile: Profile) -> ChoiceSet:
-    return plurality_runoff_report(profile).winners
+    return winners("runoff", profile)
 
 
 # -- instant runoff -----------------------------------------------------------
@@ -287,35 +263,24 @@ def instant_runoff_decision(m, n, h, ballots):
     return tuple(sorted(final)), [first[a] for a in range(m)], trace
 
 
-def instant_runoff_report(profile: Profile) -> ScoreReport:
-    won, scores, trace = instant_runoff_decision(
-        profile.m, profile.n, None, profile.ballots
-    )
-    return ScoreReport("irv", ChoiceSet(won), dict(enumerate(scores)), trace)
-
-
 def instant_runoff_winners(profile: Profile) -> ChoiceSet:
-    return instant_runoff_report(profile).winners
+    return winners("irv", profile)
 
 
 # -- pairwise-comparison rules --------------------------------------------------
 
 
 def simpson_decision(m, n, h, pos):
-    """Maximin: maximize the worst pairwise support min_b h(a, b) (m >= 2)."""
-    scores = [min(h[a * m + b] for b in range(m) if b != a) for a in range(m)]
+    """Maximin: maximize the worst pairwise support min_b h(a, b); a lone
+    candidate's is n."""
+    scores = [
+        min((h[a * m + b] for b in range(m) if b != a), default=n) for a in range(m)
+    ]
     return _argmax(scores), scores, None
 
 
-def simpson_report(profile: Profile) -> ScoreReport:
-    if profile.m == 1:
-        return ScoreReport("simpson", ChoiceSet({0}), {0: profile.n})
-    won, scores, _ = simpson_decision(profile.m, profile.n, _pairwise(profile), None)
-    return ScoreReport("simpson", ChoiceSet(won), dict(enumerate(scores)))
-
-
 def simpson_winners(profile: Profile) -> ChoiceSet:
-    return simpson_report(profile).winners
+    return winners("simpson", profile)
 
 
 def clr_decision(m, n, h, pos):
@@ -330,23 +295,19 @@ def clr_decision(m, n, h, pos):
     return _argmin(doubled), doubled, {"doubled_deficits": deficits}
 
 
-def clr_report(profile: Profile) -> ScoreReport:
-    """Scores are the deficits; the trace maps each a to its doubled
-    deficits max(n - 2 h(a, b), 0) against every b."""
-    m = profile.m
-    won, doubled, trace = clr_decision(m, profile.n, _pairwise(profile), None)
+def _clr_trace(m: int, trace: dict) -> dict:
+    """The report's CLR trace maps each a to its doubled deficits
+    max(n - 2 h(a, b), 0) against every b."""
     flat = trace["doubled_deficits"]
-    deficits = {a: {b: flat[a * m + b] for b in range(m) if b != a} for a in range(m)}
-    return ScoreReport(
-        "clr",
-        ChoiceSet(won),
-        {a: Fraction(d, 2) for a, d in enumerate(doubled)},
-        {"doubled_deficits": deficits},
-    )
+    return {
+        "doubled_deficits": {
+            a: {b: flat[a * m + b] for b in range(m) if b != a} for a in range(m)
+        }
+    }
 
 
 def clr_winners(profile: Profile) -> ChoiceSet:
-    return clr_report(profile).winners
+    return winners("clr", profile)
 
 
 def black_decision(m, n, h, pos):
@@ -361,17 +322,8 @@ def black_decision(m, n, h, pos):
     return _argmax(borda), borda, {"condorcet_winner": None}
 
 
-def black_report(profile: Profile) -> ScoreReport:
-    if profile.m == 1:
-        return ScoreReport("black", ChoiceSet({0}), {0: 1}, {"condorcet_winner": 0})
-    won, borda, trace = black_decision(profile.m, profile.n, _pairwise(profile), None)
-    return ScoreReport(
-        "black", ChoiceSet(won), {a: Fraction(b) for a, b in enumerate(borda)}, trace
-    )
-
-
 def black_winners(profile: Profile) -> ChoiceSet:
-    return black_report(profile).winners
+    return winners("black", profile)
 
 
 # -- Young ---------------------------------------------------------------------
@@ -461,15 +413,8 @@ def young_decision(m, n, h, ballots):
     return _argmin(scores), scores, {"removals": removals}
 
 
-def young_report(profile: Profile) -> ScoreReport:
-    won, scores, trace = young_decision(
-        profile.m, profile.n, _pairwise(profile), profile.ballots
-    )
-    return ScoreReport("young", ChoiceSet(won), dict(enumerate(scores)), trace)
-
-
 def young_winners(profile: Profile) -> ChoiceSet:
-    return young_report(profile).winners
+    return winners("young", profile)
 
 
 # -- Dodgson --------------------------------------------------------------------
@@ -572,15 +517,8 @@ def dodgson_decision(m, n, h, ballots):
     return _argmin(scores), scores, None
 
 
-def dodgson_report(profile: Profile) -> ScoreReport:
-    won, scores, _ = dodgson_decision(
-        profile.m, profile.n, _pairwise(profile), profile.ballots
-    )
-    return ScoreReport("dodgson", ChoiceSet(won), dict(enumerate(scores)))
-
-
 def dodgson_winners(profile: Profile) -> ChoiceSet:
-    return dodgson_report(profile).winners
+    return winners("dodgson", profile)
 
 
 # -- convex median ----------------------------------------------------------------
@@ -656,19 +594,8 @@ def convex_median_decision(m, n, h, pos):
     return won, depths, None
 
 
-def convex_median_report(profile: Profile) -> ScoreReport:
-    won, depths, trace = convex_median_decision(
-        profile.m, profile.n, None, _positional(profile)
-    )
-    if depths is None:
-        scores: dict[int, ExactScore | None] = {a: None for a in range(profile.m)}
-    else:
-        scores = {a: Fraction(num, den) for a, (num, den) in enumerate(depths)}
-    return ScoreReport("convexmedian", ChoiceSet(won), scores, trace or {})
-
-
 def convex_median_winners(profile: Profile) -> ChoiceSet:
-    return convex_median_report(profile).winners
+    return winners("convexmedian", profile)
 
 
 # -- proportional veto core -------------------------------------------------------
@@ -713,15 +640,8 @@ def proportional_veto_core_decision(m, n, h, ballots):
     return stable, [0 if a in blocked else 1 for a in range(m)], {"blocked": blocked}
 
 
-def proportional_veto_core_report(profile: Profile) -> ScoreReport:
-    won, scores, trace = proportional_veto_core_decision(
-        profile.m, profile.n, None, profile.ballots
-    )
-    return ScoreReport("vetocore", ChoiceSet(won), dict(enumerate(scores)), trace)
-
-
 def proportional_veto_core(profile: Profile) -> ChoiceSet:
-    return proportional_veto_core_report(profile).winners
+    return winners("vetocore", profile)
 
 
 # -- depth-threshold rule trading off with positional dominance --------------------
@@ -796,15 +716,8 @@ def theorem12_decision(m, n, h, pos):
     return won, scores, {"score_argmin": list(argmin)}
 
 
-def theorem12_report(profile: Profile) -> ScoreReport:
-    won, scores, trace = theorem12_decision(profile.m, profile.n, None, _positional(profile))
-    if scores is None:
-        scores = [None] * profile.m
-    return ScoreReport("t12rule", ChoiceSet(won), dict(enumerate(scores)), trace)
-
-
 def theorem12_rule_winners(profile: Profile) -> ChoiceSet:
-    return theorem12_report(profile).winners
+    return winners("t12rule", profile)
 
 
 # -- registry -----------------------------------------------------------------------
@@ -812,51 +725,52 @@ def theorem12_rule_winners(profile: Profile) -> ChoiceSet:
 
 @dataclass(frozen=True)
 class _Rule:
-    """A registered rule: its report, the factory giving its decision at
-    m >= 2 candidates, and whether that decision reads ballots instead of
-    rank counts."""
+    """A registered rule: the factory giving its decision at m candidates,
+    the statistics that decision reads, and how a report shows its result.
 
-    report: Callable[[Profile], ScoreReport]
+    ``tournament`` says whether the decision reads the tournament counts,
+    and ``stat`` whether its last argument is the rank counts ("ranks"), the
+    ballots ("ballots") or nothing (None).  ``show`` turns a raw score into
+    the report's score and ``explain`` turns the raw trace of a profile with
+    m candidates into the report's; None keeps the raw value.
+    """
+
     decision: Callable[[int], Decision]
-    reads_ballots: bool = False
+    tournament: bool
+    stat: str | None
+    show: Callable[[object], ExactScore] | None = None
+    explain: Callable[[int, dict], dict] | None = None
 
 
-def _vector_rule(rule_id: str, make: Callable[[int], ScoreVector]) -> _Rule:
-    """The positional rule scoring m candidates with the vector make(m)."""
+def _vector_rule(make: Callable[[int], ScoreVector]) -> _Rule:
+    """The positional rule scoring m candidates with the vector make(m).
+    Its weights are integers, so its totals are shown as they are, as
+    fractions.  A lone candidate has no score vector; its one position
+    counts 1 per voter."""
 
-    def report(profile: Profile) -> ScoreReport:
-        if profile.m == 1:
-            return ScoreReport(rule_id, ChoiceSet({0}), {0: 1})
-        rep = scoring_report(profile, make(profile.m))
-        return ScoreReport(rule_id, rep.winners, rep.scores)
+    @functools.cache
+    def decide(m: int) -> Decision:
+        return scoring_decision(_integer_weights(make(m))[0] if m > 1 else (1,))
 
-    return _Rule(report, lambda m: _vector_decision(make(m)))
-
-
-def _tally_rule(report: Callable[[Profile], ScoreReport], decide: Decision) -> _Rule:
-    return _Rule(report, lambda m: decide)
-
-
-def _ballot_rule(report: Callable[[Profile], ScoreReport], decide: Decision) -> _Rule:
-    return _Rule(report, lambda m: decide, reads_ballots=True)
+    return _Rule(decide, False, "ranks", Fraction)
 
 
 _RULES: dict[str, _Rule] = {
-    "plurality": _vector_rule("plurality", ScoreVector.plurality),
-    "runoff": _tally_rule(plurality_runoff_report, runoff_decision),
-    "irv": _ballot_rule(instant_runoff_report, instant_runoff_decision),
-    "borda": _vector_rule("borda", ScoreVector.borda),
-    "antiplurality": _vector_rule("antiplurality", ScoreVector.antiplurality),
-    "simpson": _tally_rule(simpson_report, simpson_decision),
-    "young": _ballot_rule(young_report, young_decision),
-    "dodgson": _ballot_rule(dodgson_report, dodgson_decision),
-    "clr": _tally_rule(clr_report, clr_decision),
-    "black": _tally_rule(black_report, black_decision),
-    "convexmedian": _tally_rule(convex_median_report, convex_median_decision),
-    "vetocore": _ballot_rule(
-        proportional_veto_core_report, proportional_veto_core_decision
+    "plurality": _vector_rule(ScoreVector.plurality),
+    "runoff": _Rule(lambda m: runoff_decision, True, "ranks"),
+    "irv": _Rule(lambda m: instant_runoff_decision, False, "ballots"),
+    "borda": _vector_rule(ScoreVector.borda),
+    "antiplurality": _vector_rule(ScoreVector.antiplurality),
+    "simpson": _Rule(lambda m: simpson_decision, True, None),
+    "young": _Rule(lambda m: young_decision, True, "ballots"),
+    "dodgson": _Rule(lambda m: dodgson_decision, True, "ballots"),
+    "clr": _Rule(lambda m: clr_decision, True, None, lambda d: Fraction(d, 2), _clr_trace),
+    "black": _Rule(lambda m: black_decision, True, None, Fraction),
+    "convexmedian": _Rule(
+        lambda m: convex_median_decision, False, "ranks", lambda depth: Fraction(*depth)
     ),
-    "t12rule": _tally_rule(theorem12_report, theorem12_decision),
+    "vetocore": _Rule(lambda m: proportional_veto_core_decision, False, "ballots"),
+    "t12rule": _Rule(lambda m: theorem12_decision, False, "ranks"),
 }
 
 RULE_IDS = tuple(_RULES)
@@ -870,26 +784,48 @@ def parse_score_vector(spec: str, m: int) -> ScoreVector:
     return ScoreVector(tuple(Fraction(p) for p in parts))
 
 
+def _rule(rule_id: str, m: int) -> _Rule:
+    """The record of a rule id at m candidates; a scoring:<s1,...,sm> id's
+    record is built from its vector, which must have m entries."""
+    if rule_id.startswith("scoring:"):
+        vec = parse_score_vector(rule_id[len("scoring:") :], m)
+        weights, den = _integer_weights(vec)
+        decide = scoring_decision(weights)
+        return _Rule(lambda m: decide, False, "ranks", lambda t: Fraction(t, den))
+    if rule_id not in _RULES:
+        raise ValueError(f"unknown rule id {rule_id!r}")
+    return _RULES[rule_id]
+
+
 def decision(rule_id: str, m: int) -> tuple[Decision, bool]:
     """The decision of a rule at m >= 2 candidates, and whether it reads
     ballots (irv, young, dodgson, vetocore) instead of rank counts."""
-    if rule_id.startswith("scoring:"):
-        return _vector_decision(parse_score_vector(rule_id[len("scoring:") :], m)), False
-    if rule_id not in _RULES:
-        raise ValueError(f"unknown rule id {rule_id!r}")
-    rule = _RULES[rule_id]
-    return rule.decision(m), rule.reads_ballots
+    rule = _rule(rule_id, m)
+    return rule.decision(m), rule.stat == "ballots"
 
 
 def report(rule_id: str, profile: Profile) -> ScoreReport:
-    """Evaluate a rule by its stable identifier."""
-    if rule_id.startswith("scoring:"):
-        vec = parse_score_vector(rule_id[len("scoring:") :], profile.m)
-        rep = scoring_report(profile, vec)
-        return ScoreReport(rule_id, rep.winners, rep.scores)
-    if rule_id not in _RULES:
-        raise ValueError(f"unknown rule id {rule_id!r}")
-    return _RULES[rule_id].report(profile)
+    """Evaluate a rule by its stable identifier.
+
+    Only the statistics the rule's decision reads are tallied.  A decision
+    returning no scores (a strict majority winner under convexmedian or
+    t12rule) leaves every candidate's score None.
+    """
+    m = profile.m
+    rule = _rule(rule_id, m)
+    h = _pairwise(profile) if rule.tournament else None
+    if rule.stat == "ballots":
+        stat = profile.ballots
+    else:
+        stat = _positional(profile) if rule.stat == "ranks" else None
+    won, raw, trace = rule.decision(m)(m, profile.n, h, stat)
+    if raw is None:
+        scores = dict.fromkeys(range(m))
+    else:
+        scores = dict(enumerate(raw if rule.show is None else map(rule.show, raw)))
+    if trace and rule.explain is not None:
+        trace = rule.explain(m, trace)
+    return ScoreReport(rule_id, ChoiceSet(won), scores, trace or {})
 
 
 def winners(rule_id: str, profile: Profile) -> ChoiceSet:

@@ -13,7 +13,6 @@ import heapq
 import itertools
 import math
 import os
-import random as _random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,12 +42,10 @@ def env_max_voters() -> int | None:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for exhaustive/randomized searches; seeded and deterministic."""
+    """Bounds for exhaustive searches: voters, candidates and worker processes."""
 
     max_voters: int = 12
     max_candidates: int = 5
-    samples: int = 0
-    seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
@@ -451,10 +448,6 @@ class _Kernel(NamedTuple):
     tally_bytes: int
     lane_format: str
 
-    def profile(self, counts) -> Profile:
-        ballots = tuple((c, self.types[t]) for t, c in enumerate(counts) if c)
-        return Profile(default_candidates(self.m), ballots)
-
 
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
@@ -597,11 +590,6 @@ def exhaustive_criterion_search(
     candidates, and only profiles whose support for it strictly exceeds q*n
     are generated.  Returns a violation witness minimal in (n, ballot-count
     order), or None when the whole range is clean.
-
-    When ``budget.samples`` is positive, a seeded random stage supplements
-    (never replaces) the exhaustive range with qualified profiles of up to
-    twice the voter budget; a witness found there is returned as-is, without
-    the minimality guarantee.
     """
     _check_query(rule_id, m, k, budget)
     qq = exact(q)
@@ -617,33 +605,6 @@ def exhaustive_criterion_search(
                 key, support, won = min(hits)
                 profile = Profile(default_candidates(m), key)
                 return Violation(frozenset(range(k)), support, ChoiceSet(won), profile, qq)
-    return _sampled_violation(rule_id, m, k, qq, budget)
-
-
-def _sampled_violation(rule_id, m, k, qq, budget: SearchBudget) -> Violation | None:
-    if not budget.samples:
-        return None
-    rng = _random.Random(budget.seed)
-    tables = _tables(m, k)
-    split = tables.split
-    others = len(tables.types) - split
-    for _ in range(budget.samples):
-        n = rng.randint(budget.max_voters + 1, 2 * budget.max_voters)
-        min_support = _exact_floor(qq * n) + 1
-        if min_support > n:
-            continue
-        support = rng.randint(min_support, n)
-        counts = [0] * len(tables.types)
-        for _ in range(support):
-            counts[rng.randrange(split)] += 1
-        for _ in range(n - support):
-            counts[split + rng.randrange(others)] += 1
-        kernel = _kernel(rule_id, m, k, n)
-        tally = sum(c * part for c, part in zip(counts, kernel.contrib))
-        won = rule_winners(kernel, n, tally, counts)
-        if max(won) >= k:
-            profile = kernel.profile(counts)
-            return Violation(frozenset(range(k)), support, ChoiceSet(won), profile, qq)
     return None
 
 

@@ -16,8 +16,11 @@ from votelab import (
     serialize_profile,
 )
 from votelab.cli import main
+from votelab.rules import RULE_IDS
 
 GOLDEN = Path(__file__).parent / "golden"
+# the profiles under golden/profiles, each with a score vector of its length
+GOLDEN_WINNERS = {"fourbloc": "scoring:3,1,1/2,0", "ties": "scoring:3,1,0"}
 
 FOUR_BLOC_TEXT = """\
 # four blocs over four candidates
@@ -164,6 +167,37 @@ class TestCli:
     def test_tables_match_golden(self, which, capsys):
         assert main(["tables", "--which", str(which)]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"table{which}.txt").read_text()
+
+    @pytest.mark.parametrize("profile, vector", GOLDEN_WINNERS.items())
+    def test_winners_scores_match_golden(self, profile, vector, capsys):
+        """Every rule's `winners --scores --format json` output, byte for byte:
+        on the four-bloc profile and on a pairwise cycle whose first
+        preferences tie, so that instant runoff branches and Black's rule
+        falls back to Borda."""
+        path = str(GOLDEN / "profiles" / f"{profile}.txt")
+        for rule in RULE_IDS + (vector,):
+            argv = ["winners", "--rule", rule, "--scores", "--format", "json", path]
+            assert main(argv) == 0, rule
+        expected = (GOLDEN / "winners" / f"{profile}.txt").read_text()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command", ["verify", "check", "worstcase"])
+    def test_zero_denominator_quota_is_a_usage_error(self, command, four_bloc_file):
+        """`--q 1/0` exits 2 with an error line, not 1 (a violation) with a
+        traceback."""
+        args = {
+            "verify": ["--rule", "plurality", "--m", "3", "--k", "2", "--max-voters", "3"],
+            "check": ["--rule", "plurality", "--k", "2", four_bloc_file],
+            "worstcase": ["--m", "3", "--k", "2", "--voters", "4"],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(votelab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelab.cli", command, "--q", "1/0", *args],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"invalid quota '1/0'" in proc.stderr
 
     def test_closed_pipe_is_quiet(self):
         """A reader that stops early (`votelab ktuple ... | head -c 50`) gets

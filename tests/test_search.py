@@ -246,21 +246,6 @@ class TestExhaustiveSearch:
         assert a.winners == b.winners
         assert (a.profile.n, a.support) == (7, 4)
 
-    def test_sampled_stage(self):
-        """Past a clean exhaustive range, the seeded stage draws larger profiles."""
-        budget = SearchBudget(max_voters=2, samples=50, seed=11)
-        found = exhaustive_criterion_search("plurality", 3, 2, F(3, 5), budget)
-        again = exhaustive_criterion_search("plurality", 3, 2, F(3, 5), budget)
-        assert found is not None and found.profile.n >= 3
-        assert (found.profile, found.support, found.winners) == (
-            again.profile, again.support, again.winners
-        )
-        assert 5 * found.support > 3 * found.profile.n
-        assert found.winners == report("plurality", found.profile).winners
-        assert not found.winners <= {0, 1}
-        without = SearchBudget(max_voters=2)
-        assert exhaustive_criterion_search("plurality", 3, 2, F(3, 5), without) is None
-
     def test_empirical_quota_plurality(self):
         budget = SearchBudget(max_voters=12)
         share, witness = max_violation("plurality", 3, 2, budget)
@@ -274,16 +259,27 @@ class TestExhaustiveSearch:
 
     def test_t12rule_empirical_quotas(self):
         """t12rule has no closed-form quota; the paper leaves its per-m quota
-        open.  Its exhaustive empirical quotas for m = 3 (n <= 10) and m = 4
-        (n <= 6) are all 1/2, at most tradeoff_threshold(k) = 2k/(3k+1)."""
+        open.  Its exhaustive empirical quotas, at budgets large enough to
+        show them: 1/2 for k = 1, 6/11 for m = 3, k = 2 (first at 11
+        voters), and 4/7 for m = 4, k = 2 and 3 (first at 7 voters).  Each is
+        at most tradeoff_threshold(k) = 2k/(3k+1): 1/2 reaches it at k = 1
+        and 4/7 at k = 2, while 6/11 (k = 2) and 4/7 (k = 3) stay below."""
         table = {
             (m, k): empirical_quota("t12rule", m, k, SearchBudget(max_voters=n))
-            for m, n in ((3, 10), (4, 6))
+            for m, n in ((3, 11), (4, 7))
             for k in range(1, m)
         }
-        assert table == dict.fromkeys([(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)], F(1, 2))
+        assert table == {
+            (3, 1): F(1, 2), (3, 2): F(6, 11),
+            (4, 1): F(1, 2), (4, 2): F(4, 7), (4, 3): F(4, 7),
+        }
         for (m, k), share in table.items():
             assert exact(share) <= tradeoff_threshold(k).value, (m, k)
+        reached = {
+            (m, k) for (m, k), share in table.items()
+            if exact(share) == tradeoff_threshold(k).value
+        }
+        assert reached == {(3, 1), (4, 1), (4, 2)}
 
     def test_candidate_budget(self):
         with pytest.raises(SearchBudgetExceeded):
