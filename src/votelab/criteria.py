@@ -27,15 +27,10 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Quota:
-    """Exact quota bound: a point value or an interval [lo, hi] of values.
-
-    ``attainable`` distinguishes an if-and-only-if bound from a
-    sufficient-only one (interval bounds are never marked attainable).
-    """
+    """Exact quota bound: a point value or an interval [lo, hi] of values."""
 
     lo: ExactNumber
     hi: ExactNumber
-    attainable: bool = True
 
     def __post_init__(self):
         lo, hi = exact(self.lo), exact(self.hi)
@@ -45,16 +40,22 @@ class Quota:
         object.__setattr__(self, "hi", hi)
 
     @classmethod
-    def point(cls, value, attainable: bool = True) -> "Quota":
-        return cls(exact(value), exact(value), attainable)
+    def point(cls, value) -> "Quota":
+        return cls(exact(value), exact(value))
 
     @classmethod
     def interval(cls, lo, hi) -> "Quota":
-        return cls(exact(lo), exact(hi), attainable=False)
+        return cls(exact(lo), exact(hi))
 
     @property
     def is_interval(self) -> bool:
         return self.lo != self.hi
+
+    @property
+    def attainable(self) -> bool:
+        """An if-and-only-if bound, as a point is; an interval only brackets
+        the quota."""
+        return not self.is_interval
 
     @property
     def value(self) -> ExactNumber:

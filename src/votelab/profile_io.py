@@ -38,7 +38,7 @@ class ProfileDocument:
     candidates: tuple[str, ...] | None
     ballots: tuple[BallotLine, ...]
 
-    def to_profile(self, percent_total: int = 100) -> Profile:
+    def to_profile(self) -> Profile:
         m = self.m if self.m is not None else (
             len(self.candidates) if self.candidates else None
         )
@@ -98,14 +98,13 @@ class ProfileDocument:
                     f"percent shares must sum to 100, got {total_share}"
                 )
             for share, ranking, line in shares:
-                scaled = share * percent_total / 100
-                if scaled.denominator != 1:
+                if share.denominator != 1:
                     raise ProfileFormatError(
                         f"share {share}% does not scale to an integer count "
-                        f"over {percent_total} voters",
+                        "over 100 voters",
                         line=line,
                     )
-                groups.append((int(scaled), ranking))
+                groups.append((int(share), ranking))
         return Profile(names, tuple(groups))
 
     @staticmethod
@@ -136,10 +135,6 @@ def _parse_fraction(token: str, line: int) -> Fraction:
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(str(float(token)))
-    except ValueError:
         raise ProfileFormatError(f"bad number {token!r}", line=line) from None
 
 
@@ -179,9 +174,9 @@ def parse_document(text: str, fmt: str = "native") -> ProfileDocument:
     return ProfileDocument(m, candidates, tuple(ballots))
 
 
-def parse_profile(text: str, fmt: str = "native", percent_total: int = 100) -> Profile:
+def parse_profile(text: str, fmt: str = "native") -> Profile:
     """Parse profile text; errors carry the offending line number."""
-    return parse_document(text, fmt).to_profile(percent_total)
+    return parse_document(text, fmt).to_profile()
 
 
 def serialize_profile(profile: Profile) -> str:

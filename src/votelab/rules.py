@@ -456,35 +456,6 @@ def _dodgson(m: int, n: int, ballots: Ballots, row: Sequence[int], cand: int) ->
     INFEASIBLE = n * (m - 1) + 1
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def type_options(count, above, defs):
-        """(waste, cost, reduced deficits) per useful lift vector, sorted to
-        try zero-waste, maximal-coverage choices first."""
-        useful = 0
-        for depth, j in enumerate(above, start=1):
-            if defs[j] > 0:
-                useful = depth
-        options = []
-
-        def gen(depth, prev, z):
-            if depth > useful:
-                cost = sum(z)
-                new = list(defs)
-                gained = 0
-                for d, lifted in enumerate(z):
-                    take = min(lifted, new[above[d]])
-                    gained += take
-                    new[above[d]] -= take
-                options.append((cost - gained, -cost, cost, tuple(new)))
-                return
-            # lifting deeper than every remaining deficit is pure waste
-            cap = min(prev, max(defs[above[d]] for d in range(depth - 1, useful)))
-            for lifted in range(cap + 1):
-                gen(depth + 1, lifted, z + (lifted,))
-
-        gen(1, count, ())
-        options.sort()
-        return [(cost, new) for _, _, cost, new in options]
-
     def best(i: int, defs: tuple[int, ...]) -> int:
         if not any(defs):
             return 0
@@ -494,15 +465,38 @@ def _dodgson(m: int, n: int, ballots: Ballots, row: Sequence[int], cand: int) ->
         if key in memo:
             return memo[key]
         count, above = types[i]
+        # open_[d]: the largest deficit against a candidate at depth d + 1 or
+        # deeper; lifting more voters than that past depth d + 1 is pure waste
+        open_ = [0] * (len(above) + 1)
+        for d in range(len(above) - 1, -1, -1):
+            open_[d] = max(open_[d + 1], defs[above[d]])
         result = INFEASIBLE
-        for cost, new in type_options(count, above, defs):
+        # Depth-first over this type's z, one frame per ballot type.  A node
+        # has lifted past `depth` candidates, the last with `cap` voters, at
+        # `cost` swaps; with cap 0 it stops and hands the deficits `left` to
+        # the next type.
+        stack = [(0, count, 0, defs)]
+        while stack:
+            depth, cap, cost, left = stack.pop()
             # each swap gains at most one needed duel vote, so the remaining
             # deficit bounds the remaining cost from below
-            if cost + sum(new) >= result:
+            if cost + sum(left) >= result:
                 continue
-            sub = best(i + 1, new)
-            if cost + sub < result:
-                result = cost + sub
+            top = min(cap, open_[depth])
+            if not top:
+                result = min(result, cost + best(i + 1, left))
+                continue
+            j = above[depth]
+            # Largest lifts pop first.  Past a candidate with no deficit left
+            # a lift pays only deeper, so there stopping pops first.
+            stop = (depth, 0, cost, left)
+            if left[j]:
+                stack.append(stop)
+            for z in range(1, top + 1):
+                new = left[:j] + (max(0, left[j] - z),) + left[j + 1 :]
+                stack.append((depth + 1, z, cost + z, new))
+            if not left[j]:
+                stack.append(stop)
         memo[key] = result
         return result
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .criteria import Violation
 from .errors import SearchBudgetExceeded
-from .exact import ExactNumber, exact
+from .exact import exact
 from .model import ChoiceSet, Profile, default_candidates
 from .rules import Decision, decision, is_rule_id
 
@@ -335,15 +335,6 @@ def parallel_universe_irv(profile: Profile, max_candidates: int = 8) -> ChoiceSe
 # -- exhaustive criterion verification -----------------------------------------------
 
 
-def _exact_floor(x: ExactNumber) -> int:
-    z = math.floor(float(x))
-    while exact(z + 1) <= x:
-        z += 1
-    while exact(z) > x:
-        z -= 1
-    return z
-
-
 def _split_types(m: int, k: int):
     """Ballot types partitioned into those top-ranking B = {0..k-1} and the rest."""
     b_set = frozenset(range(k))
@@ -597,7 +588,7 @@ def exhaustive_criterion_search(
         raise ValueError("q must lie in (0, 1]")
 
     def supports(n):
-        return range(_exact_floor(qq * n) + 1, n + 1)
+        return [s for s in range(1, n + 1) if qq < Fraction(s, n)]
 
     with contextlib.closing(_violations(rule_id, m, k, budget, supports)) as scan:
         for n, hits in scan:

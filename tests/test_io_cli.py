@@ -63,6 +63,13 @@ class TestParse:
             parse_profile("m 2\n58%: 1 > 2\n42: 2 > 1\n")
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["inf", "nan", "1/0"])
+    def test_nonfinite_percent_share_reports_line(self, token):
+        with pytest.raises(ProfileFormatError) as err:
+            parse_profile(f"m 2\n58%: 1 > 2\n{token}%: 2 > 1\n")
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: bad number {token!r}"
+
     def test_duplicate_candidate_reports_line(self):
         text = "m 4\ncandidates a b c d\n29: a > a > b > c\n"
         with pytest.raises(ProfileFormatError) as err:

@@ -208,6 +208,15 @@ class TestDodgson:
         assert dodgson_score(p, 2) == 1
         assert dodgson_score(p, 0) == 0
 
+    def test_many_ballot_types(self):
+        """300 one-voter types at m = 7: the search keeps one frame per
+        ballot type, not one per lift depth, so it stays within Python's
+        recursion limit."""
+        orders = itertools.islice(itertools.permutations("bcdefg"), 300)
+        p = Profile.from_names("abcdefg", [(1, "".join(o) + "a") for o in orders])
+        assert len(p.ballots) == 300
+        assert dodgson_score(p, 0) == 906
+
 
 class TestCLR:
     def test_four_bloc(self, four_bloc):

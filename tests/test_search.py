@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from votelab import (
     SearchBudgetExceeded,
     all_profiles,
     condorcet_k_tuple,
+    default_candidates,
     dodgson_score,
     empirical_quota,
     exhaustive_criterion_search,
@@ -120,6 +122,24 @@ class TestOracles:
             for cand in range(3):
                 assert young_score(p, cand) == oracle_young_score(p, cand)
                 assert dodgson_score(p, cand) == oracle_dodgson_score(p, cand)
+
+    def test_oracle_matches_implementation_weighted(self):
+        """Few ballot types with several voters each, so the lift search
+        splits a type's voters across depths."""
+        rng = random.Random(515)
+        checked = 0
+        for m in (4, 5):
+            types = list(itertools.permutations(range(m)))
+            for _ in range(26):
+                chosen = rng.sample(types, rng.randint(2, 4))
+                counts = [rng.randint(1, 3) for _ in chosen]
+                while sum(counts) > 8:
+                    counts.pop()
+                p = Profile(default_candidates(m), tuple(zip(counts, chosen)))
+                for cand in range(m):
+                    assert dodgson_score(p, cand) == oracle_dodgson_score(p, cand), p
+                    checked += 1
+        assert checked == 26 * 4 + 26 * 5
 
     def test_bounded_search_equals_plain_bfs(self):
         rng = random.Random(17)
