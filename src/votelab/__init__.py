@@ -37,26 +37,13 @@ from .rules import (
     RULE_IDS,
     ScoreReport,
     ScoreVector,
-    black_winners,
-    borda_winners,
-    clr_winners,
     convex_median_score,
-    convex_median_winners,
     dodgson_score,
-    dodgson_winners,
-    instant_runoff_winners,
-    plurality_runoff_winners,
-    plurality_winners,
-    proportional_veto_core,
     report,
     scoring_winners,
-    simple_majority_winners,
-    simpson_winners,
-    theorem12_rule_winners,
     tradeoff_score,
     winners,
     young_score,
-    young_winners,
 )
 from .search import (
     SearchBudget,

@@ -8,6 +8,8 @@ found (check/verify), 2 usage or input errors.  Output formats: plain
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -49,10 +51,11 @@ class ResultDocument:
                 sort_keys=True,
             )
         if fmt == "csv":
-            rows = ["key,value"]
-            for key, value in _flatten(self.payload):
-                rows.append(f"{key},{value}")
-            return "\n".join(rows)
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(("key", "value"))
+            writer.writerows(_flatten(self.payload))
+            return buf.getvalue().removesuffix("\n")
         if self.plain is not None:
             return self.plain
         return "\n".join(f"{k}: {v}" for k, v in _flatten(self.payload))
@@ -66,10 +69,7 @@ def _flatten(value, prefix=""):
         for i, v in enumerate(value):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
-        text = "" if value is None else str(value)
-        if "," in text or "\n" in text:
-            text = '"' + text.replace('"', '""') + '"'
-        yield prefix.rstrip("."), text
+        yield prefix.rstrip("."), "" if value is None else str(value)
 
 
 def _jsonable(value):
@@ -343,9 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--l", type=int)
     p.add_argument("--half", action="store_true",
                    help="with --l: restrict to m >= 2l")
-    p.add_argument("--m", type=int)
-    p.add_argument("--sup", action="store_true",
-                   help="supremum over the number of candidates (default without --m)")
+    p.add_argument("--m", type=int,
+                   help="number of candidates (default: the supremum over m)")
     p.set_defaults(fn=_cmd_quota)
 
     p = sub.add_parser("tables", parents=[common], help="regenerate a quota table")
@@ -396,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "quota" and args.m is not None and args.sup:
-        parser.error("--m and --sup are mutually exclusive")
+    if args.cmd == "quota" and args.half and args.k is not None:
+        parser.error("--half applies only with --l")
     try:
         result: ResultDocument = args.fn(args)
     except (VotelabError, ValueError, OSError) as err:

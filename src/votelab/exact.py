@@ -282,17 +282,19 @@ class ExactNumber:
         return f"ExactNumber({self})"
 
     def decimal(self, places: int = 3) -> str:
-        """Round half up to the given number of decimal places (value >= 0)."""
-        if self._cmp(0) < 0:
-            raise ValueError("decimal rendering is defined for nonnegative values")
+        """Round the absolute value half up to the given number of decimal
+        places; a negative value gets a minus sign unless it rounds to 0."""
+        negative = self._cmp(0) < 0
+        x = -self if negative else self
         scale = 10**places
-        z = round(float(self) * scale)
+        z = round(float(x) * scale)
         # Fix up against the exact half-open window [z - 1/2, z + 1/2).
-        while self._cmp(Fraction(2 * z + 1, 2 * scale)) >= 0:
+        while x._cmp(Fraction(2 * z + 1, 2 * scale)) >= 0:
             z += 1
-        while self._cmp(Fraction(2 * z - 1, 2 * scale)) < 0:
+        while x._cmp(Fraction(2 * z - 1, 2 * scale)) < 0:
             z -= 1
-        return f"{z // scale}.{z % scale:0{places}d}"
+        sign = "-" if negative and z else ""
+        return f"{sign}{z // scale}.{z % scale:0{places}d}"
 
 
 def exact(x: "ExactNumber | Rationalish") -> ExactNumber:

@@ -23,7 +23,8 @@ builds a ``ScoreReport``: it tallies only what the record says the decision
 reads, passes None for the rest, and presents the result as the record
 says.  ``scoring:<s1,...,sm>`` ids are the one parametric case; their record
 is built from the vector.  Adding a rule means writing its decision and one
-registry entry.
+registry entry.  A rule has no other name: callers ask for it by its id,
+through ``report`` or ``winners``.
 """
 
 from __future__ import annotations
@@ -156,18 +157,6 @@ def scoring_winners(profile: Profile, scores: ScoreVector) -> ChoiceSet:
     return winners("scoring:" + ",".join(map(str, scores.scores)), profile)
 
 
-def plurality_winners(profile: Profile) -> ChoiceSet:
-    return winners("plurality", profile)
-
-
-# The m = 2 baseline rule: the candidates with the most top positions.
-simple_majority_winners = plurality_winners
-
-
-def borda_winners(profile: Profile) -> ChoiceSet:
-    return winners("borda", profile)
-
-
 # -- plurality with runoff ----------------------------------------------------
 
 
@@ -197,10 +186,6 @@ def runoff_decision(m, n, h, pos):
             winners |= {x, y}
         duels[(x, y)] = (hxy, hyx)
     return tuple(sorted(winners)), top, {"finalist_pairs": pairs, "duels": duels}
-
-
-def plurality_runoff_winners(profile: Profile) -> ChoiceSet:
-    return winners("runoff", profile)
 
 
 # -- instant runoff -----------------------------------------------------------
@@ -263,10 +248,6 @@ def instant_runoff_decision(m, n, h, ballots):
     return tuple(sorted(final)), [first[a] for a in range(m)], trace
 
 
-def instant_runoff_winners(profile: Profile) -> ChoiceSet:
-    return winners("irv", profile)
-
-
 # -- pairwise-comparison rules --------------------------------------------------
 
 
@@ -277,10 +258,6 @@ def simpson_decision(m, n, h, pos):
         min((h[a * m + b] for b in range(m) if b != a), default=n) for a in range(m)
     ]
     return _argmax(scores), scores, None
-
-
-def simpson_winners(profile: Profile) -> ChoiceSet:
-    return winners("simpson", profile)
 
 
 def clr_decision(m, n, h, pos):
@@ -306,10 +283,6 @@ def _clr_trace(m: int, trace: dict) -> dict:
     }
 
 
-def clr_winners(profile: Profile) -> ChoiceSet:
-    return winners("clr", profile)
-
-
 def black_decision(m, n, h, pos):
     """The strict pairwise-unbeaten candidate if one exists, else the Borda winners.
 
@@ -320,10 +293,6 @@ def black_decision(m, n, h, pos):
         if all(2 * h[a * m + b] > n for b in range(m) if b != a):
             return (a,), borda, {"condorcet_winner": a}
     return _argmax(borda), borda, {"condorcet_winner": None}
-
-
-def black_winners(profile: Profile) -> ChoiceSet:
-    return winners("black", profile)
 
 
 # -- Young ---------------------------------------------------------------------
@@ -411,10 +380,6 @@ def young_decision(m, n, h, ballots):
     scores = [score for score, _ in found]
     removals = {a: removed for a, (_, removed) in enumerate(found)}
     return _argmin(scores), scores, {"removals": removals}
-
-
-def young_winners(profile: Profile) -> ChoiceSet:
-    return winners("young", profile)
 
 
 # -- Dodgson --------------------------------------------------------------------
@@ -511,10 +476,6 @@ def dodgson_decision(m, n, h, ballots):
     return _argmin(scores), scores, None
 
 
-def dodgson_winners(profile: Profile) -> ChoiceSet:
-    return winners("dodgson", profile)
-
-
 # -- convex median ----------------------------------------------------------------
 
 
@@ -588,10 +549,6 @@ def convex_median_decision(m, n, h, pos):
     return won, depths, None
 
 
-def convex_median_winners(profile: Profile) -> ChoiceSet:
-    return winners("convexmedian", profile)
-
-
 # -- proportional veto core -------------------------------------------------------
 
 
@@ -632,10 +589,6 @@ def proportional_veto_core_decision(m, n, h, ballots):
                 break
     stable = tuple(a for a in range(m) if a not in blocked)
     return stable, [0 if a in blocked else 1 for a in range(m)], {"blocked": blocked}
-
-
-def proportional_veto_core(profile: Profile) -> ChoiceSet:
-    return winners("vetocore", profile)
 
 
 # -- depth-threshold rule trading off with positional dominance --------------------
@@ -708,10 +661,6 @@ def theorem12_decision(m, n, h, pos):
             a for a in argmin if not any(second_order_dominates(bt[b], bt[a]) for b in argmin)
         )
     return won, scores, {"score_argmin": list(argmin)}
-
-
-def theorem12_rule_winners(profile: Profile) -> ChoiceSet:
-    return winners("t12rule", profile)
 
 
 # -- registry -----------------------------------------------------------------------

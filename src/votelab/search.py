@@ -130,7 +130,7 @@ def smallest_worst_case_n(k: int, q: Fraction) -> int:
     return n1 * n2 // math.gcd(n1, n2)
 
 
-def random_profile(rng, m: int, n: int, candidates=None) -> Profile:
+def random_profile(rng, m: int, n: int) -> Profile:
     """n voters with independently shuffled rankings (seeded rng)."""
     ballots = []
     base = list(range(m))
@@ -138,7 +138,7 @@ def random_profile(rng, m: int, n: int, candidates=None) -> Profile:
         ranking = base[:]
         rng.shuffle(ranking)
         ballots.append((1, tuple(ranking)))
-    return Profile(candidates or default_candidates(m), tuple(ballots))
+    return Profile(default_candidates(m), tuple(ballots))
 
 
 def _count_vectors(total: int, parts: int):
@@ -151,11 +151,11 @@ def _count_vectors(total: int, parts: int):
             yield (head,) + tail
 
 
-def all_profiles(m: int, max_voters: int, min_voters: int = 1):
+def all_profiles(m: int, max_voters: int):
     """Every anonymous profile with at most max_voters voters, minimal-n first."""
     types = list(itertools.permutations(range(m)))
     labels = default_candidates(m)
-    for n in range(min_voters, max_voters + 1):
+    for n in range(1, max_voters + 1):
         for vec in _count_vectors(n, len(types)):
             ballots = tuple(
                 (count, types[i]) for i, count in enumerate(vec) if count

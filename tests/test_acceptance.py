@@ -161,8 +161,8 @@ def test_criterion_03_veto_tables():
 def test_criterion_04_worked_example_winners(primary_five, four_bloc):
     t0 = time.monotonic()
     labels5 = lambda cs: set(primary_five.labels(cs))
-    assert labels5(v.plurality_winners(primary_five)) == {"Hillary"}
-    assert labels5(v.plurality_runoff_winners(primary_five)) == {"Donald"}
+    assert labels5(v.winners("plurality", primary_five)) == {"Hillary"}
+    assert labels5(v.winners("runoff", primary_five)) == {"Donald"}
     irv = v.report("irv", primary_five)
     assert labels5(irv.winners) == {"Ted"}
     order = [primary_five.label(r["eliminated"][0]) for r in irv.trace["rounds"]]
@@ -171,7 +171,7 @@ def test_criterion_04_worked_example_winners(primary_five, four_bloc):
     assert four_bloc.label(v.condorcet_winner(four_bloc)) == "a"
     for rule in ("black", "simpson", "young", "dodgson", "clr"):
         assert set(four_bloc.labels(v.winners(rule, four_bloc))) == {"a"}, rule
-    assert set(four_bloc.labels(v.plurality_winners(four_bloc))) == {"c"}
+    assert set(four_bloc.labels(v.winners("plurality", four_bloc))) == {"c"}
     borda = v.report("borda", four_bloc)
     assert set(four_bloc.labels(borda.winners)) == {"c"}
     assert [borda.scores[a] for a in range(4)] == [165, 163, 186, 86]
@@ -312,17 +312,17 @@ def test_criterion_10_tradeoff_rule():
     for num in range(51, 100):
         q = F(num, 100)
         profile = v.worst_case_profile(3, 1, q, 100)
-        assert v.theorem12_rule_winners(profile) == {0}, q
+        assert v.winners("t12rule", profile) == {0}, q
     for q, n in ((F(3, 5), 5), (F(5, 8), 8), (F(7, 10), 10)):
         profile = v.worst_case_profile(3, 1, q, n)
-        assert v.theorem12_rule_winners(profile) == {0}
+        assert v.winners("t12rule", profile) == {0}
     # winners are never positionally dominated on the full small enumeration
     for profile in v.all_profiles(3, 8):
         dom = v.second_order_dominance(profile)
         if not dom:
             continue
         dominated = {b for _, b in dom}
-        assert not (v.theorem12_rule_winners(profile) & dominated), profile
+        assert not (v.winners("t12rule", profile) & dominated), profile
     # below the threshold the construction makes the outsider dominate B
     low = v.worst_case_profile(3, 1, F(12, 25), 25)
     dom = v.second_order_dominance(low)

@@ -81,6 +81,14 @@ def test_decimal_rounding_half_up():
     assert exact(Fraction(107, 25)).decimal() == "4.280"
 
 
+def test_decimal_negative_values():
+    """A negative value renders as "-" and the decimal of its absolute value;
+    one that rounds to 0.000 has no sign."""
+    assert exact(Fraction(-1, 3)).decimal() == "-0.333"
+    assert exact(-2).decimal() == "-2.000"
+    assert exact(Fraction(-1, 3000)).decimal() == "0.000"
+
+
 def test_fraction_interop_and_hash():
     half = ExactNumber(1, 0, 0, 2)
     assert half == Fraction(1, 2)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import random
@@ -157,6 +159,13 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["exact"] == "1/2" and data["m"] == "sup"
 
+    def test_quota_half_with_k_is_a_usage_error(self, capsys):
+        """--half restricts a veto quota to m >= 2l; a majority quota takes none."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["quota", "--rule", "borda", "--k", "2", "--half"])
+        assert exit_.value.code == 2
+        assert "--half" in capsys.readouterr().err
+
     def test_quota_interval(self, capsys):
         assert main(["quota", "--rule", "dodgson", "--k", "2", "--m", "4",
                      "--format", "json"]) == 0
@@ -286,6 +295,33 @@ class TestCli:
                      four_bloc_file]) == 0
         out = capsys.readouterr().out
         assert out.startswith("key,value")
+
+    def test_csv_quotes_keys_and_values(self, tmp_path, capsys):
+        """Candidate names holding a comma or a double quote stay one field,
+        in keys as in values."""
+        path = tmp_path / "quoted.txt"
+        path.write_text('m 2\ncandidates x,y z"q\n3: x,y > z"q\n1: z"q > x,y\n')
+        assert main(["winners", "--rule", "plurality", "--scores", "--format", "csv",
+                     str(path)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert all(len(row) == 2 for row in rows)
+        assert [key for key, _ in rows] == [
+            "key", "rule", "winners.0",
+            "scores.x,y.exact", "scores.x,y.decimal",
+            'scores.z"q.exact', 'scores.z"q.decimal',
+        ]
+        assert rows[2] == ["winners.0", "x,y"]
+
+    def test_winners_negative_scores(self, tmp_path, capsys):
+        """A score vector with negative entries gives negative scores, which
+        --scores renders with a minus sign."""
+        path = tmp_path / "neg.txt"
+        path.write_text("m 3\ncandidates a b c\n2: a > b > c\n1: c > b > a\n")
+        assert main(["winners", "--rule", "scoring:0,-1,-2", "--scores",
+                     "--format", "json", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["winners"] == ["a"]
+        assert data["scores"]["a"] == {"exact": "-2", "decimal": "-2.000"}
 
     def test_bad_input_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -11,35 +11,22 @@ from votelab import (
     ExactNumber,
     Profile,
     all_profiles,
-    black_winners,
-    borda_winners,
-    clr_winners,
     condorcet_winner,
     convex_median_score,
-    convex_median_winners,
     dodgson_score,
-    dodgson_winners,
     exact,
-    instant_runoff_winners,
     majority_winner,
     oracle_veto_core,
     oracle_young_score,
-    plurality_runoff_winners,
-    plurality_winners,
-    proportional_veto_core,
     random_profile,
     relabel_profile,
     report,
     scoring_winners,
     serialize_profile,
-    simple_majority_winners,
-    simpson_winners,
-    theorem12_rule_winners,
     tournament_matrix,
     tradeoff_score,
     winners,
     young_score,
-    young_winners,
 )
 from votelab.cli import main
 from votelab.rules import RULE_IDS, ScoreVector
@@ -75,7 +62,7 @@ class TestScoreVector:
 
 class TestScoringRules:
     def test_primary_five_plurality(self, primary_five):
-        assert names(primary_five, plurality_winners(primary_five)) == {"Hillary"}
+        assert names(primary_five, winners("plurality", primary_five)) == {"Hillary"}
 
     def test_four_bloc_borda(self, four_bloc):
         rep = report("borda", four_bloc)
@@ -92,7 +79,7 @@ class TestScoringRules:
             scoring_winners(four_bloc, ScoreVector((1, 0)))
 
     def test_scoring_rule_id(self, four_bloc):
-        assert winners("scoring:3,2,1,0", four_bloc) == borda_winners(four_bloc)
+        assert winners("scoring:3,2,1,0", four_bloc) == winners("borda", four_bloc)
 
     def test_borda_positional_equals_pairwise(self, four_bloc):
         rep = report("borda", four_bloc)
@@ -111,16 +98,16 @@ class TestRunoff:
 
     def test_small_example(self):
         p = Profile.from_names("abc", [(2, "abc"), (2, "bac"), (1, "cab")])
-        assert plurality_runoff_winners(p) == {0}
+        assert winners("runoff", p) == {0}
 
     def test_majority_winner_always_wins(self):
         p = Profile.from_names("abc", [(3, "cab"), (1, "abc"), (1, "bca")])
-        assert plurality_runoff_winners(p) == {2}
+        assert winners("runoff", p) == {2}
 
     def test_finalist_tie_union(self):
         # tops 2/2/2: all three finalist pairs contribute
         p = Profile.from_names("abc", [(2, "abc"), (2, "bca"), (2, "cab")])
-        assert plurality_runoff_winners(p) == {0, 1, 2}
+        assert winners("runoff", p) == {0, 1, 2}
 
 
 class TestInstantRunoff:
@@ -132,16 +119,16 @@ class TestInstantRunoff:
 
     def test_small_example(self):
         p = Profile.from_names("abc", [(2, "abc"), (2, "bac"), (1, "cab")])
-        assert instant_runoff_winners(p) == {0}
+        assert winners("irv", p) == {0}
 
     def test_majority_winner_always_wins(self):
         p = Profile.from_names("abc", [(3, "cab"), (1, "abc"), (1, "bca")])
-        assert instant_runoff_winners(p) == {2}
+        assert winners("irv", p) == {2}
 
     def test_tie_union_keeps_supported_set(self):
         # deleting the whole tied minimum at once would elect c here
         p = Profile.from_names("abc", [(3, "abc"), (3, "bac"), (4, "cab")])
-        assert instant_runoff_winners(p) == {0, 1}
+        assert winners("irv", p) == {0, 1}
 
 
 class TestSimpson:
@@ -159,11 +146,11 @@ class TestSimpson:
 class TestYoung:
     def test_condorcet_winner_scores_zero(self, four_bloc):
         assert young_score(four_bloc, 0) == 0
-        assert names(four_bloc, young_winners(four_bloc)) == {"a"}
+        assert names(four_bloc, winners("young", four_bloc)) == {"a"}
 
     def test_cycle_scores_one(self, cycle3):
         assert [young_score(cycle3, a) for a in range(3)] == [1, 1, 1]
-        assert young_winners(cycle3) == {0, 1, 2}
+        assert winners("young", cycle3) == {0, 1, 2}
 
     def test_removal_trace(self):
         """Each candidate's traced removal is checked from the trace alone:
@@ -196,7 +183,7 @@ class TestYoung:
 class TestDodgson:
     def test_condorcet_winner_scores_zero(self, four_bloc):
         assert dodgson_score(four_bloc, 0) == 0
-        assert names(four_bloc, dodgson_winners(four_bloc)) == {"a"}
+        assert names(four_bloc, winners("dodgson", four_bloc)) == {"a"}
 
     def test_cycle_scores_one(self, cycle3):
         assert [dodgson_score(cycle3, a) for a in range(3)] == [1, 1, 1]
@@ -252,13 +239,13 @@ class TestCLR:
 
 class TestBlack:
     def test_four_bloc_condorcet_branch(self, four_bloc):
-        assert names(four_bloc, black_winners(four_bloc)) == {"a"}
+        assert names(four_bloc, winners("black", four_bloc)) == {"a"}
 
     def test_primary_five(self, primary_five):
-        assert names(primary_five, black_winners(primary_five)) == {"John"}
+        assert names(primary_five, winners("black", primary_five)) == {"John"}
 
     def test_cycle_borda_fallback(self, cycle3):
-        assert black_winners(cycle3) == {0, 1, 2}
+        assert winners("black", cycle3) == {0, 1, 2}
 
     def test_weak_winner_does_not_preempt_borda(self):
         # a ties b, beats c; no strict winner, so the positional scores decide
@@ -304,12 +291,12 @@ class TestConvexMedian:
         from votelab import worst_case_profile
 
         p = worst_case_profile(3, 2, Fraction(51, 100), 200)
-        assert convex_median_winners(p) <= {0, 1}
+        assert winners("convexmedian", p) <= {0, 1}
 
 
 class TestVetoCore:
     def test_cycle_all_stable(self, cycle3):
-        assert proportional_veto_core(cycle3) == {0, 1, 2}
+        assert winners("vetocore", cycle3) == {0, 1, 2}
 
     def test_four_bloc(self, four_bloc):
         rep = report("vetocore", four_bloc)
@@ -319,7 +306,7 @@ class TestVetoCore:
 
     def test_single_voter_unanimity(self):
         p = Profile.from_names("abcd", [(1, "cadb")])
-        assert proportional_veto_core(p) == {2}
+        assert winners("vetocore", p) == {2}
 
     def test_many_ballot_types_answered(self, tmp_path, capsys):
         # no cap on ballot types: 31 types here, where a scan over
@@ -349,7 +336,7 @@ class TestVetoCore:
         for _ in range(5):
             groups = [(rng.randint(1, 6), rng.sample(labels, 30)) for _ in range(4)]
             p = Profile.from_names(labels, groups)
-            assert proportional_veto_core(p) == oracle_veto_core(p), p
+            assert winners("vetocore", p) == oracle_veto_core(p), p
 
 
 class TestTradeoffRule:
@@ -379,13 +366,13 @@ class TestTradeoffRule:
 
     def test_majority_winner_override(self):
         p = Profile.from_names("abc", [(3, "cab"), (2, "abc")])
-        assert theorem12_rule_winners(p) == {2}
+        assert winners("t12rule", p) == {2}
 
     def test_selects_from_supported_set_above_threshold(self):
         from votelab import worst_case_profile
 
         p = worst_case_profile(3, 1, Fraction(59, 100), 100)
-        assert theorem12_rule_winners(p) == {0}
+        assert winners("t12rule", p) == {0}
 
     def test_tradeoff_score_undefined_for_majority_winner(self):
         p = Profile.from_names("ab", [(3, "ab")])
@@ -416,7 +403,7 @@ def test_m2_coincides_with_simple_majority(rule_id):
         if counts[1]:
             ballots.append((counts[1], (1, 0)))
         p = Profile(("a", "b"), tuple(ballots))
-        assert winners(rule_id, p) == simple_majority_winners(p)
+        assert winners(rule_id, p) == winners("plurality", p)
 
 
 @pytest.mark.parametrize(
@@ -516,5 +503,5 @@ def test_dodgson_is_not_homogeneous():
     p = Profile.from_names(
         "abcde", [(1, r) for r in ("badec", "bedca", "cadeb", "daecb", "ebadc", "ebdac")]
     )
-    assert names(p, dodgson_winners(p)) == {"b", "e"}
-    assert names(p, dodgson_winners(_scaled(p, 2))) == {"e"}
+    assert names(p, winners("dodgson", p)) == {"b", "e"}
+    assert names(p, winners("dodgson", _scaled(p, 2))) == {"e"}

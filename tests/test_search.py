@@ -14,7 +14,6 @@ from votelab import (
     dodgson_score,
     empirical_quota,
     exhaustive_criterion_search,
-    instant_runoff_winners,
     max_violation,
     oracle_dodgson_score,
     oracle_veto_core,
@@ -26,6 +25,7 @@ from votelab import (
     report,
     tournament_matrix,
     tradeoff_threshold,
+    winners,
     worst_case_profile,
     young_score,
 )
@@ -217,7 +217,7 @@ class TestParallelUniverseIrv:
         rng = random.Random(12)
         for _ in range(120):
             p = random_profile(rng, rng.randint(1, 4), rng.randint(1, 7))
-            assert parallel_universe_irv(p) == instant_runoff_winners(p)
+            assert parallel_universe_irv(p) == winners("irv", p)
 
 
 class TestExhaustiveSearch:
