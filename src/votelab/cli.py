@@ -40,8 +40,8 @@ class ResultDocument:
 
     command: str
     payload: dict
+    plain: str
     status: int = EXIT_OK
-    plain: str | None = None
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -56,9 +56,7 @@ class ResultDocument:
             writer.writerow(("key", "value"))
             writer.writerows(_flatten(self.payload))
             return buf.getvalue().removesuffix("\n")
-        if self.plain is not None:
-            return self.plain
-        return "\n".join(f"{k}: {v}" for k, v in _flatten(self.payload))
+        return self.plain
 
 
 def _flatten(value, prefix=""):
@@ -69,7 +67,7 @@ def _flatten(value, prefix=""):
         for i, v in enumerate(value):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
-        yield prefix.rstrip("."), "" if value is None else str(value)
+        yield prefix[:-1], "" if value is None else str(value)
 
 
 def _jsonable(value):
@@ -238,7 +236,7 @@ def _cmd_check(args) -> ResultDocument:
         + f"}} supported by {violation.support}/{profile.n} voters, winners "
         + ", ".join(payload["violation"]["winners"])
     )
-    return ResultDocument("check", payload, EXIT_VIOLATION, plain)
+    return ResultDocument("check", payload, plain, EXIT_VIOLATION)
 
 
 def _cmd_verify(args) -> ResultDocument:
@@ -274,7 +272,7 @@ def _cmd_verify(args) -> ResultDocument:
         + "winners: "
         + ", ".join(violation.profile.labels(violation.winners))
     )
-    return ResultDocument("verify", payload, EXIT_VIOLATION, plain)
+    return ResultDocument("verify", payload, plain, EXIT_VIOLATION)
 
 
 def _cmd_worstcase(args) -> ResultDocument:
@@ -345,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --l: restrict to m >= 2l")
     p.add_argument("--m", type=int,
                    help="number of candidates (default: the supremum over m)")
-    p.set_defaults(fn=_cmd_quota)
+    p.set_defaults(fn=_cmd_quota, usage_error=p.error)
 
     p = sub.add_parser("tables", parents=[common], help="regenerate a quota table")
     p.add_argument("--which", type=int, required=True, choices=(3, 4, 5, 6))
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.cmd == "quota" and args.half and args.k is not None:
-        parser.error("--half applies only with --l")
+        args.usage_error("--half applies only with --l")
     try:
         result: ResultDocument = args.fn(args)
     except (VotelabError, ValueError, OSError) as err:

@@ -4,7 +4,8 @@ A rule satisfies the (q,k,m)-majority criterion when, on every m-candidate
 profile, any k-set top-ranked (in any order) by strictly more than a q share
 of the voters contains the whole choice set.  The (q,l)-veto criterion is the
 mirror image for bottom-ranked l-sets.  This module checks the criteria on
-concrete profiles and computes the tight quota bounds in closed form.
+concrete profiles and looks up the tight quota bounds, whose closed forms
+each rule's registry record in ``rules`` holds.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from .exact import ExactNumber, exact
 from .model import ChoiceSet, Profile
 from .rules import (
     ScoreVector,
+    closed_form,
     integer_truncated_scores,
     parse_score_vector,
+    scoring_rule_quota,
     second_order_dominates,
     winners as rule_winners,
 )
-
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -205,25 +205,6 @@ def second_order_dominance(profile: Profile) -> set[tuple[int, int]]:
 # -- closed-form quota bounds ---------------------------------------------------------
 
 
-def _clr_bound(k: int) -> Fraction:
-    if k % 2 == 0:
-        return Fraction(5 * k - 2, 8 * k)
-    return Fraction(5 * k * k - 2 * k + 1, 8 * k * k)
-
-
-def scoring_rule_quota(scores: ScoreVector, k: int) -> Fraction:
-    """Tight majority quota of a monotonic scoring rule for a given k."""
-    m = len(scores)
-    if not 1 <= k < m:
-        raise ValueError(f"k must satisfy 1 <= k < m, got k={k}, m={m}")
-    s = scores.scores
-    bottom_avg = sum(s[m - i] for i in range(1, k + 1)) / k
-    top_avg = sum(s[i] for i in range(k)) / k
-    num = s[0] - bottom_avg
-    den = num + top_avg - s[k]
-    return num / den
-
-
 def scoring_majority_loser_ok(scores: ScoreVector) -> bool:
     """Whether the scoring rule can never elect a bottom-majority candidate."""
     s = scores.scores
@@ -233,21 +214,9 @@ def scoring_majority_loser_ok(scores: ScoreVector) -> bool:
     return lhs <= rhs
 
 
-def _convex_median_quota(k: int, m: int) -> ExactNumber:
-    if m > 2 * k:
-        return exact(Fraction(3 * k - 1, 4 * k))
-    if m == k + 1:
-        return exact(HALF)
-    # k + 1 < m <= 2k: the bound is the root, between 1/2 and (3k-1)/(4k),
-    # of 4k(m-k-1) q^2 + (5k^2 + 5k - 2mk - m^2 + m) q + m(m-1-2k) = 0.
-    roots = ExactNumber.quadratic_roots(
-        4 * k * (m - k - 1),
-        5 * k * k + 5 * k - 2 * m * k - m * m + m,
-        m * (m - 1 - 2 * k),
-    )
-    inside = [r for r in roots if exact(HALF) <= r <= exact(Fraction(3 * k - 1, 4 * k))]
-    assert len(inside) == 1, "exactly one root lies in the admissible range"
-    return inside[0]
+def _quota(form) -> Quota:
+    """A registry form's value, or Dodgson's (lo, hi) pair, as a Quota."""
+    return Quota.interval(*form) if isinstance(form, tuple) else Quota.point(form)
 
 
 def quota_majority(rule_id: str, k: int, m: int) -> Quota:
@@ -261,56 +230,14 @@ def quota_majority(rule_id: str, k: int, m: int) -> Quota:
     if rule_id.startswith("scoring:"):
         vec = parse_score_vector(rule_id[len("scoring:") :], m)
         return Quota.point(scoring_rule_quota(vec, k))
-    if rule_id == "plurality":
-        return Quota.point(Fraction(k, k + 1))
-    if rule_id in ("simpson", "young"):
-        return Quota.point(HALF if k == 1 else Fraction(k - 1, k))
-    if rule_id == "clr":
-        return Quota.point(_clr_bound(k))
-    if rule_id == "runoff":
-        if k == 1 or k == m - 1:
-            return Quota.point(HALF)
-        return Quota.point(max(Fraction(k, k + 2), HALF))
-    if rule_id == "black":
-        return Quota.point(HALF if k == 1 else Fraction(2 * m - k - 1, 2 * m))
-    if rule_id == "borda":
-        return Quota.point(Fraction(2 * m - k - 1, 2 * m))
-    if rule_id == "antiplurality":
-        return Quota.point(Fraction(1, m) if k == m - 1 else ONE)
-    if rule_id == "convexmedian":
-        return Quota.point(_convex_median_quota(k, m))
-    if rule_id == "irv":
-        return Quota.point(HALF)
-    if rule_id == "vetocore":
-        return Quota.point(Fraction(m - k, m))
-    if rule_id == "dodgson":
-        return Quota.interval(_clr_bound(k), Fraction(k, k + 1))
-    raise ValueError(f"no closed-form quota for rule id {rule_id!r}")
+    return _quota(closed_form(rule_id, "majority", "quota")(k, m))
 
 
 def quota_majority_sup(rule_id: str, k: int) -> Quota:
     """Supremum of the per-m quota over every m > k."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if rule_id == "plurality":
-        return Quota.point(Fraction(k, k + 1))
-    if rule_id in ("simpson", "young"):
-        return Quota.point(HALF if k == 1 else Fraction(k - 1, k))
-    if rule_id == "clr":
-        return Quota.point(_clr_bound(k))
-    if rule_id == "runoff":
-        return Quota.point(HALF if k <= 2 else Fraction(k, k + 2))
-    if rule_id == "convexmedian":
-        return Quota.point(Fraction(3 * k - 1, 4 * k))
-    if rule_id == "irv":
-        return Quota.point(HALF)
-    if rule_id == "black":
-        return Quota.point(HALF if k == 1 else ONE)
-    if rule_id in ("borda", "vetocore", "antiplurality"):
-        return Quota.point(ONE)
-    if rule_id == "dodgson":
-        return Quota.interval(_clr_bound(k), Fraction(k, k + 1))
-    raise ValueError(f"no closed-form quota supremum for rule id {rule_id!r}")
+    return _quota(closed_form(rule_id, "majority_sup", "quota supremum")(k))
 
 
 def quota_veto_sup(rule_id: str, l: int, half_restricted: bool = False) -> Quota:
@@ -321,43 +248,7 @@ def quota_veto_sup(rule_id: str, l: int, half_restricted: bool = False) -> Quota
     """
     if l < 1:
         raise ValueError("l must be at least 1")
-    if rule_id == "irv":
-        return Quota.point(HALF)
-    if rule_id == "clr":
-        return Quota.point(Fraction(5, 8))
-    if rule_id == "convexmedian":
-        if l == 1:
-            return Quota.point(HALF)
-        at_double = _convex_median_quota(l, 2 * l)
-        if half_restricted:
-            return Quota.point(at_double)
-        below = _convex_median_quota(l - 1, 2 * l - 1)
-        return Quota.point(max(at_double, exact(below)))
-    if rule_id == "black":
-        if l == 1:
-            return Quota.point(HALF)
-        if half_restricted:
-            return Quota.point(Fraction(3 * l - 1, 4 * l))
-        return Quota.point(Fraction(2 * l + 1, 2 * l + 4))
-    if rule_id == "borda":
-        if l == 1:
-            return Quota.point(HALF)
-        if half_restricted:
-            return Quota.point(Fraction(3 * l - 1, 4 * l))
-        return Quota.point(Fraction(l, l + 1))
-    if rule_id == "vetocore":
-        if l == 1:
-            return Quota.point(Fraction(1, 3))
-        return Quota.point(HALF if half_restricted else Fraction(l, l + 1))
-    if rule_id == "antiplurality":
-        return Quota.point(Fraction(1, 3) if l == 1 else ONE)
-    if rule_id == "runoff":
-        return Quota.point(HALF if l == 1 else ONE)
-    if rule_id in ("simpson", "young", "plurality"):
-        return Quota.point(ONE)
-    if rule_id == "dodgson":
-        return Quota.interval(Fraction(5, 8), ONE)
-    raise ValueError(f"no closed-form veto quota for rule id {rule_id!r}")
+    return _quota(closed_form(rule_id, "veto_sup", "veto quota")(l, half_restricted))
 
 
 def tradeoff_threshold(k: int) -> Quota:

@@ -17,12 +17,13 @@ exhaustive search calls the same functions on tallies it updates
 incrementally and on its count vectors, so each rule has one definition.
 
 The registry at the end of the module maps each rule id to one record: the
-factory of its decision per m, the statistics the decision reads, and how
-its raw scores and trace are shown.  ``report`` is the one function that
-builds a ``ScoreReport``: it tallies only what the record says the decision
-reads, passes None for the rest, and presents the result as the record
-says.  ``scoring:<s1,...,sm>`` ids are the one parametric case; their record
-is built from the vector.  Adding a rule means writing its decision and one
+factory of its decision per m, the statistics the decision reads, how its
+raw scores and trace are shown, and the paper's closed-form quotas with
+their table text.  ``report`` is the one function that builds a
+``ScoreReport``: it tallies only what the record says the decision reads,
+passes None for the rest, and presents the result as the record says.
+``scoring:<s1,...,sm>`` ids are the one parametric case; their record is
+built from the vector.  Adding a rule means writing its decision and one
 registry entry.  A rule has no other name: callers ask for it by its id,
 through ``report`` or ``winners``.
 """
@@ -663,19 +664,78 @@ def theorem12_decision(m, n, h, pos):
     return won, scores, {"score_argmin": list(argmin)}
 
 
+# -- closed-form quotas ---------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+ONE = Fraction(1)
+
+
+def scoring_rule_quota(scores: ScoreVector, k: int) -> Fraction:
+    """Tight majority quota of a monotonic scoring rule for a given k."""
+    m = len(scores)
+    if not 1 <= k < m:
+        raise ValueError(f"k must satisfy 1 <= k < m, got k={k}, m={m}")
+    s = scores.scores
+    bottom_avg = sum(s[m - i] for i in range(1, k + 1)) / k
+    top_avg = sum(s[i] for i in range(k)) / k
+    num = s[0] - bottom_avg
+    den = num + top_avg - s[k]
+    return num / den
+
+
+def _clr_bound(k: int) -> Fraction:
+    if k % 2 == 0:
+        return Fraction(5 * k - 2, 8 * k)
+    return Fraction(5 * k * k - 2 * k + 1, 8 * k * k)
+
+
+def _convex_median_quota(k: int, m: int) -> ExactNumber:
+    if m > 2 * k:
+        return exact(Fraction(3 * k - 1, 4 * k))
+    if m == k + 1:
+        return exact(HALF)
+    # k + 1 < m <= 2k: the bound is the root, between 1/2 and (3k-1)/(4k),
+    # of 4k(m-k-1) q^2 + (5k^2 + 5k - 2mk - m^2 + m) q + m(m-1-2k) = 0.
+    roots = ExactNumber.quadratic_roots(
+        4 * k * (m - k - 1),
+        5 * k * k + 5 * k - 2 * m * k - m * m + m,
+        m * (m - 1 - 2 * k),
+    )
+    inside = [r for r in roots if exact(HALF) <= r <= exact(Fraction(3 * k - 1, 4 * k))]
+    assert len(inside) == 1, "exactly one root lies in the admissible range"
+    return inside[0]
+
+
+def _convex_median_veto(l: int, half: bool) -> ExactScore:
+    if l == 1:
+        return HALF
+    at_double = _convex_median_quota(l, 2 * l)
+    return at_double if half else max(at_double, _convex_median_quota(l - 1, 2 * l - 1))
+
+
 # -- registry -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Rule:
     """A registered rule: the factory giving its decision at m candidates,
-    the statistics that decision reads, and how a report shows its result.
+    the statistics that decision reads, how a report shows its result, and
+    the paper's closed-form quotas.
 
     ``tournament`` says whether the decision reads the tournament counts,
     and ``stat`` whether its last argument is the rank counts ("ranks"), the
     ballots ("ballots") or nothing (None).  ``show`` turns a raw score into
     the report's score and ``explain`` turns the raw trace of a profile with
     m candidates into the report's; None keeps the raw value.
+
+    ``majority(k, m)`` is the tight (q,k,m)-majority quota, ``majority_sup(k)``
+    its supremum over m (by default the per-m form, when that ignores m) and
+    ``veto_sup(l, half)`` the (q,l)-veto quota's supremum over m >= 3, or
+    over m >= 2l with ``half``.  Each returns a value, or Dodgson's (lo, hi)
+    interval; None means the paper gives no closed form.  ``text`` maps a
+    table's mode ("majority", "veto", "veto-half"; clr splits "majority:even"
+    and "majority:odd") to the general-size formula and its supremum over
+    the size; a mode it leaves out reads ("1", 1).
     """
 
     decision: Callable[[int], Decision]
@@ -683,36 +743,105 @@ class _Rule:
     stat: str | None
     show: Callable[[object], ExactScore] | None = None
     explain: Callable[[int, dict], dict] | None = None
+    majority: Callable[[int, int | None], object] | None = None
+    majority_sup: Callable[[int], object] | None = None
+    veto_sup: Callable[[int, bool], object] | None = None
+    text: dict[str, tuple[str, Fraction]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.majority_sup is None and self.majority is not None:
+            object.__setattr__(self, "majority_sup", lambda k: self.majority(k, None))
 
 
-def _vector_rule(make: Callable[[int], ScoreVector]) -> _Rule:
+def _vector_rule(make: Callable[[int], ScoreVector], **quotas) -> _Rule:
     """The positional rule scoring m candidates with the vector make(m).
     Its weights are integers, so its totals are shown as they are, as
     fractions.  A lone candidate has no score vector; its one position
-    counts 1 per voter."""
+    counts 1 per voter.  Its per-m quota is the scoring rule's."""
 
     @functools.cache
     def decide(m: int) -> Decision:
         return scoring_decision(_integer_weights(make(m))[0] if m > 1 else (1,))
 
-    return _Rule(decide, False, "ranks", Fraction)
+    return _Rule(decide, False, "ranks", Fraction,
+                 majority=lambda k, m: scoring_rule_quota(make(m), k), **quotas)
 
 
-_RULES: dict[str, _Rule] = {
-    "plurality": _vector_rule(ScoreVector.plurality),
-    "runoff": _Rule(lambda m: runoff_decision, True, "ranks"),
-    "irv": _Rule(lambda m: instant_runoff_decision, False, "ballots"),
-    "borda": _vector_rule(ScoreVector.borda),
-    "antiplurality": _vector_rule(ScoreVector.antiplurality),
-    "simpson": _Rule(lambda m: simpson_decision, True, None),
-    "young": _Rule(lambda m: young_decision, True, "ballots"),
-    "dodgson": _Rule(lambda m: dodgson_decision, True, "ballots"),
-    "clr": _Rule(lambda m: clr_decision, True, None, lambda d: Fraction(d, 2), _clr_trace),
-    "black": _Rule(lambda m: black_decision, True, None, Fraction),
-    "convexmedian": _Rule(
-        lambda m: convex_median_decision, False, "ranks", lambda depth: Fraction(*depth)
+_BORDA = _vector_rule(
+    ScoreVector.borda, majority_sup=lambda k: ONE,
+    veto_sup=lambda l, half: (
+        HALF if l == 1 else Fraction(3 * l - 1, 4 * l) if half else Fraction(l, l + 1)
     ),
-    "vetocore": _Rule(lambda m: proportional_veto_core_decision, False, "ballots"),
+    text={"veto": ("l/(l+1)", ONE), "veto-half": ("(3l-1)/(4l)", Fraction(3, 4))},
+)
+_SIMPSON_QUOTAS = dict(
+    majority=lambda k, m: max(HALF, Fraction(k - 1, k)), veto_sup=lambda l, half: ONE,
+    text={"majority": ("(k-1)/k", ONE)},
+)
+_RULES: dict[str, _Rule] = {
+    "plurality": _vector_rule(
+        ScoreVector.plurality, majority_sup=lambda k: Fraction(k, k + 1),
+        veto_sup=lambda l, half: ONE, text={"majority": ("k/(k+1)", ONE)},
+    ),
+    "runoff": _Rule(
+        lambda m: runoff_decision, True, "ranks",
+        majority=lambda k, m: HALF if k in (1, m - 1) else Fraction(k, k + 2),
+        majority_sup=lambda k: max(HALF, Fraction(k, k + 2)),
+        veto_sup=lambda l, half: HALF if l == 1 else ONE, text={"majority": ("k/(k+2)", ONE)},
+    ),
+    "irv": _Rule(
+        lambda m: instant_runoff_decision, False, "ballots",
+        majority=lambda k, m: HALF, veto_sup=lambda l, half: HALF,
+        text=dict.fromkeys(("majority", "veto", "veto-half"), ("1/2", HALF)),
+    ),
+    "borda": _BORDA,
+    "antiplurality": _vector_rule(
+        ScoreVector.antiplurality, majority_sup=lambda k: ONE,
+        veto_sup=lambda l, half: Fraction(1, 3) if l == 1 else ONE,
+    ),
+    "simpson": _Rule(lambda m: simpson_decision, True, None, **_SIMPSON_QUOTAS),
+    "young": _Rule(lambda m: young_decision, True, "ballots", **_SIMPSON_QUOTAS),
+    "dodgson": _Rule(
+        lambda m: dodgson_decision, True, "ballots",
+        majority=lambda k, m: (_clr_bound(k), Fraction(k, k + 1)),
+        veto_sup=lambda l, half: (Fraction(5, 8), ONE),
+    ),
+    "clr": _Rule(
+        lambda m: clr_decision, True, None, lambda d: Fraction(d, 2), _clr_trace,
+        majority=lambda k, m: _clr_bound(k), veto_sup=lambda l, half: Fraction(5, 8),
+        text={
+            "majority:even": ("(5k-2)/(8k)", Fraction(5, 8)),
+            "majority:odd": ("(5k^2-2k+1)/(8k^2)", Fraction(5, 8)),
+            **dict.fromkeys(("veto", "veto-half"), ("5/8", Fraction(5, 8))),
+        },
+    ),
+    "black": _Rule(
+        lambda m: black_decision, True, None, Fraction,
+        majority=lambda k, m: HALF if k == 1 else _BORDA.majority(k, m),
+        majority_sup=lambda k: HALF if k == 1 else ONE,
+        veto_sup=lambda l, half: (
+            _BORDA.veto_sup(l, half) if l == 1 or half else Fraction(2 * l + 1, 2 * l + 4)
+        ),
+        text={**_BORDA.text, "veto": ("(2l+1)/(2l+4)", ONE)},
+    ),
+    "convexmedian": _Rule(
+        lambda m: convex_median_decision, False, "ranks", lambda depth: Fraction(*depth),
+        majority=_convex_median_quota, majority_sup=lambda k: Fraction(3 * k - 1, 4 * k),
+        veto_sup=_convex_median_veto,
+        text={
+            "majority": ("(3k-1)/(4k)", Fraction(3, 4)),
+            "veto": ("(3l-4)/(4l-4)", Fraction(3, 4)),
+            "veto-half": ("(-7+3l+sqrt(17-10l+9l^2))/(8l-8)", Fraction(3, 4)),
+        },
+    ),
+    "vetocore": _Rule(
+        lambda m: proportional_veto_core_decision, False, "ballots",
+        majority=lambda k, m: Fraction(m - k, m), majority_sup=lambda k: ONE,
+        veto_sup=lambda l, half: (
+            Fraction(1, 3) if l == 1 else HALF if half else Fraction(l, l + 1)
+        ),
+        text={"veto": ("l/(l+1)", ONE), "veto-half": ("1/2", HALF)},
+    ),
     "t12rule": _Rule(lambda m: theorem12_decision, False, "ranks"),
 }
 
@@ -773,6 +902,15 @@ def report(rule_id: str, profile: Profile) -> ScoreReport:
 
 def winners(rule_id: str, profile: Profile) -> ChoiceSet:
     return report(rule_id, profile).winners
+
+
+def closed_form(rule_id: str, name: str, what: str):
+    """A registered rule's closed-form quota or table text, its record's
+    field ``name``; a ValueError naming ``what`` when the rule has none."""
+    form = getattr(_RULES.get(rule_id), name, None)
+    if form is None:
+        raise ValueError(f"no closed-form {what} for rule id {rule_id!r}")
+    return form
 
 
 def is_rule_id(rule_id: str) -> bool:

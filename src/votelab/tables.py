@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .criteria import Quota, quota_majority, quota_majority_sup, quota_veto_sup
-
-HALF = Fraction(1, 2)
+from .rules import closed_form
 
 
 @dataclass(frozen=True)
@@ -20,55 +18,28 @@ class TableData:
     rows: tuple[tuple[str, tuple[Quota | None, ...], str, Quota | None], ...]
 
 
-# Closed-form column text and the supremum of the tabulated quota over the
-# group-size parameter, per rule and table.
-_MAJORITY_FORMULA = {
-    "irv": ("1/2", HALF),
-    "clr:even": ("(5k-2)/(8k)", Fraction(5, 8)),
-    "clr:odd": ("(5k^2-2k+1)/(8k^2)", Fraction(5, 8)),
-    "convexmedian": ("(3k-1)/(4k)", Fraction(3, 4)),
-    "runoff": ("k/(k+2)", Fraction(1)),
-    "simpson": ("(k-1)/k", Fraction(1)),
-    "young": ("(k-1)/k", Fraction(1)),
-    "plurality": ("k/(k+1)", Fraction(1)),
-    "black": ("1", Fraction(1)),
-    "vetocore": ("1", Fraction(1)),
-    "borda": ("1", Fraction(1)),
-    "antiplurality": ("1", Fraction(1)),
+# The paper's row order per table.  Table 3 splits clr by the parity of k;
+# table 4 takes table 3's rows with the split merged.
+_ROWS = {
+    3: ("irv", "clr:even", "clr:odd", "convexmedian", "runoff", "simpson", "young",
+        "plurality", "black", "vetocore", "borda", "antiplurality"),
+    5: ("irv", "clr", "convexmedian", "black", "vetocore", "borda", "antiplurality",
+        "runoff", "simpson", "young", "plurality"),
+    6: ("vetocore", "irv", "clr", "convexmedian", "black", "borda", "antiplurality",
+        "runoff", "simpson", "young", "plurality"),
 }
 
-_VETO_FORMULA = {
-    "irv": ("1/2", HALF),
-    "clr": ("5/8", Fraction(5, 8)),
-    "convexmedian": ("(3l-4)/(4l-4)", Fraction(3, 4)),
-    "black": ("(2l+1)/(2l+4)", Fraction(1)),
-    "vetocore": ("l/(l+1)", Fraction(1)),
-    "borda": ("l/(l+1)", Fraction(1)),
-    "antiplurality": ("1", Fraction(1)),
-    "runoff": ("1", Fraction(1)),
-    "simpson": ("1", Fraction(1)),
-    "young": ("1", Fraction(1)),
-    "plurality": ("1", Fraction(1)),
-}
 
-_VETO_HALF_FORMULA = {
-    "vetocore": ("1/2", HALF),
-    "irv": ("1/2", HALF),
-    "clr": ("5/8", Fraction(5, 8)),
-    "convexmedian": ("(-7+3l+sqrt(17-10l+9l^2))/(8l-8)", Fraction(3, 4)),
-    "black": ("(3l-1)/(4l)", Fraction(3, 4)),
-    "borda": ("(3l-1)/(4l)", Fraction(3, 4)),
-    "antiplurality": ("1", Fraction(1)),
-    "runoff": ("1", Fraction(1)),
-    "simpson": ("1", Fraction(1)),
-    "young": ("1", Fraction(1)),
-    "plurality": ("1", Fraction(1)),
-}
+def _text(rule: str, mode: str) -> tuple[str, Quota]:
+    """A rule's general-size formula for a table's mode and its supremum
+    over the size, as the rule's registry record gives them."""
+    formula, sup = closed_form(rule, "text", "table text").get(mode, ("1", 1))
+    return formula, Quota.point(sup)
 
 
 def _majority_power_table() -> TableData:
     rows = []
-    for key in _MAJORITY_FORMULA:
+    for key in _ROWS[3]:
         rule, _, variant = key.partition(":")
         cells: list[Quota | None] = []
         for k in range(1, 5):
@@ -78,9 +49,9 @@ def _majority_power_table() -> TableData:
                 cells.append(None)
             else:
                 cells.append(quota_majority_sup(rule, k))
-        formula, sup = _MAJORITY_FORMULA[key]
         label = rule if not variant else f"{rule} ({variant} k)"
-        rows.append((label, tuple(cells), formula, Quota.point(sup)))
+        mode = f"majority:{variant}" if variant else "majority"
+        rows.append((label, tuple(cells), *_text(rule, mode)))
     return TableData(
         3,
         "minimal quota q for the (q,k)-majority criterion (any number of candidates)",
@@ -90,8 +61,7 @@ def _majority_power_table() -> TableData:
 
 
 def _per_m_table() -> TableData:
-    # table 3's rows, with clr's even/odd split merged
-    order = dict.fromkeys(key.partition(":")[0] for key in _MAJORITY_FORMULA)
+    order = dict.fromkeys(key.partition(":")[0] for key in _ROWS[3])
     combos = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
     rows = []
     for rule in order:
@@ -106,18 +76,18 @@ def _per_m_table() -> TableData:
 
 
 def _veto_table(half: bool) -> TableData:
-    spec = _VETO_HALF_FORMULA if half else _VETO_FORMULA
+    which = 6 if half else 5
     rows = []
-    for rule, (formula, sup) in spec.items():
+    for rule in _ROWS[which]:
         cells = tuple(quota_veto_sup(rule, l, half) for l in range(1, 5))
-        rows.append((rule, cells, formula, Quota.point(sup)))
+        rows.append((rule, cells, *_text(rule, "veto-half" if half else "veto")))
     title = (
         "minimal quota q for the (q,l)-veto criterion over m >= 2l (at least 3)"
         if half
         else "minimal quota q for the (q,l)-veto criterion (m >= 3)"
     )
     return TableData(
-        6 if half else 5,
+        which,
         title,
         ("rule", "l=1", "l=2", "l=3", "l=4", "l > 3", "sup over l"),
         tuple(rows),

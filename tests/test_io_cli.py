@@ -164,7 +164,8 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_:
             main(["quota", "--rule", "borda", "--k", "2", "--half"])
         assert exit_.value.code == 2
-        assert "--half" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: votelab quota ") and "--half" in err
 
     def test_quota_interval(self, capsys):
         assert main(["quota", "--rule", "dodgson", "--k", "2", "--m", "4",
@@ -311,6 +312,16 @@ class TestCli:
             'scores.z"q.exact', 'scores.z"q.decimal',
         ]
         assert rows[2] == ["winners.0", "x,y"]
+
+    def test_csv_keeps_trailing_dots_of_names(self, tmp_path, capsys):
+        """A candidate named x. keeps its dot in CSV keys, apart from x."""
+        path = tmp_path / "dots.txt"
+        path.write_text("m 2\ncandidates x. x\n3: x. > x\n1: x > x.\n")
+        assert main(["winners", "--rule", "convexmedian", "--scores", "--format", "csv",
+                     str(path)]) == 0
+        keys = [key for key, _ in csv.reader(io.StringIO(capsys.readouterr().out))]
+        assert "scores.x." in keys and "scores.x" in keys
+        assert len(keys) == len(set(keys))
 
     def test_winners_negative_scores(self, tmp_path, capsys):
         """A score vector with negative entries gives negative scores, which
