@@ -299,25 +299,6 @@ def black_decision(m, n, h, pos):
 # -- Young ---------------------------------------------------------------------
 
 
-def _compositions(total: int, caps: Sequence[int]):
-    """All tuples x with 0 <= x_i <= caps[i] and sum(x) == total."""
-    k = len(caps)
-
-    def rec(i: int, left: int, prefix: tuple[int, ...]):
-        if i == k - 1:
-            if left <= caps[i]:
-                yield prefix + (left,)
-            return
-        tail_cap = sum(caps[i + 1 :])
-        lo = max(0, left - tail_cap)
-        hi = min(caps[i], left)
-        for x in range(lo, hi + 1):
-            yield from rec(i + 1, left - x, prefix + (x,))
-
-    if total <= sum(caps):
-        yield from rec(0, total, ())
-
-
 def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: int):
     """Young score of cand and a minimal removal, as voters per ballot type.
 
@@ -333,8 +314,10 @@ def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: i
     above or below each opponent, which its upper contour determines.  So
     the voters are pooled per contour, at most 2^(m-1) - 1 pools, and
     removals are searched per pool in increasing total size, which is
-    exhaustive because the profile is anonymous.  The first removal found
-    is spread over each pool's types in ballot order.
+    exhaustive because the profile is anonymous.  Each size is walked depth
+    first, pool by pool in lexicographic order, and a branch is cut once the
+    voters still to remove cannot close its largest open deficit.  The
+    first removal found is spread over each pool's types in ballot order.
     """
     n = sum(counts)
     opponents = [b for b in range(len(row)) if b != cand]
@@ -349,18 +332,33 @@ def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: i
             pools[contour] = pools.get(contour, 0) + count
     caps = list(pools.values())
     signs = [[-1 if c >> b & 1 else 1 for b in opponents] for c in pools]
+    tails = [sum(caps[i + 1 :]) for i in range(len(caps))]
+
+    def first(i: int, left: int, res: list[int]) -> list[int] | None:
+        """The lexicographically first voter counts for pools i, i+1, ...
+        that remove left voters and leave every residual nonnegative, or
+        None.  res[j] is slack[j] less the signs of the voters removed so
+        far against opponent j; one more removal raises it by at most one."""
+        for x in range(max(0, left - tails[i]), min(caps[i], left) + 1):
+            after = [r - x * s for r, s in zip(res, signs[i])]
+            if left - x < -min(after):
+                continue
+            if x == left:
+                return [x] + [0] * (len(caps) - i - 1)
+            rest = first(i + 1, left - x, after)
+            if rest is not None:
+                return [x] + rest
+        return None
+
     for removed in range(start, sum(caps) + 1):
-        for comp in _compositions(removed, caps):
-            if all(
-                sum(x * sign[j] for x, sign in zip(comp, signs)) <= limit
-                for j, limit in enumerate(slack)
-            ):
-                left = dict(zip(pools, comp))
-                for i, contour in enumerate(up):
-                    if left.get(contour):
-                        removals[i] = min(left[contour], counts[i])
-                        left[contour] -= removals[i]
-                return removed, removals
+        comp = first(0, removed, slack)
+        if comp is not None:
+            left = dict(zip(pools, comp))
+            for i, contour in enumerate(up):
+                if left.get(contour):
+                    removals[i] = min(left[contour], counts[i])
+                    left[contour] -= removals[i]
+            return removed, removals
     raise AssertionError("removing every opposing voter always works")
 
 
@@ -856,9 +854,10 @@ def parse_score_vector(spec: str, m: int) -> ScoreVector:
     return ScoreVector(tuple(Fraction(p) for p in parts))
 
 
+@functools.lru_cache(maxsize=256)
 def _rule(rule_id: str, m: int) -> _Rule:
     """The record of a rule id at m candidates; a scoring:<s1,...,sm> id's
-    record is built from its vector, which must have m entries."""
+    record is built from its m-entry vector once per cached (id, m)."""
     if rule_id.startswith("scoring:"):
         vec = parse_score_vector(rule_id[len("scoring:") :], m)
         weights, den = _integer_weights(vec)

@@ -29,7 +29,7 @@ from votelab import (
     young_score,
 )
 from votelab.cli import main
-from votelab.rules import RULE_IDS, ScoreVector
+from votelab.rules import RULE_IDS, ScoreVector, _rule
 
 from conftest import profiles
 
@@ -80,6 +80,14 @@ class TestScoringRules:
 
     def test_scoring_rule_id(self, four_bloc):
         assert winners("scoring:3,2,1,0", four_bloc) == winners("borda", four_bloc)
+
+    def test_scoring_record_is_cached(self, four_bloc):
+        """A scoring: id's record is built once per (id, m); a bad vector
+        raises on every call, since a raise is never cached."""
+        assert _rule("scoring:3,2,1,0", 4) is _rule("scoring:3,2,1,0", 4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonincreasing"):
+                winners("scoring:0,1,2,3", four_bloc)
 
     def test_borda_positional_equals_pairwise(self, four_bloc):
         rep = report("borda", four_bloc)
@@ -171,6 +179,27 @@ class TestYoung:
                 for b in range(p.m):
                     wins = sum(count for count, r in kept if r.index(a) < r.index(b))
                     assert b == a or 2 * wins >= left, (p, a, b)
+
+    def test_large_profile(self):
+        """m = 6 and 40 voters in 39 ballot types: up to 22 pools and a
+        removal of 14.  The deficit cut answers it in milliseconds; testing
+        every composition of each removal size takes over a minute."""
+        p = random_profile(random.Random(3), 6, 40)
+        rep = report("young", p)
+        assert [rep.scores[a] for a in range(6)] == [2, 0, 14, 4, 10, 12]
+        assert rep.winners == {1}
+        removed = {
+            0: [29, 31],
+            1: [],
+            2: [2, 3, 4, 7, 11, 13, 17, 18, 25, 26, 27, 31, 32, 35],
+            3: [3, 21, 24, 36],
+            4: [11, 14, 19, 20, 21, 22, 25, 26, 27, 29],
+            5: [0, 1, 10, 12, 14, 15, 16, 19, 25, 26, 27, 29],
+        }
+        assert len(p.ballots) == 39
+        assert rep.trace["removals"] == {
+            a: [int(i in types) for i in range(39)] for a, types in removed.items()
+        }
 
     def test_matches_oracle_at_five_candidates(self):
         rng = random.Random(55)

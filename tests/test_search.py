@@ -141,6 +141,24 @@ class TestOracles:
                     checked += 1
         assert checked == 26 * 4 + 26 * 5
 
+    def test_young_oracle_matches_weighted(self):
+        """Few ballot types with several voters each, so Young's pools hold
+        more than one voter and a removal can take part of a type."""
+        rng = random.Random(616)
+        checked = 0
+        for m in (4, 5):
+            types = list(itertools.permutations(range(m)))
+            for _ in range(26):
+                chosen = rng.sample(types, rng.randint(2, 4))
+                counts = [rng.randint(1, 4) for _ in chosen]
+                while sum(counts) > 12:
+                    counts.pop()
+                p = Profile(default_candidates(m), tuple(zip(counts, chosen)))
+                for cand in range(m):
+                    assert young_score(p, cand) == oracle_young_score(p, cand), p
+                    checked += 1
+        assert checked == 26 * 4 + 26 * 5
+
     def test_bounded_search_equals_plain_bfs(self):
         rng = random.Random(17)
         for _ in range(25):
