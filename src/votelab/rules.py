@@ -18,10 +18,11 @@ incrementally and on its count vectors, so each rule has one definition.
 
 The registry at the end of the module maps each rule id to one record: the
 factory of its decision per m, the statistics the decision reads, how its
-raw scores and trace are shown, and the paper's closed-form quotas with
-their table text.  ``report`` is the one function that builds a
-``ScoreReport``: it tallies only what the record says the decision reads,
-passes None for the rest, and presents the result as the record says.
+raw scores and trace are shown, the winner it always elects alone when
+there is one, and the paper's closed-form quotas with their table text.
+``report`` is the one function that builds a ``ScoreReport``: it tallies
+only what the record says the decision reads, passes None for the rest,
+and presents the result as the record says.
 ``scoring:<s1,...,sm>`` ids are the one parametric case; their record is
 built from the vector.  Adding a rule means writing its decision and one
 registry entry.  A rule has no other name: callers ask for it by its id,
@@ -734,6 +735,13 @@ class _Rule:
     table's mode ("majority", "veto", "veto-half"; clr splits "majority:even"
     and "majority:odd") to the general-size formula and its supremum over
     the size; a mode it leaves out reads ("1", 1).
+
+    ``always_elects`` names the winner the rule elects alone whenever the
+    profile has one: "condorcet" for a strict Condorcet winner, beating
+    every other candidate in a strict majority duel, and "majority" for a
+    strict first-place majority winner.  The exhaustive search then answers
+    such a profile without calling the decision; reports never do.  None
+    makes no such claim.
     """
 
     decision: Callable[[int], Decision]
@@ -745,13 +753,14 @@ class _Rule:
     majority_sup: Callable[[int], object] | None = None
     veto_sup: Callable[[int, bool], object] | None = None
     text: dict[str, tuple[str, Fraction]] = field(default_factory=dict)
+    always_elects: str | None = None
 
     def __post_init__(self):
         if self.majority_sup is None and self.majority is not None:
             object.__setattr__(self, "majority_sup", lambda k: self.majority(k, None))
 
 
-def _vector_rule(make: Callable[[int], ScoreVector], **quotas) -> _Rule:
+def _vector_rule(make: Callable[[int], ScoreVector], **fields) -> _Rule:
     """The positional rule scoring m candidates with the vector make(m).
     Its weights are integers, so its totals are shown as they are, as
     fractions.  A lone candidate has no score vector; its one position
@@ -762,7 +771,7 @@ def _vector_rule(make: Callable[[int], ScoreVector], **quotas) -> _Rule:
         return scoring_decision(_integer_weights(make(m))[0] if m > 1 else (1,))
 
     return _Rule(decide, False, "ranks", Fraction,
-                 majority=lambda k, m: scoring_rule_quota(make(m), k), **quotas)
+                 majority=lambda k, m: scoring_rule_quota(make(m), k), **fields)
 
 
 _BORDA = _vector_rule(
@@ -780,29 +789,37 @@ _RULES: dict[str, _Rule] = {
     "plurality": _vector_rule(
         ScoreVector.plurality, majority_sup=lambda k: Fraction(k, k + 1),
         veto_sup=lambda l, half: ONE, text={"majority": ("k/(k+1)", ONE)},
+        always_elects="majority",
     ),
     "runoff": _Rule(
         lambda m: runoff_decision, True, "ranks",
         majority=lambda k, m: HALF if k in (1, m - 1) else Fraction(k, k + 2),
         majority_sup=lambda k: max(HALF, Fraction(k, k + 2)),
         veto_sup=lambda l, half: HALF if l == 1 else ONE, text={"majority": ("k/(k+2)", ONE)},
+        always_elects="majority",
     ),
     "irv": _Rule(
         lambda m: instant_runoff_decision, False, "ballots",
         majority=lambda k, m: HALF, veto_sup=lambda l, half: HALF,
         text=dict.fromkeys(("majority", "veto", "veto-half"), ("1/2", HALF)),
+        always_elects="majority",
     ),
     "borda": _BORDA,
     "antiplurality": _vector_rule(
         ScoreVector.antiplurality, majority_sup=lambda k: ONE,
         veto_sup=lambda l, half: Fraction(1, 3) if l == 1 else ONE,
     ),
-    "simpson": _Rule(lambda m: simpson_decision, True, None, **_SIMPSON_QUOTAS),
-    "young": _Rule(lambda m: young_decision, True, "ballots", **_SIMPSON_QUOTAS),
+    "simpson": _Rule(
+        lambda m: simpson_decision, True, None, **_SIMPSON_QUOTAS, always_elects="condorcet",
+    ),
+    "young": _Rule(
+        lambda m: young_decision, True, "ballots", **_SIMPSON_QUOTAS,
+        always_elects="condorcet",
+    ),
     "dodgson": _Rule(
         lambda m: dodgson_decision, True, "ballots",
         majority=lambda k, m: (_clr_bound(k), Fraction(k, k + 1)),
-        veto_sup=lambda l, half: (Fraction(5, 8), ONE),
+        veto_sup=lambda l, half: (Fraction(5, 8), ONE), always_elects="condorcet",
     ),
     "clr": _Rule(
         lambda m: clr_decision, True, None, lambda d: Fraction(d, 2), _clr_trace,
@@ -812,6 +829,7 @@ _RULES: dict[str, _Rule] = {
             "majority:odd": ("(5k^2-2k+1)/(8k^2)", Fraction(5, 8)),
             **dict.fromkeys(("veto", "veto-half"), ("5/8", Fraction(5, 8))),
         },
+        always_elects="condorcet",
     ),
     "black": _Rule(
         lambda m: black_decision, True, None, Fraction,
@@ -821,6 +839,7 @@ _RULES: dict[str, _Rule] = {
             _BORDA.veto_sup(l, half) if l == 1 or half else Fraction(2 * l + 1, 2 * l + 4)
         ),
         text={**_BORDA.text, "veto": ("(2l+1)/(2l+4)", ONE)},
+        always_elects="condorcet",
     ),
     "convexmedian": _Rule(
         lambda m: convex_median_decision, False, "ranks", lambda depth: Fraction(*depth),
@@ -831,6 +850,7 @@ _RULES: dict[str, _Rule] = {
             "veto": ("(3l-4)/(4l-4)", Fraction(3, 4)),
             "veto-half": ("(-7+3l+sqrt(17-10l+9l^2))/(8l-8)", Fraction(3, 4)),
         },
+        always_elects="majority",
     ),
     "vetocore": _Rule(
         lambda m: proportional_veto_core_decision, False, "ballots",
@@ -840,7 +860,7 @@ _RULES: dict[str, _Rule] = {
         ),
         text={"veto": ("l/(l+1)", ONE), "veto-half": ("1/2", HALF)},
     ),
-    "t12rule": _Rule(lambda m: theorem12_decision, False, "ranks"),
+    "t12rule": _Rule(lambda m: theorem12_decision, False, "ranks", always_elects="majority"),
 }
 
 RULE_IDS = tuple(_RULES)

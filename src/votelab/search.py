@@ -22,7 +22,7 @@ from .criteria import Violation
 from .errors import SearchBudgetExceeded
 from .exact import exact
 from .model import ChoiceSet, Profile, default_candidates
-from .rules import Decision, decision, is_rule_id
+from .rules import Decision, _rule, decision, is_rule_id
 
 ENV_MAX_VOTERS = "VOTELAB_MAX_VOTERS"
 
@@ -369,7 +369,9 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
 # bytes per tally entry, and adds a type's packed contribution as its count
 # changes.  A rule is then decided on the unpacked tournament lanes and,
 # as it reads them, the rank-count lanes or the count vector's nonzero
-# (count, ballot type) pairs, without building a Profile.
+# (count, ballot type) pairs, without building a Profile.  A rule whose
+# record says it always elects a strict Condorcet or majority winner alone
+# is answered from the unpacked lanes, undecided, when they show one.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
 # onto itself and, as every rule is neutral, a violation onto a violation.
@@ -434,6 +436,7 @@ class _Kernel(NamedTuple):
     m: int
     decide: Decision
     reads_ballots: bool
+    always_elects: str | None  # "condorcet", "majority" or None, as in its record
     types: tuple[tuple[int, ...], ...]
     contrib: tuple[int, ...]
     tally_bytes: int
@@ -443,7 +446,7 @@ class _Kernel(NamedTuple):
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
     return _Kernel(
-        m, *decision(rule_id, m), _tables(m, k).types,
+        m, *decision(rule_id, m), _rule(rule_id, m).always_elects, _tables(m, k).types,
         _contributions(m, k, size), 2 * m * m * size, fmt,
     )
 
@@ -453,11 +456,22 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts) -> Sequence[int]:
 
     The rule's decision gets the unpacked tournament counts and either the
     unpacked rank counts or, for a rule that reads ballots, the nonzero
-    (count, ballot type) pairs.
+    (count, ballot type) pairs.  A rule that always elects a strict
+    Condorcet or first-place majority winner alone is not decided when the
+    lanes show one: that winner is returned.
     """
     m = kernel.m
     lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
     lanes = lanes.cast(kernel.lane_format)
+    if kernel.always_elects == "condorcet":
+        for a in range(m):
+            # its row's least entry is h(a, a) = 0, the next its worst duel
+            if 2 * sorted(lanes[a * m : a * m + m])[1] > n:
+                return (a,)
+    elif kernel.always_elects == "majority":
+        for a in range(m):
+            if 2 * lanes[m * m + a] > n:
+                return (a,)
     if kernel.reads_ballots:
         stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
     else:

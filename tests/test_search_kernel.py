@@ -51,6 +51,8 @@ TALLY_RULES = (
     "convexmedian", "t12rule",
 )
 BALLOT_RULES = ("irv", "young", "dodgson", "vetocore")
+CONDORCET_RULES = ("simpson", "young", "dodgson", "clr", "black")
+MAJORITY_RULES = ("plurality", "runoff", "irv", "convexmedian", "t12rule")
 SCORING = {3: "scoring:5,2,0", 4: "scoring:6,3,1,0", 5: "scoring:9,4,3,1,0"}
 FIXED_VECTORS = {
     "plurality": ScoreVector.plurality,
@@ -150,9 +152,19 @@ def _decision_cases():
             yield random_profile(rng, m, rng.randint(1, 12))
 
 
+def _kernel_answers(kernel, n, tally, counts):
+    """The kernel's winners, and the decision's own with the winner screen
+    cleared, so that the decision is checked on every profile."""
+    return (
+        set(rule_winners(kernel, n, tally, counts)),
+        set(rule_winners(kernel._replace(always_elects=None), n, tally, counts)),
+    )
+
+
 def test_statistic_level_functions_match_reference():
     """Each statistic-level function, fed the search's packed tallies, gives
-    the winners of rules.winners and of the Fraction reference."""
+    the winners of rules.winners and of the Fraction reference, screened or
+    not."""
     for p in _decision_cases():
         kernel_rules = {rule_id: _kernel(rule_id, p.m, 1, p.n) for rule_id in TALLY_RULES}
         kernel_rules[SCORING[p.m]] = _kernel(SCORING[p.m], p.m, 1, p.n)
@@ -161,7 +173,8 @@ def test_statistic_level_functions_match_reference():
         for rule_id, kernel in kernel_rules.items():
             expected = reference_winners(rule_id, p)
             assert set(winners(rule_id, p)) == expected, (rule_id, p)
-            assert set(rule_winners(kernel, p.n, tally, counts)) == expected, (rule_id, p)
+            got = _kernel_answers(kernel, p.n, tally, counts)
+            assert got == (expected, expected), (rule_id, p)
 
 
 def test_wide_lanes_hold_large_counts():
@@ -176,17 +189,66 @@ def test_wide_lanes_hold_large_counts():
 
 def test_every_registered_rule_has_a_kernel_decision():
     """Every rule id, and a scoring: vector, has one decision the kernel
-    calls; exactly the ballot rules read ballots instead of rank counts."""
+    calls; exactly the ballot rules read ballots instead of rank counts.
+    The winner screens are the paper's grouping: the Condorcet-consistent
+    rules, the majority-consistent ones, and none for the rest."""
     assert set(RULE_IDS) == set(TALLY_RULES) | set(BALLOT_RULES)
     for m in (2, 3, 4):
         for rule_id in RULE_IDS:
             decide, reads_ballots = decision(rule_id, m)
             assert callable(decide), rule_id
             assert reads_ballots == (rule_id in BALLOT_RULES), rule_id
-            assert _kernel(rule_id, m, 1, 1).reads_ballots == reads_ballots, rule_id
+            kernel = _kernel(rule_id, m, 1, 1)
+            assert kernel.reads_ballots == reads_ballots, rule_id
+            screen = (
+                "condorcet" if rule_id in CONDORCET_RULES
+                else "majority" if rule_id in MAJORITY_RULES else None
+            )
+            assert kernel.always_elects == screen, rule_id
     assert decision(SCORING[3], 3)[1] is False
+    assert _kernel(SCORING[3], 3, 1, 1).always_elects is None
     with pytest.raises(ValueError, match="unknown rule id"):
         decision("nosuchrule", 3)
+
+
+def _strict_winners(p):
+    """The profile's strict Condorcet winner and strict first-place majority
+    winner, each None when there is none, counted from its rankings."""
+    n, m = p.n, p.m
+    beats = [[0] * m for _ in range(m)]
+    first = [0] * m
+    for c, r in p.ballots:
+        first[r[0]] += c
+        for i, a in enumerate(r):
+            for b in r[i + 1 :]:
+                beats[a][b] += c
+    condorcet = [a for a in range(m) if all(2 * beats[a][b] > n for b in range(m) if b != a)]
+    majority = [a for a in range(m) if 2 * first[a] > n]
+    return (condorcet or [None])[0], (majority or [None])[0]
+
+
+def test_winner_screens_never_change_a_winner_set():
+    """On every profile with at most 7 voters over 3 candidates or 4 over 4,
+    a rule screened for the Condorcet (majority) winner elects it alone
+    whenever there is one.  Every other rule elects something else on some
+    profile, so no rule could carry a stronger screen than it has."""
+    deviates = {}  # rule id -> the kinds of winner it fails to elect alone
+    for p in itertools.chain(all_profiles(3, 7), all_profiles(4, 4)):
+        strict = dict(zip(("condorcet", "majority"), _strict_winners(p)))
+        if strict["condorcet"] is None:
+            continue  # a majority winner is a Condorcet winner
+        for rule_id in list(RULE_IDS) + [SCORING[p.m]]:
+            seen = deviates.setdefault(rule_id.partition(":")[0], set())
+            kinds = [kind for kind, w in strict.items() if w is not None and kind not in seen]
+            if kinds:  # else this profile can show nothing new
+                won = set(winners(rule_id, p))
+                seen.update(kind for kind in kinds if won != {strict[kind]})
+    both = {"condorcet", "majority"}
+    expected = {"condorcet": set(), "majority": {"condorcet"}, None: both}
+    for rule_id in RULE_IDS:
+        screen = _kernel(rule_id, 3, 1, 1).always_elects
+        assert deviates[rule_id] == expected[screen], rule_id
+    assert deviates["scoring"] == both
 
 
 def _argmin_oracle(p, score):
@@ -196,19 +258,19 @@ def _argmin_oracle(p, score):
 
 def test_ballot_decisions_match_rules_and_oracles():
     """The ballot rules' decisions, fed the kernel's packed tallies and
-    count vectors, give rules.winners' answer and the independent oracles'
-    (the Dodgson oracle on profiles of up to 7 voters, within its budget)."""
+    count vectors, give rules.winners' answer, screened or not, and the
+    independent oracles' (the Dodgson oracle on profiles of up to 7 voters,
+    within its budget)."""
     dodgson_checked = 0
     for p in _decision_cases():
         kernels = {rule_id: _kernel(rule_id, p.m, 1, p.n) for rule_id in BALLOT_RULES}
         counts = _counts(p, kernels["irv"])
         tally = sum(c * part for c, part in zip(counts, kernels["irv"].contrib))
-        got = {
-            rule_id: set(rule_winners(kernel, p.n, tally, counts))
-            for rule_id, kernel in kernels.items()
-        }
-        for rule_id in BALLOT_RULES:
-            assert got[rule_id] == set(winners(rule_id, p)), (rule_id, p)
+        got = {}
+        for rule_id, kernel in kernels.items():
+            screened, decided = _kernel_answers(kernel, p.n, tally, counts)
+            assert screened == decided == set(winners(rule_id, p)), (rule_id, p)
+            got[rule_id] = decided
         assert got["irv"] == set(parallel_universe_irv(p)), p
         assert got["vetocore"] == set(oracle_veto_core(p)), p
         assert got["young"] == _argmin_oracle(p, oracle_young_score), p
@@ -266,6 +328,16 @@ def test_orbit_reduced_slices_match_plain_enumeration_convexmedian_m4():
             assert _min_violation(("convexmedian", 4, 2, n, s)) == expected, (n, s)
             hits += expected is not None
     assert hits  # the witness slice n = 7, support 4 is among them
+
+
+@pytest.mark.parametrize("rule_id", ["irv", "young", "dodgson"])
+def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id):
+    """Screened ballot rules at m = 4 and every k, up to 3 voters."""
+    for k in (1, 2, 3):
+        for n in range(1, 4):
+            for s in range(1, n + 1):
+                expected = plain_min_violation(rule_id, 4, k, n, s)
+                assert _min_violation((rule_id, 4, k, n, s)) == expected, (k, n, s)
 
 
 def _orbit_count(m, k, n, support):
