@@ -1,7 +1,6 @@
 """votelab: voting rules, majority/veto power criteria, and exact quota bounds."""
 
 from .criteria import (
-    CriterionQuery,
     Quota,
     Violation,
     check_qk_majority,

@@ -178,17 +178,28 @@ def _cmd_matrix(args) -> ResultDocument:
 
 
 def _cmd_quota(args) -> ResultDocument:
+    rule, m = args.rule, args.m
     if args.k is not None:
-        query = criteria.CriterionQuery(args.rule, "majority", args.k, args.m)
+        mode, size = "majority", args.k
+        if m is None:
+            quota = criteria.quota_majority_sup(rule, size)
+        else:
+            quota = criteria.quota_majority(rule, size, m)
     else:
-        mode = "veto-half" if args.half else "veto"
-        query = criteria.CriterionQuery(args.rule, mode, args.l, args.m)
-    quota = query.resolve()
+        mode, size = "veto-half" if args.half else "veto", args.l
+        if m is None:
+            quota = criteria.quota_veto_sup(rule, size, args.half)
+        elif not 1 <= size < m or args.half and m < 2 * size:
+            bound = "1 <= l <= m/2" if args.half else "1 <= l < m"
+            raise ValueError(f"a veto quota needs {bound}, got l={size}, m={m}")
+        else:
+            # vetoing l of m candidates is a majority for the other m - l
+            quota = criteria.quota_majority(rule, m - size, m)
     payload = {
-        "rule": args.rule,
-        "mode": query.mode,
-        "size": query.size,
-        "m": query.m if query.m is not None else "sup",
+        "rule": rule,
+        "mode": mode,
+        "size": size,
+        "m": "sup" if m is None else m,
         **_quota_payload(quota),
     }
     return ResultDocument("quota", payload, plain=f"quota: {quota.render()}")
@@ -241,11 +252,7 @@ def _cmd_check(args) -> ResultDocument:
 
 def _cmd_verify(args) -> ResultDocument:
     requested = args.max_voters
-    budget = search.SearchBudget.default(
-        max_voters=requested,
-        max_candidates=max(args.m, 5),
-        workers=args.workers,
-    )
+    budget = search.SearchBudget.default(max_voters=requested, workers=args.workers)
     effective = budget.max_voters
     violation = search.exhaustive_criterion_search(
         args.rule, args.m, args.k, args.q, budget

@@ -18,8 +18,6 @@ from .rules import (
     ScoreVector,
     closed_form,
     integer_truncated_scores,
-    parse_score_vector,
-    scoring_rule_quota,
     second_order_dominates,
     winners as rule_winners,
 )
@@ -85,44 +83,6 @@ class Violation:
             raise ValueError("not a violation: winners lie inside the qualified set")
         if self.q is not None and not exact(self.support) > exact(self.q) * self.profile.n:
             raise ValueError("not a violation: support does not exceed the quota share")
-
-
-@dataclass(frozen=True)
-class CriterionQuery:
-    """A quota lookup: rule, group size, and candidate-count scope.
-
-    mode 'majority' sizes the top-ranked set k; modes 'veto' and 'veto-half'
-    size the bottom-ranked set l (the half-restricted variant only ranges
-    over m >= 2l).  ``m`` None means the supremum over all m (at least 3 in
-    the veto modes).
-    """
-
-    rule_id: str
-    mode: str  # majority | veto | veto-half
-    size: int
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("majority", "veto", "veto-half"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.size < 1:
-            raise ValueError("group size must be at least 1")
-        if self.m is not None:
-            if self.mode == "majority" and not self.size < self.m:
-                raise ValueError("majority mode needs k < m")
-            if self.mode.startswith("veto") and not self.size < self.m:
-                raise ValueError("veto mode needs l < m")
-            if self.mode == "veto-half" and self.m < 2 * self.size:
-                raise ValueError("half-restricted veto needs m >= 2l")
-
-    def resolve(self) -> Quota:
-        if self.mode == "majority":
-            if self.m is None:
-                return quota_majority_sup(self.rule_id, self.size)
-            return quota_majority(self.rule_id, self.size, self.m)
-        if self.m is None:
-            return quota_veto_sup(self.rule_id, self.size, self.mode == "veto-half")
-        return quota_majority(self.rule_id, self.m - self.size, self.m)
 
 
 # -- criterion checkers -----------------------------------------------------------
@@ -227,10 +187,7 @@ def quota_majority(rule_id: str, k: int, m: int) -> Quota:
     """
     if m < 2 or not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m with m >= 2, got k={k}, m={m}")
-    if rule_id.startswith("scoring:"):
-        vec = parse_score_vector(rule_id[len("scoring:") :], m)
-        return Quota.point(scoring_rule_quota(vec, k))
-    return _quota(closed_form(rule_id, "majority", "quota")(k, m))
+    return _quota(closed_form(rule_id, "majority", "quota", m)(k, m))
 
 
 def quota_majority_sup(rule_id: str, k: int) -> Quota:

@@ -113,7 +113,6 @@ class Profile:
 class TournamentMatrix:
     """Pairwise counts: h[a][b] voters prefer a to b; h[a][b] + h[b][a] = n."""
 
-    n: int
     h: tuple[tuple[int, ...], ...]
 
 
@@ -121,7 +120,6 @@ class TournamentMatrix:
 class PositionalMatrix:
     """Rank counts: counts[l][a] voters give candidate a rank l+1."""
 
-    n: int
     counts: tuple[tuple[int, ...], ...]
 
 
@@ -135,7 +133,7 @@ def tournament_matrix(profile: Profile) -> TournamentMatrix:
             row = h[a]
             for j in range(i + 1, m):
                 row[ranking[j]] += count
-    return TournamentMatrix(profile.n, tuple(tuple(row) for row in h))
+    return TournamentMatrix(tuple(tuple(row) for row in h))
 
 
 def positional_matrix(profile: Profile) -> PositionalMatrix:
@@ -145,7 +143,7 @@ def positional_matrix(profile: Profile) -> PositionalMatrix:
     for count, ranking in profile.ballots:
         for pos, a in enumerate(ranking):
             counts[pos][a] += count
-    return PositionalMatrix(profile.n, tuple(tuple(row) for row in counts))
+    return PositionalMatrix(tuple(tuple(row) for row in counts))
 
 
 def _resolve_subset(profile: Profile, subset: Iterable[int] | None) -> tuple[int, ...]:

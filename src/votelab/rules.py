@@ -24,9 +24,10 @@ there is one, and the paper's closed-form quotas with their table text.
 only what the record says the decision reads, passes None for the rest,
 and presents the result as the record says.
 ``scoring:<s1,...,sm>`` ids are the one parametric case; their record is
-built from the vector.  Adding a rule means writing its decision and one
-registry entry.  A rule has no other name: callers ask for it by its id,
-through ``report`` or ``winners``.
+built from the vector by the constructor of the fixed vectors.  Adding a
+rule means writing its decision and one registry entry.  A rule has no
+other name: callers ask for it by its id, through ``report`` or
+``winners``.
 """
 
 from __future__ import annotations
@@ -760,17 +761,18 @@ class _Rule:
             object.__setattr__(self, "majority_sup", lambda k: self.majority(k, None))
 
 
-def _vector_rule(make: Callable[[int], ScoreVector], **fields) -> _Rule:
+def _vector_rule(make: Callable[[int], ScoreVector], den: int = 1, **fields) -> _Rule:
     """The positional rule scoring m candidates with the vector make(m).
-    Its weights are integers, so its totals are shown as they are, as
-    fractions.  A lone candidate has no score vector; its one position
-    counts 1 per voter.  Its per-m quota is the scoring rule's."""
+    Its decision sums the vector times ``den``, its weights' common
+    denominator, so a total t is shown as the fraction t/den.  A lone
+    candidate has no score vector; its one position counts 1 per voter.
+    Its per-m quota is the scoring rule's."""
 
     @functools.cache
     def decide(m: int) -> Decision:
         return scoring_decision(_integer_weights(make(m))[0] if m > 1 else (1,))
 
-    return _Rule(decide, False, "ranks", Fraction,
+    return _Rule(decide, False, "ranks", lambda t: Fraction(t, den),
                  majority=lambda k, m: scoring_rule_quota(make(m), k), **fields)
 
 
@@ -880,19 +882,10 @@ def _rule(rule_id: str, m: int) -> _Rule:
     record is built from its m-entry vector once per cached (id, m)."""
     if rule_id.startswith("scoring:"):
         vec = parse_score_vector(rule_id[len("scoring:") :], m)
-        weights, den = _integer_weights(vec)
-        decide = scoring_decision(weights)
-        return _Rule(lambda m: decide, False, "ranks", lambda t: Fraction(t, den))
+        return _vector_rule(lambda _: vec, _integer_weights(vec)[1])
     if rule_id not in _RULES:
         raise ValueError(f"unknown rule id {rule_id!r}")
     return _RULES[rule_id]
-
-
-def decision(rule_id: str, m: int) -> tuple[Decision, bool]:
-    """The decision of a rule at m >= 2 candidates, and whether it reads
-    ballots (irv, young, dodgson, vetocore) instead of rank counts."""
-    rule = _rule(rule_id, m)
-    return rule.decision(m), rule.stat == "ballots"
 
 
 def report(rule_id: str, profile: Profile) -> ScoreReport:
@@ -923,14 +916,13 @@ def winners(rule_id: str, profile: Profile) -> ChoiceSet:
     return report(rule_id, profile).winners
 
 
-def closed_form(rule_id: str, name: str, what: str):
-    """A registered rule's closed-form quota or table text, its record's
-    field ``name``; a ValueError naming ``what`` when the rule has none."""
-    form = getattr(_RULES.get(rule_id), name, None)
+def closed_form(rule_id: str, name: str, what: str, m: int | None = None):
+    """A rule's closed-form quota or table text, its record's field
+    ``name``; a ValueError naming ``what`` when the rule has none.  Given m,
+    a scoring:<s1,...,sm> id's record at m candidates is read too."""
+    scoring = m is not None and rule_id.startswith("scoring:")
+    rule = _rule(rule_id, m) if scoring else _RULES.get(rule_id)
+    form = getattr(rule, name, None)
     if form is None:
         raise ValueError(f"no closed-form {what} for rule id {rule_id!r}")
     return form
-
-
-def is_rule_id(rule_id: str) -> bool:
-    return rule_id in _RULES or rule_id.startswith("scoring:")

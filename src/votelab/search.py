@@ -22,7 +22,7 @@ from .criteria import Violation
 from .errors import SearchBudgetExceeded
 from .exact import exact
 from .model import ChoiceSet, Profile, default_candidates
-from .rules import Decision, _rule, decision, is_rule_id
+from .rules import Decision, _rule
 
 ENV_MAX_VOTERS = "VOTELAB_MAX_VOTERS"
 
@@ -42,17 +42,14 @@ def env_max_voters() -> int | None:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for exhaustive searches: voters, candidates and worker processes."""
+    """Bounds for exhaustive searches: voters and worker processes."""
 
     max_voters: int = 12
-    max_candidates: int = 5
     workers: int = 1
 
     def __post_init__(self):
         if self.max_voters < 1:
             raise ValueError("max_voters must be at least 1")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -76,8 +73,8 @@ def condorcet_k_tuple(k: int, n: int) -> Profile:
     """
     if k < 2:
         raise ValueError("a cyclic tuple needs at least two candidates")
-    if n % k != 0:
-        raise ValueError(f"number of voters must be divisible by k={k}, got {n}")
+    if n < 1 or n % k:
+        raise ValueError(f"number of voters must be a positive multiple of k={k}, got {n}")
     share = n // k
     ballots = []
     order = list(range(k))
@@ -99,6 +96,8 @@ def worst_case_profile(m: int, k: int, q: Fraction, n: int) -> Profile:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1")
+    if n < 1:
+        raise ValueError(f"number of voters must be positive, got {n}")
     qn = q * n
     rest = (1 - q) * n
     if qn.denominator != 1 or qn.numerator % k or rest.numerator % k:
@@ -445,8 +444,9 @@ class _Kernel(NamedTuple):
 
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
+    rule = _rule(rule_id, m)
     return _Kernel(
-        m, *decision(rule_id, m), _rule(rule_id, m).always_elects, _tables(m, k).types,
+        m, rule.decision(m), rule.stat == "ballots", rule.always_elects, _tables(m, k).types,
         _contributions(m, k, size), 2 * m * m * size, fmt,
     )
 
@@ -552,15 +552,10 @@ def _min_violation(args):
     return best
 
 
-def _check_query(rule_id: str, m: int, k: int, budget: SearchBudget) -> None:
-    if not is_rule_id(rule_id):
-        raise ValueError(f"unknown rule id {rule_id!r}")
+def _check_query(rule_id: str, m: int, k: int) -> None:
+    _rule(rule_id, m)  # raises on an unknown id or a vector of the wrong length
     if not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
-    if m > budget.max_candidates:
-        raise SearchBudgetExceeded(
-            f"m={m} exceeds the candidate budget {budget.max_candidates}"
-        )
 
 
 def _violations(rule_id: str, m: int, k: int, budget: SearchBudget, supports):
@@ -596,7 +591,7 @@ def exhaustive_criterion_search(
     are generated.  Returns a violation witness minimal in (n, ballot-count
     order), or None when the whole range is clean.
     """
-    _check_query(rule_id, m, k, budget)
+    _check_query(rule_id, m, k)
     qq = exact(q)
     if not exact(0) < qq <= exact(1):
         raise ValueError("q must lie in (0, 1]")
@@ -621,7 +616,7 @@ def max_violation(
     The witness attains the maximal share at the smallest voter count and
     ballot-count order among attaining profiles.
     """
-    _check_query(rule_id, m, k, budget)
+    _check_query(rule_id, m, k)
     best = None  # (share, key, support, winners)
 
     def supports(n):

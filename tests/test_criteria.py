@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from votelab import (
-    CriterionQuery,
     ExactNumber,
     Profile,
     Quota,
@@ -19,12 +18,8 @@ from votelab import (
     second_order_dominance,
     tradeoff_threshold,
 )
-from votelab.criteria import (
-    TRADEOFF_THRESHOLD_SUP,
-    scoring_majority_loser_ok,
-    scoring_rule_quota,
-)
-from votelab.rules import RULE_IDS, ScoreVector
+from votelab.criteria import TRADEOFF_THRESHOLD_SUP, scoring_majority_loser_ok
+from votelab.rules import RULE_IDS, ScoreVector, scoring_rule_quota
 
 F = Fraction
 
@@ -298,23 +293,6 @@ class TestTradeoffThreshold:
         assert exact(TRADEOFF_THRESHOLD_SUP).decimal() == "0.667"
         with pytest.raises(ValueError):
             tradeoff_threshold(0)
-
-
-class TestCriterionQuery:
-    def test_resolution(self):
-        assert CriterionQuery("plurality", "majority", 2, 3).resolve().value == F(2, 3)
-        assert CriterionQuery("plurality", "majority", 2).resolve().value == F(2, 3)
-        assert CriterionQuery("borda", "veto", 2).resolve().value == F(2, 3)
-        assert CriterionQuery("borda", "veto-half", 2).resolve().value == F(5, 8)
-        assert CriterionQuery("borda", "veto", 1, 4).resolve().value == F(2 * 4 - 3 - 1, 8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CriterionQuery("plurality", "majority", 3, 3)
-        with pytest.raises(ValueError):
-            CriterionQuery("plurality", "veto-half", 2, 3)
-        with pytest.raises(ValueError):
-            CriterionQuery("plurality", "sideways", 1)
 
 
 class TestQuotaType:

@@ -34,6 +34,17 @@ candidates a b c d
 21: c > d > b > a
 """
 
+# the README's percent profile
+PRIMARY_FIVE_TEXT = """\
+m 5
+candidates Hillary Donald John Ted Bernie
+22%: Hillary > John > Bernie > Ted > Donald
+21%: Donald > John > Ted > Bernie > Hillary
+18%: John > Ted > Bernie > Donald > Hillary
+19%: Ted > Bernie > John > Donald > Hillary
+20%: Bernie > John > Ted > Hillary > Donald
+"""
+
 
 class TestParse:
     def test_four_bloc(self):
@@ -167,6 +178,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: votelab quota ") and "--half" in err
 
+    @pytest.mark.parametrize("args, mode, size, m, value", [
+        (["plurality", "--k", "2", "--m", "3"], "majority", 2, 3, "2/3"),
+        (["plurality", "--k", "2"], "majority", 2, "sup", "2/3"),
+        (["borda", "--l", "2"], "veto", 2, "sup", "2/3"),
+        (["borda", "--l", "2", "--half"], "veto-half", 2, "sup", "5/8"),
+        (["borda", "--l", "1", "--m", "4"], "veto", 1, 4, "1/2"),
+        (["scoring:3,2,1,0", "--k", "2", "--m", "4"], "majority", 2, 4, "5/8"),
+    ])
+    def test_quota_lookups(self, args, mode, size, m, value, capsys):
+        """Each flag combination reads its own quota function; a per-m veto
+        quota is the majority quota of the m - l others."""
+        assert main(["quota", "--rule", *args, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["mode"], data["size"], data["m"]) == (mode, size, m)
+        assert data["exact"] == value
+
+    @pytest.mark.parametrize("args", [
+        ["--l", "2", "--half", "--m", "3"], ["--l", "3", "--m", "3"], ["--l", "0", "--m", "3"],
+    ])
+    def test_quota_veto_size_is_checked(self, args, capsys):
+        assert main(["quota", "--rule", "borda", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a veto quota needs 1 <= l") and "got l=" in err
+
     def test_quota_interval(self, capsys):
         assert main(["quota", "--rule", "dodgson", "--k", "2", "--m", "4",
                      "--format", "json"]) == 0
@@ -243,6 +278,18 @@ class TestCli:
         assert main(["check", "--rule", "borda", "--q", "1/2", "--l", "1",
                      four_bloc_file]) == 0
 
+    def test_check_veto_violation_json(self, tmp_path, capsys):
+        """58 of 100 voters rank Hillary last, yet plurality elects her."""
+        path = tmp_path / "primary.txt"
+        path.write_text(PRIMARY_FIVE_TEXT)
+        assert main(["check", "--rule", "plurality", "--q", "1/2", "--l", "1",
+                     "--format", "json", str(path)]) == 1
+        violation = json.loads(capsys.readouterr().out)["violation"]
+        assert violation["vetoed_set"] == ["Hillary"]
+        assert violation["support"] == 58
+        assert violation["qualified_set"] == ["Donald", "John", "Ted", "Bernie"]
+        assert violation["winners"] == ["Hillary"]
+
     def test_verify_finds_violation(self, capsys):
         code = main(["verify", "--rule", "plurality", "--m", "3", "--k", "2",
                      "--q", "3/5", "--max-voters", "6", "--format", "json"])
@@ -280,6 +327,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "b1 > b2 > a1" in out
         assert main(["ktuple", "--k", "3", "--voters", "3"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["ktuple", "--k", "3", "--voters", "0"],
+        ["worstcase", "--m", "3", "--k", "1", "--q", "1/2", "--voters", "0"],
+    ])
+    def test_generators_need_a_voter(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: number of voters must be") and err.endswith("got 0\n")
 
     def test_worstcase_divisibility_error(self, capsys):
         assert main(["worstcase", "--m", "3", "--k", "2", "--q", "1/2",

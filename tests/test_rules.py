@@ -79,7 +79,12 @@ class TestScoringRules:
             scoring_winners(four_bloc, ScoreVector((1, 0)))
 
     def test_scoring_rule_id(self, four_bloc):
-        assert winners("scoring:3,2,1,0", four_bloc) == winners("borda", four_bloc)
+        """A scoring: id and the fixed vector it spells have one record shape:
+        the same winners, shown scores and per-m quota."""
+        vector, borda = report("scoring:3,2,1,0", four_bloc), report("borda", four_bloc)
+        assert (vector.winners, vector.scores) == (borda.winners, borda.scores)
+        assert all(isinstance(s, Fraction) for s in vector.scores.values())
+        assert _rule("scoring:3,2,1,0", 4).majority(2, 4) == _rule("borda", 4).majority(2, 4)
 
     def test_scoring_record_is_cached(self, four_bloc):
         """A scoring: id's record is built once per (id, m); a bad vector

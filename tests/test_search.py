@@ -65,6 +65,11 @@ class TestKTuple:
         with pytest.raises(ValueError):
             condorcet_k_tuple(1, 3)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_voter_count_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="number of voters must be"):
+            condorcet_k_tuple(3, n)
+
 
 class TestWorstCase:
     def test_simpson_tie_construction(self):
@@ -102,6 +107,11 @@ class TestWorstCase:
         assert str(smallest_worst_case_n(2, F(5, 9))) in str(err.value)
         assert smallest_worst_case_n(2, F(5, 9)) == 18
         worst_case_profile(4, 2, F(5, 9), 18)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_voter_count_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="number of voters must be"):
+            worst_case_profile(3, 1, F(1, 2), n)
 
 
 class TestOracles:
@@ -319,11 +329,15 @@ class TestExhaustiveSearch:
         }
         assert reached == {(3, 1), (4, 1), (4, 2)}
 
-    def test_candidate_budget(self):
-        with pytest.raises(SearchBudgetExceeded):
-            exhaustive_criterion_search(
-                "plurality", 6, 2, F(1, 2), SearchBudget(max_voters=4)
-            )
+    def test_six_candidates_take_only_a_voter_budget(self):
+        """A search is bounded by its voter count alone: at m = 6 two voters
+        with different first choices, one of them in B = {a, b}, already
+        escape a 1/3 quota."""
+        found = exhaustive_criterion_search(
+            "plurality", 6, 2, F(1, 3), SearchBudget(max_voters=2)
+        )
+        assert (found.profile.n, found.support) == (2, 1)
+        assert found.profile.labels(found.winners) == ("a", "c")
 
 
 class TestEnumeration:

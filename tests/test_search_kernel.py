@@ -27,7 +27,6 @@ from votelab import (
 from votelab.rules import (
     RULE_IDS,
     ScoreVector,
-    decision,
     integer_truncated_scores,
     parse_score_vector,
     second_order_dominates,
@@ -195,20 +194,22 @@ def test_every_registered_rule_has_a_kernel_decision():
     assert set(RULE_IDS) == set(TALLY_RULES) | set(BALLOT_RULES)
     for m in (2, 3, 4):
         for rule_id in RULE_IDS:
-            decide, reads_ballots = decision(rule_id, m)
-            assert callable(decide), rule_id
-            assert reads_ballots == (rule_id in BALLOT_RULES), rule_id
             kernel = _kernel(rule_id, m, 1, 1)
-            assert kernel.reads_ballots == reads_ballots, rule_id
+            assert callable(kernel.decide), rule_id
+            assert kernel.reads_ballots == (rule_id in BALLOT_RULES), rule_id
             screen = (
                 "condorcet" if rule_id in CONDORCET_RULES
                 else "majority" if rule_id in MAJORITY_RULES else None
             )
             assert kernel.always_elects == screen, rule_id
-    assert decision(SCORING[3], 3)[1] is False
-    assert _kernel(SCORING[3], 3, 1, 1).always_elects is None
+    kernel = _kernel(SCORING[3], 3, 1, 1)
+    assert kernel.reads_ballots is False and kernel.always_elects is None
     with pytest.raises(ValueError, match="unknown rule id"):
-        decision("nosuchrule", 3)
+        _kernel("nosuchrule", 3, 1, 1)
+    with pytest.raises(ValueError, match="unknown rule id"):
+        max_violation("nosuchrule", 3, 1, search.SearchBudget(max_voters=1))
+    with pytest.raises(ValueError, match="3 weights for m=4"):
+        max_violation(SCORING[3], 4, 1, search.SearchBudget(max_voters=1))
 
 
 def _strict_winners(p):
