@@ -495,9 +495,9 @@ def _piecewise_depth_pieces(pos_column: Sequence[int], m: int):
             C -= j * pos_column[j]
 
 
-def _column(pos: Sequence[int], m: int, cand: int) -> list[int]:
+def _column(pos: Sequence[int], m: int, cand: int) -> Sequence[int]:
     """Rank counts of one candidate, rank 1 first."""
-    return [pos[l * m + cand] for l in range(m)]
+    return pos[cand::m]
 
 
 def _majority_winner(m: int, n: int, pos: Sequence[int]) -> int | None:
@@ -724,7 +724,10 @@ class _Rule:
 
     ``tournament`` says whether the decision reads the tournament counts,
     and ``stat`` whether its last argument is the rank counts ("ranks"), the
-    ballots ("ballots") or nothing (None).  ``show`` turns a raw score into
+    ballots ("ballots") or nothing (None).  The exhaustive search memoises
+    a rule that reads no ballots on exactly these statistics, with those
+    its winner screen reads, so the decision gets None for any it leaves
+    out.  ``show`` turns a raw score into
     the report's score and ``explain`` turns the raw trace of a profile with
     m candidates into the report's; None keeps the raw value.
 

@@ -371,6 +371,10 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
 # (count, ballot type) pairs, without building a Profile.  A rule whose
 # record says it always elects a strict Condorcet or majority winner alone
 # is answered from the unpacked lanes, undecided, when they show one.
+# Each slice keeps a memo from the lanes a tally rule reads, and its screen
+# reads, to the winners: a profile repeating them is answered before any
+# unpacking.  The memo lives for one slice and is cleared at a fixed size,
+# so results and memory do not depend on the worker count.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
 # onto itself and, as every rule is neutral, a violation onto a violation.
@@ -389,7 +393,6 @@ class _Tables(NamedTuple):
     types: tuple[tuple[int, ...], ...]  # types top-ranking B, then the rest
     split: int  # number of types top-ranking B
     group: tuple[tuple[int, ...], ...]  # candidate permutations, identity first
-    images: tuple[tuple[int, ...], ...]  # images[g][t]: the type g maps t to
     # per non-identity g, the positions whose counts move to each position
     # of the B part and of the other part: image[j] = counts[pull[j]]
     pulls: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -406,14 +409,13 @@ def _tables(m: int, k: int) -> _Tables:
         for head in itertools.permutations(range(k))
         for tail in itertools.permutations(range(k, m))
     )
-    images = tuple(tuple(index[tuple(g[c] for c in r)] for r in types) for g in group)
     pulls = []
-    for image in images[1:]:
+    for g in group[1:]:
         pull = [0] * len(types)
-        for t, to in enumerate(image):
-            pull[to] = t
+        for t, r in enumerate(types):
+            pull[index[tuple(g[c] for c in r)]] = t
         pulls.append((tuple(pull[:split]), tuple(pull[split:])))
-    return _Tables(types, split, group, images, tuple(pulls))
+    return _Tables(types, split, group, tuple(pulls))
 
 
 @functools.cache
@@ -430,7 +432,15 @@ def _contributions(m: int, k: int, lane_bytes: int) -> tuple[int, ...]:
 
 
 class _Kernel(NamedTuple):
-    """One rule at m candidates, for profiles of a given voter count."""
+    """One rule at m candidates, for profiles of a given voter count.
+
+    The ``reads_*`` flags are the statistics its record says the decision
+    reads; the others are passed as None.  ``tally >> key_shift & key_mask``
+    is the memo key: the tournament lanes when the decision or the
+    Condorcet screen reads them, the rank-count lanes when the decision or
+    the majority screen reads them, both blocks when both apply.  A rule
+    that reads ballots has key_mask 0 and no memo.
+    """
 
     m: int
     decide: Decision
@@ -440,43 +450,81 @@ class _Kernel(NamedTuple):
     contrib: tuple[int, ...]
     tally_bytes: int
     lane_format: str
+    reads_tournament: bool
+    reads_ranks: bool
+    key_shift: int
+    key_mask: int
 
 
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
     rule = _rule(rule_id, m)
+    block = 8 * size * m * m  # bits of the tournament block, and of the rank block
+    # the blocks the memo key covers: those the decision or the screen reads
+    tournament = rule.tournament or rule.always_elects == "condorcet"
+    ranks = rule.stat == "ranks" or rule.always_elects == "majority"
+    ballots = rule.stat == "ballots"
     return _Kernel(
-        m, rule.decision(m), rule.stat == "ballots", rule.always_elects, _tables(m, k).types,
+        m, rule.decision(m), ballots, rule.always_elects, _tables(m, k).types,
         _contributions(m, k, size), 2 * m * m * size, fmt,
+        reads_tournament=rule.tournament,
+        reads_ranks=rule.stat == "ranks",
+        key_shift=0 if tournament else block,
+        key_mask=0 if ballots else (1 << block * (tournament + ranks)) - 1,
     )
 
 
-def rule_winners(kernel: _Kernel, n: int, tally: int, counts) -> Sequence[int]:
+# Entries a slice's memo holds before it is cleared.  One plurality slice at
+# m = 5 and 6 voters has about 780,000 distinct rank tallies; the m = 4
+# slices of the tight-bound searches have fewer than 2^16.
+_MEMO_ENTRIES = 1 << 16
+
+
+def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequence[int]:
     """Winners of the enumerated profile with these counts and packed tallies.
 
-    The rule's decision gets the unpacked tournament counts and either the
+    The rule's decision gets the unpacked tournament counts, and the
     unpacked rank counts or, for a rule that reads ballots, the nonzero
-    (count, ballot type) pairs.  A rule that always elects a strict
-    Condorcet or first-place majority winner alone is not decided when the
-    lanes show one: that winner is returned.
+    (count, ballot type) pairs, each only when its record says the decision
+    reads it.  A rule that always elects a strict Condorcet or first-place
+    majority winner alone is not decided when the lanes show one: that
+    winner is returned.  Given a memo, a dict that lives for one slice, the
+    winners of a rule that reads no ballots are kept under the lanes it
+    reads, and a profile repeating them is answered from the memo.
     """
+    key = None
+    if memo is not None and kernel.key_mask:
+        key = tally >> kernel.key_shift & kernel.key_mask
+        won = memo.get(key)
+        if won is not None:
+            return won
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
     m = kernel.m
     lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
     lanes = lanes.cast(kernel.lane_format)
+    won = None
     if kernel.always_elects == "condorcet":
         for a in range(m):
             # its row's least entry is h(a, a) = 0, the next its worst duel
             if 2 * sorted(lanes[a * m : a * m + m])[1] > n:
-                return (a,)
+                won = (a,)
+                break
     elif kernel.always_elects == "majority":
         for a in range(m):
             if 2 * lanes[m * m + a] > n:
-                return (a,)
-    if kernel.reads_ballots:
-        stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
-    else:
-        stat = lanes[m * m :]
-    return kernel.decide(m, n, lanes[: m * m], stat)[0]
+                won = (a,)
+                break
+    if won is None:
+        if kernel.reads_ballots:
+            stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
+        else:
+            stat = lanes[m * m :] if kernel.reads_ranks else None
+        h = lanes[: m * m] if kernel.reads_tournament else None
+        won = kernel.decide(m, n, h, stat)[0]
+    if key is not None:
+        memo[key] = won
+    return won
 
 
 def _fill(counts: list[int], lo: int, hi: int, total: int, contrib, tally: int):
@@ -510,10 +558,10 @@ def _fill(counts: list[int], lo: int, hi: int, total: int, contrib, tally: int):
 def _orbit_minimum(tables: _Tables, counts) -> tuple[tuple, tuple[int, ...]]:
     """The smallest Profile.ballots key over the orbit of a count vector,
     and the candidate permutation reaching it."""
-    held = [(t, c) for t, c in enumerate(counts) if c]
+    held = [(tables.types[t], c) for t, c in enumerate(counts) if c]
     best = None
-    for g, image in zip(tables.group, tables.images):
-        ranked = sorted((tables.types[image[t]], c) for t, c in held)
+    for g in tables.group:
+        ranked = sorted((tuple([g[a] for a in r]), c) for r, c in held)
         key = tuple((c, r) for r, c in ranked)
         if best is None or key < best[0]:
             best = key, g
@@ -528,6 +576,7 @@ def _min_violation(args):
     kernel = _kernel(rule_id, m, k, n)
     split = tables.split
     counts = [0] * len(tables.types)
+    memo = {}  # this slice's winners by the statistic the rule reads
     best = None
     for b_tally in _fill(counts, 0, split, support, kernel.contrib, 0):
         head = counts[:split]
@@ -544,7 +593,7 @@ def _min_violation(args):
                     tail = counts[split:]
                     if any([counts[j] for j in pull] > tail for pull in stabiliser):
                         continue
-                won = rule_winners(kernel, n, tally, counts)
+                won = rule_winners(kernel, n, tally, counts, memo)
                 if max(won) >= k:
                     key, g = _orbit_minimum(tables, counts)
                     if best is None or key < best[0]:

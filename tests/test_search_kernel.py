@@ -252,6 +252,29 @@ def test_winner_screens_never_change_a_winner_set():
     assert deviates["scoring"] == both
 
 
+def test_memo_key_determines_the_winners():
+    """Profiles sharing a rule's memo key, the tally lanes its record says
+    the rule reads, share its winner set under rules.winners, on every
+    profile of up to 6 voters over 3 candidates and 4 over 4.  The ballot
+    rules have no key."""
+    for rule_id in BALLOT_RULES:
+        assert _kernel(rule_id, 3, 1, 1).key_mask == 0, rule_id
+    for m, profiles in ((3, all_profiles(3, 6)), (4, all_profiles(4, 4))):
+        kernels = {rule_id: _kernel(rule_id, m, 1, 1) for rule_id in TALLY_RULES + (SCORING[m],)}
+        groups = {rule_id: {} for rule_id in kernels}
+        for p in profiles:
+            counts = _counts(p, kernels["clr"])
+            tally = sum(c * part for c, part in zip(counts, kernels["clr"].contrib))
+            for rule_id, kernel in kernels.items():
+                key = tally >> kernel.key_shift & kernel.key_mask
+                groups[rule_id].setdefault(key, []).append(p)
+        for rule_id, by_key in groups.items():
+            for same in by_key.values():
+                if len(same) > 1:
+                    won = {frozenset(winners(rule_id, p)) for p in same}
+                    assert len(won) == 1, (rule_id, same)
+
+
 def _argmin_oracle(p, score):
     values = [score(p, a) for a in range(p.m)]
     return {a for a, x in enumerate(values) if x == min(values)}
@@ -339,6 +362,28 @@ def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id):
             for s in range(1, n + 1):
                 expected = plain_min_violation(rule_id, 4, k, n, s)
                 assert _min_violation((rule_id, 4, k, n, s)) == expected, (k, n, s)
+
+
+def test_capped_memo_keeps_slice_results(monkeypatch):
+    """A memo cleared every 8 entries gives each m = 4 slice the same
+    result as the default memo and as plain enumeration, and never holds
+    more than 8 entries."""
+    slices = [("convexmedian", 4, 2, 4, s) for s in range(1, 5)]
+    slices += [("clr", 4, 3, 4, s) for s in range(1, 5)]
+    uncapped = [_min_violation(args) for args in slices]
+    sizes = []
+    evaluate = search.rule_winners
+
+    def measured(kernel, n, tally, counts, memo=None):
+        won = evaluate(kernel, n, tally, counts, memo)
+        sizes.append(len(memo))
+        return won
+
+    monkeypatch.setattr(search, "_MEMO_ENTRIES", 8)
+    monkeypatch.setattr(search, "rule_winners", measured)
+    for args, expected in zip(slices, uncapped):
+        assert _min_violation(args) == expected == plain_min_violation(*args), args
+    assert max(sizes) == 8
 
 
 def _orbit_count(m, k, n, support):
