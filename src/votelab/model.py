@@ -4,13 +4,15 @@ A profile is an anonymous multiset of strict rankings with integer
 multiplicities.  All derived quantities (tournament matrix, positional
 matrix, Condorcet-style winners, truncated positional scores) are pure
 functions of the profile, and all threshold tests against n/2 are done in
-integer arithmetic.
+integer arithmetic.  A profile counts its pairwise and rank tallies at most
+once, on first read, and every reader shares them.
 """
 
 from __future__ import annotations
 
+import itertools
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -42,10 +44,27 @@ class Profile:
     of the candidate indices, most-preferred first.  Construction normalizes:
     duplicate rankings are merged and groups are sorted, so equal profiles
     compare and hash equal.
+
+    Three derived fields are stored on the instance: ``n``, the number of
+    voters, set at construction, and the flat tallies ``pair_counts`` and
+    ``rank_counts``, counted by `tournament_matrix` and `positional_matrix`
+    on first read and kept as tuples.  Every report, criterion and command
+    reads them, so a profile is tallied once however many rules score it.
+    They are functions of the ballots, so they take no part in ``==``,
+    ``hash``, ``repr`` or pickling: a profile whose tallies were read equals
+    and pickles like a fresh one, and ``dataclasses.replace`` builds a
+    profile with its own, unread tallies.
     """
 
     candidates: tuple[str, ...]
     ballots: tuple[tuple[int, tuple[int, ...]], ...]
+    n: int = field(init=False, repr=False, compare=False)
+    _pair_counts: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _rank_counts: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         cands = tuple(str(c) for c in self.candidates)
@@ -69,14 +88,32 @@ class Profile:
         object.__setattr__(
             self, "ballots", tuple((c, r) for r, c in sorted(merged.items()))
         )
+        object.__setattr__(self, "n", sum(merged.values()))
+
+    def __reduce__(self):
+        return type(self), (self.candidates, self.ballots)
 
     @property
     def m(self) -> int:
         return len(self.candidates)
 
     @property
-    def n(self) -> int:
-        return sum(count for count, _ in self.ballots)
+    def pair_counts(self) -> tuple[int, ...]:
+        """Flat pairwise counts: [a*m + b] voters prefer a to b."""
+        h = self._pair_counts
+        if h is None:
+            h = tuple(itertools.chain.from_iterable(tournament_matrix(self).h))
+            object.__setattr__(self, "_pair_counts", h)
+        return h
+
+    @property
+    def rank_counts(self) -> tuple[int, ...]:
+        """Flat rank counts: [l*m + a] voters give candidate a rank l+1."""
+        pos = self._rank_counts
+        if pos is None:
+            pos = tuple(itertools.chain.from_iterable(positional_matrix(self).counts))
+            object.__setattr__(self, "_rank_counts", pos)
+        return pos
 
     @classmethod
     def from_names(
@@ -124,7 +161,9 @@ class PositionalMatrix:
 
 
 def tournament_matrix(profile: Profile) -> TournamentMatrix:
-    """Count, for every ordered pair, the voters preferring the first candidate."""
+    """Count, for every ordered pair, the voters preferring the first candidate.
+
+    Each call counts afresh; `Profile.pair_counts` keeps one count."""
     m = profile.m
     h = [[0] * m for _ in range(m)]
     for count, ranking in profile.ballots:
@@ -137,7 +176,9 @@ def tournament_matrix(profile: Profile) -> TournamentMatrix:
 
 
 def positional_matrix(profile: Profile) -> PositionalMatrix:
-    """Count, for every rank l and candidate a, the voters placing a at rank l."""
+    """Count, for every rank l and candidate a, the voters placing a at rank l.
+
+    Each call counts afresh; `Profile.rank_counts` keeps one count."""
     m = profile.m
     counts = [[0] * m for _ in range(m)]
     for count, ranking in profile.ballots:
@@ -160,10 +201,9 @@ def _resolve_subset(profile: Profile, subset: Iterable[int] | None) -> tuple[int
 def condorcet_winner(profile: Profile, subset: Iterable[int] | None = None) -> int | None:
     """The candidate beating every other one in the subset strictly, if any."""
     sub = _resolve_subset(profile, subset)
-    tm = tournament_matrix(profile)
-    n = profile.n
+    h, m, n = profile.pair_counts, profile.m, profile.n
     for a in sub:
-        if all(2 * tm.h[a][b] > n for b in sub if b != a):
+        if all(2 * h[a * m + b] > n for b in sub if b != a):
             return a
     return None
 
@@ -173,18 +213,16 @@ def weak_condorcet_winners(
 ) -> frozenset[int]:
     """All candidates that never lose a pairwise comparison within the subset."""
     sub = _resolve_subset(profile, subset)
-    tm = tournament_matrix(profile)
-    n = profile.n
+    h, m, n = profile.pair_counts, profile.m, profile.n
     return frozenset(
-        a for a in sub if all(2 * tm.h[a][b] >= n for b in sub if b != a)
+        a for a in sub if all(2 * h[a * m + b] >= n for b in sub if b != a)
     )
 
 
 def majority_winner(profile: Profile) -> int | None:
     """Candidate top-ranked by more than half the voters, if any."""
-    pos = positional_matrix(profile)
     n = profile.n
-    for a, top in enumerate(pos.counts[0]):
+    for a, top in enumerate(profile.rank_counts[: profile.m]):
         if 2 * top > n:
             return a
     return None
@@ -192,9 +230,8 @@ def majority_winner(profile: Profile) -> int | None:
 
 def majority_loser(profile: Profile) -> int | None:
     """Candidate bottom-ranked by more than half the voters, if any."""
-    pos = positional_matrix(profile)
-    n = profile.n
-    for a, bottom in enumerate(pos.counts[profile.m - 1]):
+    m, n = profile.m, profile.n
+    for a, bottom in enumerate(profile.rank_counts[(m - 1) * m :]):
         if 2 * bottom > n:
             return a
     return None
@@ -235,9 +272,9 @@ def truncated_borda(profile: Profile, cand: int, t: Fraction | int) -> Fraction:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("depth t must be positive")
-    pos = positional_matrix(profile)
+    m, pos = profile.m, profile.rank_counts
     total = Fraction(0)
-    depth = min(int(t) + 1, profile.m)
+    depth = min(int(t) + 1, m)
     for i in range(1, depth + 1):
-        total += (t - (i - 1)) * pos.counts[i - 1][cand]
+        total += (t - (i - 1)) * pos[(i - 1) * m + cand]
     return total

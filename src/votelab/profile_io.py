@@ -8,7 +8,9 @@ Native format::
     29: a > b > c > d
     22%: c > d > a > b        # percent lines scale to an integer total
 
-Rankings may use candidate names or 1-based indices.  A strict-order
+Rankings may use candidate names or 1-based indices.  A name is one
+whitespace-free token without ``>``, ``:`` or ``#``, in either format, so
+that every parsed profile can be written back.  A strict-order
 import variant (``fmt="soc"``) accepts comma-separated rankings
 (``29: 1,2,3,4``) as found in common preference-data collections; only
 complete strict orders are accepted.
@@ -160,6 +162,11 @@ def parse_document(text: str, fmt: str = "native") -> ProfileDocument:
             names = tuple(rest.split())
             if len(set(names)) != len(names):
                 raise ProfileFormatError("duplicate candidate names", line=lineno)
+            for name in names:
+                if ">" in name:
+                    raise ProfileFormatError(
+                        f"candidate name {name!r} contains '>'", line=lineno
+                    )
             candidates = names
             continue
         count_token, colon, ranking_text = line.partition(":")
@@ -180,7 +187,16 @@ def parse_profile(text: str, fmt: str = "native") -> Profile:
 
 
 def serialize_profile(profile: Profile) -> str:
-    """Canonical native text; parse(serialize(p)) == p."""
+    """Canonical native text; parse(serialize(p)) == p.
+
+    Raises ValueError for a candidate label that cannot be read back: one
+    that is empty or holds whitespace, ``>``, ``:`` or ``#``.
+    """
+    for label in profile.candidates:
+        if not label or any(c.isspace() or c in ">:#" for c in label):
+            raise ValueError(
+                f"candidate label {label!r} cannot be written as a profile name"
+            )
     lines = [f"m {profile.m}", "candidates " + " ".join(profile.candidates)]
     for count, ranking in profile.ballots:
         lines.append(

