@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import criteria, search
 from .errors import VotelabError
-from .exact import exact
+from .exact import ExactNumber, exact
 # tournament_matrix and positional_matrix stay bound here for perfbench's
 # tracer test; the matrix command reads the profile's stored tallies.
 from .model import (  # noqa: F401
@@ -88,11 +88,12 @@ def _jsonable(value):
     return str(value)
 
 
-def _score_cell(value):
-    if value is None:
-        return None
-    e = exact(value)
+def _cell(e: ExactNumber) -> dict:
     return {"exact": str(e), "decimal": e.decimal()}
+
+
+def _score_cell(value):
+    return None if value is None else _cell(exact(value))
 
 
 def _read_profile(args) -> Profile:
@@ -104,17 +105,10 @@ def _read_profile(args) -> Profile:
 def _quota_payload(quota: criteria.Quota) -> dict:
     if quota.is_interval:
         return {
-            "interval": {
-                "lo": {"exact": str(quota.lo), "decimal": quota.lo.decimal()},
-                "hi": {"exact": str(quota.hi), "decimal": quota.hi.decimal()},
-            },
+            "interval": {"lo": _cell(quota.lo), "hi": _cell(quota.hi)},
             "attainable": quota.attainable,
         }
-    return {
-        "exact": str(quota.value),
-        "decimal": quota.value.decimal(),
-        "attainable": quota.attainable,
-    }
+    return {**_cell(quota.value), "attainable": quota.attainable}
 
 
 def _violation_payload(profile: Profile, violation: criteria.Violation) -> dict:

@@ -11,6 +11,7 @@ once, on first read, and every reader shares them.
 from __future__ import annotations
 
 import itertools
+import operator
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,7 +79,13 @@ class Profile:
         for count, ranking in self.ballots:
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise ValueError(f"ballot count must be a positive integer, got {count!r}")
-            r = tuple(int(x) for x in ranking)
+            entries = tuple(ranking)
+            try:
+                r = tuple(map(operator.index, entries))
+            except TypeError:
+                r = None
+            if r is None or bool in map(type, entries):
+                raise ValueError(f"ranking entries must be integers, got {entries!r}")
             if sorted(r) != base:
                 raise ValueError(f"ranking {r} is not a permutation of 0..{m - 1}")
             merged[r] = merged.get(r, 0) + count

@@ -5,9 +5,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import votelab
 from votelab import (
@@ -117,6 +120,17 @@ class TestParse:
         with pytest.raises(ProfileFormatError):
             parse_profile("m 3\ncandidates a b\n1: a > b\n")
 
+    def test_large_m_is_refused_without_building_its_names(self):
+        """A ranking shorter than m is refused before m index tokens exist."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProfileFormatError, match="expected 1000000$"):
+                parse_profile("m 1000000\n1: 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("fmt", ["native", "soc"])
     def test_name_with_ranking_separator_reports_line(self, fmt):
         """A '>' in a name could not be written back in native text."""
@@ -146,6 +160,34 @@ class TestRoundTrip:
         p = Profile.from_names([label, "z"], [(1, [label, "z"])])
         with pytest.raises(ValueError, match="cannot be written"):
             serialize_profile(p)
+
+
+# A writable label: no whitespace, '>', ':' or '#'; digit strings such as
+# "1" or "10" collide with the 1-based index tokens of other candidates.
+_LABELS = st.one_of(
+    st.integers(1, 12).map(str),
+    st.text(
+        st.characters(exclude_categories=("Cs",), exclude_characters=">:#"),
+        min_size=1,
+        max_size=4,
+    ).filter(lambda label: not any(c.isspace() for c in label)),
+)
+
+
+@st.composite
+def _labelled_profiles(draw):
+    m = draw(st.integers(1, 6))
+    labels = draw(st.lists(_LABELS, min_size=m, max_size=m, unique=True))
+    rankings = st.permutations(range(m)).map(tuple)
+    ballots = draw(st.lists(st.tuples(st.integers(1, 30), rankings), min_size=1, max_size=6))
+    return Profile(tuple(labels), tuple(ballots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_profiles())
+@example(Profile(("10", "1", "2"), ((3, (1, 2, 0)), (1, (2, 0, 1)))))
+def test_round_trip_with_random_labels(p):
+    assert parse_profile(serialize_profile(p)) == p
 
 
 class TestCli:

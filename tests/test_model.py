@@ -43,6 +43,20 @@ class TestProfile:
         with pytest.raises(ValueError):
             Profile(("a", "a"), ((1, (0, 1)),))
 
+    @pytest.mark.parametrize(
+        "ranking", [(0.0, 1.9, 2.2), (0.0, 1.0, 2.0), ("2", "1", "0"), (True, False, 2)]
+    )
+    def test_rejects_non_integer_ranking_entries(self, ranking):
+        """Entries are not truncated or parsed: (0.0, 1.9, 2.2) is no ranking."""
+        with pytest.raises(ValueError, match="must be integers"):
+            Profile(("a", "b", "c"), ((2, (0, 1, 2)), (1, ranking)))
+
+    def test_integer_ranking_entries_of_any_iterable(self):
+        perms = tuple((1, r) for r in itertools.permutations(range(3)))
+        p = Profile(("a", "b", "c"), perms + ((2, range(3)),))
+        assert p.n == 8
+        assert p.ballots[0] == (3, (0, 1, 2))
+
     def test_single_candidate_profile_is_legal(self):
         p = Profile(("only",), ((3, (0,)),))
         assert p.m == 1 and p.n == 3
