@@ -9,9 +9,10 @@ Native format::
     22%: c > d > a > b        # percent lines scale to an integer total
 
 The header lines (``m``, ``candidates``) may come anywhere, also after the
-ballots; when one is repeated, its last value counts.  Rankings may use
-candidate names or 1-based indices; a name that is also an index token
-(``candidates 2 1 3``) means the named candidate.  A name is one
+ballots; when one is repeated, its last value counts.  Any whitespace
+separates a header keyword from its value, as it separates the names.
+Rankings may use candidate names or 1-based indices; a name that is also
+an index token (``candidates 2 1 3``) means the named candidate.  A name is one
 whitespace-free token without ``>``, ``:`` or ``#``, in either format, so
 that every parsed profile can be written back.  A strict-order
 import variant (``fmt="soc"``) accepts comma-separated rankings
@@ -39,7 +40,8 @@ def parse_profile(text: str, fmt: str = "native") -> Profile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head, *tail = line.split(None, 1)
+        rest = tail[0] if tail else ""
         if head == "m" and ":" not in line:
             try:
                 m = int(rest.strip())

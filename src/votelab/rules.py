@@ -15,6 +15,9 @@ in any order.  Winners come back as ascending candidate indices and scores
 in the rule's raw form, integers wherever the value is an integer.  The
 exhaustive search calls the same functions on tallies it updates
 incrementally and on its count vectors, so each rule has one definition.
+Young and the veto core test each candidate by a function of its upper
+contours alone, which their decisions call on the ballots and the search
+calls on contour counts.
 
 The registry at the end of the module maps each rule id to one record: the
 factory of its decision per m, the statistics the decision reads, how its
@@ -126,6 +129,16 @@ def _upper_contours(m: int, ballots: Ballots) -> list[list[int]]:
             up[c][i] = seen
             seen |= 1 << c
     return up
+
+
+def _pooled(up: Sequence[int], counts: Sequence[int]) -> dict[int, int]:
+    """Voters per nonempty upper contour of one candidate, given each ballot
+    type's contour and count; contours in order of first appearance."""
+    pools: dict[int, int] = {}
+    for contour, count in zip(up, counts):
+        if contour:
+            pools[contour] = pools.get(contour, 0) + count
+    return pools
 
 
 # -- positional scoring rules -------------------------------------------------
@@ -294,37 +307,32 @@ def black_decision(m, n, h, pos):
 # -- Young ---------------------------------------------------------------------
 
 
-def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: int):
-    """Young score of cand and a minimal removal, as voters per ballot type.
+def _young(n: int, cand: int, row: Sequence[int], pools: dict[int, int]):
+    """Young score of cand and a minimal removal, as voters per pool.
 
-    ``row`` is cand's tournament row h(cand, .), ``up`` its upper contour
-    in each ballot type and ``counts`` the types' voter counts.  Writing h'
-    for the kept votes, the target "2 h'(cand, b) >= n - removed" becomes,
-    per opponent, (removed voters ranking cand above b) - (removed voters
-    ranking b above cand) <= 2 h(cand, b) - n, which no longer mentions the
-    removal size; so one removal improves each pairwise deficit by at most
-    one, giving the starting size max_b (n - 2 h(cand, b)), and voters
-    ranking cand on top never belong to a minimal removal set.  The
-    constraints see a removed voter only through its sign pattern, cand
-    above or below each opponent, which its upper contour determines.  So
-    the voters are pooled per contour, at most 2^(m-1) - 1 pools, and
-    removals are searched per pool in increasing total size, which is
-    exhaustive because the profile is anonymous.  Each size is walked depth
-    first, pool by pool in lexicographic order, and a branch is cut once the
-    voters still to remove cannot close its largest open deficit.  The
-    first removal found is spread over each pool's types in ballot order.
+    ``row`` is cand's tournament row h(cand, .) and ``pools`` maps each
+    nonempty upper contour of cand, a bitmask of the candidates ranked
+    above it, to the voters who have it; the others rank cand on top.
+    Writing h' for the kept votes, the target
+    "2 h'(cand, b) >= n - removed" becomes, per opponent, (removed voters
+    ranking cand above b) - (removed voters ranking b above cand) <=
+    2 h(cand, b) - n, which no longer mentions the removal size; so one
+    removal improves each pairwise deficit by at most one, giving the
+    starting size max_b (n - 2 h(cand, b)), and voters ranking cand on top
+    never belong to a minimal removal set.  The constraints see a removed
+    voter only through its sign pattern, cand above or below each opponent,
+    which its upper contour determines, so removals are searched per pool
+    in increasing total size, which is exhaustive because the profile is
+    anonymous.  Each size is walked depth first, pool by pool in the
+    order given, and a branch is cut once the voters still to remove cannot
+    close its largest open deficit.  The score does not depend on the order
+    of the pools; the removal returned, the first found, does.
     """
-    n = sum(counts)
     opponents = [b for b in range(len(row)) if b != cand]
     slack = [2 * row[b] - n for b in opponents]
-    removals = [0] * len(counts)
     start = -min(slack, default=0)
     if start <= 0:
-        return 0, removals
-    pools: dict[int, int] = {}
-    for contour, count in zip(up, counts):
-        if contour:
-            pools[contour] = pools.get(contour, 0) + count
+        return 0, [0] * len(pools)
     caps = list(pools.values())
     signs = [[-1 if c >> b & 1 else 1 for b in opponents] for c in pools]
     tails = [sum(caps[i + 1 :]) for i in range(len(caps))]
@@ -348,13 +356,15 @@ def _young(row: Sequence[int], up: Sequence[int], counts: Sequence[int], cand: i
     for removed in range(start, sum(caps) + 1):
         comp = first(0, removed, slack)
         if comp is not None:
-            left = dict(zip(pools, comp))
-            for i, contour in enumerate(up):
-                if left.get(contour):
-                    removals[i] = min(left[contour], counts[i])
-                    left[contour] -= removals[i]
-            return removed, removals
+            return removed, comp
     raise AssertionError("removing every opposing voter always works")
+
+
+def _young_score(m: int, n: int, cand: int, pools: dict[int, int]) -> int:
+    """Young score of cand from its pooled upper contours alone: h(cand, b)
+    is n less the voters whose contour holds b."""
+    row = [n - sum(t for c, t in pools.items() if c >> b & 1) for b in range(m)]
+    return _young(n, cand, row, pools)[0]
 
 
 def young_score(profile: Profile, cand: int) -> int:
@@ -362,18 +372,26 @@ def young_score(profile: Profile, cand: int) -> int:
     m = profile.m
     row = profile.pair_counts[cand * m : cand * m + m]
     counts = [count for count, _ in profile.ballots]
-    return _young(row, _upper_contours(m, profile.ballots)[cand], counts, cand)[0]
+    pools = _pooled(_upper_contours(m, profile.ballots)[cand], counts)
+    return _young(profile.n, cand, row, pools)[0]
 
 
 def young_decision(m, n, h, ballots):
-    """The least Young scores; the trace's removals are per ballot in order."""
+    """The least Young scores.  The trace's removals are per ballot in
+    order: each pool's removed voters spread over its types in that order."""
     counts = [count for count, _ in ballots]
-    found = [
-        _young(h[a * m : a * m + m], up, counts, a)
-        for a, up in enumerate(_upper_contours(m, ballots))
-    ]
-    scores = [score for score, _ in found]
-    removals = {a: removed for a, (_, removed) in enumerate(found)}
+    scores, removals = [], {}
+    for a, up in enumerate(_upper_contours(m, ballots)):
+        pools = _pooled(up, counts)
+        score, comp = _young(n, a, h[a * m : a * m + m], pools)
+        left = dict(zip(pools, comp))
+        removed = [0] * len(counts)
+        for i, contour in enumerate(up):
+            if left.get(contour):
+                removed[i] = min(left[contour], counts[i])
+                left[contour] -= removed[i]
+        scores.append(score)
+        removals[a] = removed
     return _argmin(scores), scores, {"removals": removals}
 
 
@@ -548,41 +566,50 @@ def convex_median_decision(m, n, h, pos):
 # -- proportional veto core -------------------------------------------------------
 
 
-def proportional_veto_core_decision(m, n, h, ballots):
-    """All candidates no coalition can block.
+def _blocking_set(m: int, n: int, cand: int, pools: dict[int, int]) -> tuple[int, int]:
+    """The first set of candidates blocking cand, as a bitmask, and the
+    size of its largest blocking coalition; (0, 0) when no coalition can
+    block cand.
 
-    A coalition of t voters blocks candidate a through a nonempty set B of
-    candidates they all prefer to a when |A \\ B| * n < m * t.  For a fixed
-    B the largest such coalition is every voter ranking all of B above a,
-    so a is blocked iff some nonempty B within A \\ {a} has
-    (m - |B|) * n < m * t(B), where t(B) counts the voters whose upper
-    contour of a contains B.  Widening B to the intersection of every
-    contour containing it keeps t(B) and only lowers m - |B|, so only the
-    nonempty intersections of contours need trying: at most
-    min(2^T, 2^(m-1)) - 1 sets for T ballot types, tried in increasing
-    bitmask order.  Scores are 1 for a stable candidate and 0 for a blocked
-    one.
+    ``pools`` maps each nonempty upper contour of cand, a bitmask of the
+    candidates ranked above it, to the voters who have it.  A coalition of
+    t voters blocks cand through a nonempty set B of candidates they all
+    prefer to it when |A \\ B| * n < m * t.  For a fixed B the largest such
+    coalition is every voter ranking all of B above cand, so cand is
+    blocked iff some nonempty B has (m - |B|) * n < m * t(B), where t(B)
+    sums the pools whose contour contains B.  Widening B to the
+    intersection of every contour containing it keeps t(B) and only lowers
+    m - |B|, so only the nonempty intersections of contours need trying: at
+    most min(2^T, 2^(m-1)) - 1 sets for T contours, tried in increasing
+    bitmask order.
     """
+    family: set[int] = set()
+    for contour in pools:
+        family |= {contour} | {contour & s for s in family}
+    family.discard(0)
+    for bset in sorted(family):
+        voters = sum(t for c, t in pools.items() if c & bset == bset)
+        if (m - bset.bit_count()) * n < m * voters:
+            return bset, voters
+    return 0, 0
+
+
+def proportional_veto_core_decision(m, n, h, ballots):
+    """All candidates no coalition can block, each tested by _blocking_set.
+    Scores are 1 for a stable candidate and 0 for a blocked one; the trace
+    names each blocked candidate's blocking set, the ballot types of the
+    coalition and its size."""
     counts = [count for count, _ in ballots]
     blocked: dict[int, dict] = {}
     for a, up in enumerate(_upper_contours(m, ballots)):
-        pooled: dict[int, int] = {}
-        for contour, count in zip(up, counts):
-            if contour:
-                pooled[contour] = pooled.get(contour, 0) + count
-        family: set[int] = set()
-        for contour in pooled:
-            family |= {contour} | {contour & s for s in family}
-        family.discard(0)
-        for bset in sorted(family):
-            voters = sum(t for c, t in pooled.items() if c & bset == bset)
-            if (m - bset.bit_count()) * n < m * voters:
-                blocked[a] = {
-                    "coalition_types": [i for i, c in enumerate(up) if c & bset == bset],
-                    "coalition_size": voters,
-                    "blocking_set": [c for c in range(m) if bset >> c & 1],
-                }
-                break
+        pools = _pooled(up, counts)
+        bset, voters = _blocking_set(m, n, a, pools)
+        if bset:
+            blocked[a] = {
+                "coalition_types": [i for i, c in enumerate(up) if c & bset == bset],
+                "coalition_size": voters,
+                "blocking_set": [c for c in range(m) if bset >> c & 1],
+            }
     stable = tuple(a for a in range(m) if a not in blocked)
     return stable, [0 if a in blocked else 1 for a in range(m)], {"blocked": blocked}
 
@@ -741,6 +768,16 @@ class _Rule:
     strict first-place majority winner.  The exhaustive search then answers
     such a profile without calling the decision; reports never do.  None
     makes no such claim.
+
+    ``contour`` declares the contour statistic: for a rule whose winners
+    depend on each candidate's upper contours alone, it is the function
+    ``(m, n, cand, pools) -> value`` of one candidate, ``pools`` mapping
+    each nonempty upper contour of cand (a bitmask of the candidates ranked
+    above it) to its voters, and the rule elects the candidates of least
+    value.  The decision calls it on contours pooled from the ballots and
+    builds its trace from the ballots; the exhaustive search calls it on
+    contour counts it keeps per candidate and memoises each candidate's
+    value on them.  None keeps the search on the decision.
     """
 
     decision: Callable[[int], Decision]
@@ -753,6 +790,7 @@ class _Rule:
     veto_sup: Callable[[int, bool], object] | None = None
     text: dict[str, tuple[str, Fraction]] = field(default_factory=dict)
     always_elects: str | None = None
+    contour: Callable[[int, int, int, dict[int, int]], object] | None = None
 
     def __post_init__(self):
         if self.majority_sup is None and self.majority is not None:
@@ -814,7 +852,7 @@ _RULES: dict[str, _Rule] = {
     ),
     "young": _Rule(
         lambda m: young_decision, True, "ballots", **_SIMPSON_QUOTAS,
-        always_elects="condorcet",
+        always_elects="condorcet", contour=_young_score,
     ),
     "dodgson": _Rule(
         lambda m: dodgson_decision, True, "ballots",
@@ -859,6 +897,9 @@ _RULES: dict[str, _Rule] = {
             Fraction(1, 3) if l == 1 else HALF if half else Fraction(l, l + 1)
         ),
         text={"veto": ("l/(l+1)", ONE), "veto-half": ("1/2", HALF)},
+        # the core is never empty (Moulin 1981), so its members, of value
+        # (0, 0), are the least
+        contour=_blocking_set,
     ),
     "t12rule": _Rule(lambda m: theorem12_decision, False, "ranks", always_elects="majority"),
 }

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .criteria import Violation
 from .errors import SearchBudgetExceeded
@@ -366,15 +366,23 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
 # ballot types, those top-ranking B first.  The walk keeps the profile's
 # pairwise and positional tallies packed into one integer, a lane of whole
 # bytes per tally entry, and adds a type's packed contribution as its count
-# changes.  A rule is then decided on the unpacked tournament lanes and,
+# changes.  For a rule whose record declares the contour statistic (Young
+# and the veto core) the integer holds, in place of the rank counts it does
+# not read, a lane c(a, U) per candidate a and set U of other candidates:
+# the voters whose upper contour of a, the set they rank above it, is
+# exactly U.  A rule is then decided on the unpacked tournament lanes and,
 # as it reads them, the rank-count lanes or the count vector's nonzero
-# (count, ballot type) pairs, without building a Profile.  A rule whose
-# record says it always elects a strict Condorcet or majority winner alone
-# is answered from the unpacked lanes, undecided, when they show one.
+# (count, ballot type) pairs, without building a Profile; a contour rule
+# elects the candidates of least value, each value computed from that
+# candidate's contour lanes alone.  A rule whose record says it always
+# elects a strict Condorcet or majority winner alone is answered from the
+# unpacked lanes, undecided, when they show one.
 # Each slice keeps a memo from the lanes a tally rule reads, and its screen
 # reads, to the winners: a profile repeating them is answered before any
-# unpacking.  The memo lives for one slice and is cleared at a fixed size,
-# so results and memory do not depend on the worker count.
+# unpacking.  A contour rule's memo instead maps one candidate's contour
+# lanes to its value, as a whole profile's contours rarely repeat while one
+# candidate's do.  The memo lives for one slice and is cleared at a fixed
+# size, so results and memory do not depend on the worker count.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
 # onto itself and, as every rule is neutral, a violation onto a violation.
@@ -419,16 +427,37 @@ def _tables(m: int, k: int) -> _Tables:
 
 
 @functools.cache
-def _contributions(m: int, k: int, lane_bytes: int) -> tuple[int, ...]:
+def _contributions(m: int, k: int, lane_bytes: int, contours: bool) -> tuple[int, ...]:
     """Per ballot type, its packed tallies: lane a*m + b holds h(a, b) and
-    lane m*m + l*m + a the count of rank l + 1 for a."""
+    lane m*m + l*m + a the count of rank l + 1 for a.  With contours, lane
+    m*m + a*2^(m-1) + i instead holds c(a, U), the voters whose upper
+    contour of a is exactly U, where i is U's bitmask with bit a taken out;
+    a contour rule reads no rank counts, and its screen, if any, only the
+    tournament."""
     bits = 8 * lane_bytes
     out = []
     for r in _tables(m, k).types:
         lanes = [r[i] * m + r[j] for i in range(m) for j in range(i + 1, m)]
-        lanes += [m * m + l * m + a for l, a in enumerate(r)]
+        if not contours:
+            lanes += [m * m + l * m + a for l, a in enumerate(r)]
+        else:
+            up = 0
+            for a in r:
+                # U's bitmask with bit a taken out: the bits above a move down one
+                i = up & (1 << a) - 1 | up >> a + 1 << a
+                lanes.append(m * m + (a << m - 1) + i)
+                up |= 1 << a
         out.append(sum(1 << (bits * lane) for lane in lanes))
     return tuple(out)
+
+
+@functools.cache
+def _contour_masks(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per candidate a, the bitmask U of each contour lane c(a, U) after
+    the first, whose U is empty, in lane order."""
+    return tuple(
+        tuple(u for u in range(1, 1 << m) if not u >> a & 1) for a in range(m)
+    )
 
 
 class _Kernel(NamedTuple):
@@ -439,7 +468,11 @@ class _Kernel(NamedTuple):
     is the memo key: the tournament lanes when the decision or the
     Condorcet screen reads them, the rank-count lanes when the decision or
     the majority screen reads them, both blocks when both apply.  A rule
-    that reads ballots has key_mask 0 and no memo.
+    that reads ballots has key_mask 0 and no whole-profile memo.
+
+    A rule whose record gives a ``contour`` function is decided by it
+    instead of by ``decide``: ``tally >> contour_shifts[a] & contour_mask``
+    are candidate a's contour lanes, the key of a's value in the memo.
     """
 
     m: int
@@ -454,6 +487,9 @@ class _Kernel(NamedTuple):
     reads_ranks: bool
     key_shift: int
     key_mask: int
+    contour: Callable[[int, int, int, dict[int, int]], object] | None
+    contour_shifts: tuple[int, ...]
+    contour_mask: int
 
 
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
@@ -464,13 +500,19 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     tournament = rule.tournament or rule.always_elects == "condorcet"
     ranks = rule.stat == "ranks" or rule.always_elects == "majority"
     ballots = rule.stat == "ballots"
+    contours = rule.contour is not None
+    span = 8 * size << m - 1  # bits of one candidate's contour lanes
+    second = m * span if contours else block  # bits of the contour or rank block
     return _Kernel(
         m, rule.decision(m), ballots, rule.always_elects, _tables(m, k).types,
-        _contributions(m, k, size), 2 * m * m * size, fmt,
+        _contributions(m, k, size, contours), (block + second) // 8, fmt,
         reads_tournament=rule.tournament,
         reads_ranks=rule.stat == "ranks",
         key_shift=0 if tournament else block,
         key_mask=0 if ballots else (1 << block * (tournament + ranks)) - 1,
+        contour=rule.contour,
+        contour_shifts=tuple(block + a * span for a in range(m)) if contours else (),
+        contour_mask=(1 << span) - 1,
     )
 
 
@@ -486,11 +528,14 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
     The rule's decision gets the unpacked tournament counts, and the
     unpacked rank counts or, for a rule that reads ballots, the nonzero
     (count, ballot type) pairs, each only when its record says the decision
-    reads it.  A rule that always elects a strict Condorcet or first-place
-    majority winner alone is not decided when the lanes show one: that
-    winner is returned.  Given a memo, a dict that lives for one slice, the
-    winners of a rule that reads no ballots are kept under the lanes it
-    reads, and a profile repeating them is answered from the memo.
+    reads it.  A rule with a contour function is instead decided by each
+    candidate's value on its unpacked contour lanes.  A rule that always
+    elects a strict Condorcet or first-place majority winner alone is not
+    decided when the lanes show one: that winner is returned.  Given a
+    memo, a dict that lives for one slice, the winners of a rule that reads
+    no ballots are kept under the lanes it reads, and a profile repeating
+    them is answered from the memo; a contour rule's memo keeps each
+    candidate's value under its contour lanes.
     """
     key = None
     if memo is not None and kernel.key_mask:
@@ -500,6 +545,8 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
             return won
         if len(memo) >= _MEMO_ENTRIES:
             memo.clear()
+    elif kernel.contour is not None and kernel.always_elects is None:
+        return _contour_winners(kernel, n, tally, memo)  # no screen: no lanes to unpack
     m = kernel.m
     lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
     lanes = lanes.cast(kernel.lane_format)
@@ -516,15 +563,41 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
                 won = (a,)
                 break
     if won is None:
-        if kernel.reads_ballots:
-            stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
-        else:
+        if not kernel.reads_ballots:
             stat = lanes[m * m :] if kernel.reads_ranks else None
+        elif kernel.contour is None:
+            stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
+        else:  # a rule that reads ballots has no whole-profile key
+            return _contour_winners(kernel, n, tally, memo)
         h = lanes[: m * m] if kernel.reads_tournament else None
         won = kernel.decide(m, n, h, stat)[0]
     if key is not None:
         memo[key] = won
     return won
+
+
+def _contour_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ...]:
+    """The candidates of least contour value, each value read from the
+    memo under the candidate's contour lanes or computed from them."""
+    m = kernel.m
+    values = []
+    size = kernel.contour_mask.bit_length() // 8
+    for a, shift in enumerate(kernel.contour_shifts):
+        block = tally >> shift & kernel.contour_mask
+        key = block * m + a
+        value = None if memo is None else memo.get(key)
+        if value is None:
+            lanes = memoryview(block.to_bytes(size, sys.byteorder)).cast(kernel.lane_format)
+            # lane 0 counts the voters ranking a on top, who are in no pool
+            pools = {u: c for u, c in zip(_contour_masks(m)[a], lanes[1:]) if c}
+            value = kernel.contour(m, n, a, pools)
+            if memo is not None:
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.clear()
+                memo[key] = value
+        values.append(value)
+    low = min(values)
+    return tuple(a for a, value in enumerate(values) if value == low)
 
 
 def _fill(counts: list[int], lo: int, hi: int, total: int, contrib, tally: int):

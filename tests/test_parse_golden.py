@@ -6,8 +6,9 @@ refusals hold one malformed text per raise site of `parse_profile`, in
 each format where the site applies, plus texts with two faults that pin
 which one is reported.  The accepted cases pin header lines after the
 ballots, a repeated header line (the last one counts), digit-string names
-that resolve before index tokens, and ``22.0%`` shares.  Regenerate the
-file only when parsing is meant to change:
+that resolve before index tokens, ``22.0%`` shares, and header keywords
+followed by a tab.  Regenerate the file only when parsing is meant to
+change:
 
     PYTHONPATH=src python tests/test_parse_golden.py > tests/golden/parse.txt
 """
@@ -33,7 +34,7 @@ CASES = [
     *_both("m 2\ncandidates a>b c\n1: 1 > 2\n"),
     # ballot lines
     *_both("m 2\n1 > 2\n"),
-    *_both("m\t2\n1: 1 > 2\n"),
+    *_both("m\t2\n1: 1 > 2\n"),  # accepted: a header keyword ends at any whitespace
     ("native", "m 3\n1: 1 > > 2\n"),
     ("soc", "m 3\n1: 1,,2\n"),
     ("native", "m 2\n1: 1 > 2 >\n"),
@@ -102,6 +103,8 @@ CASES = [
     *_both("m 1\n1: 1\n"),
     *_both("m 3\ncandidates a b c\n1: c > 1 > b\n"),
     ("soc", "candidates x,y z\n1: 1,2\n"),
+    *_both("candidates\ta b\n1: b > a\n"),
+    *_both("candidates\ta\tb\nm\t2\n1: b > a\n"),
 ]
 
 

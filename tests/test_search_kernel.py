@@ -27,8 +27,11 @@ from votelab import (
 from votelab.rules import (
     RULE_IDS,
     ScoreVector,
+    _blocking_set,
+    _young_score,
     integer_truncated_scores,
     parse_score_vector,
+    report,
     second_order_dominates,
 )
 from votelab import search
@@ -177,13 +180,18 @@ def test_statistic_level_functions_match_reference():
 
 
 def test_wide_lanes_hold_large_counts():
-    """Counts above 255 move the packed tallies to two-byte lanes."""
+    """Counts above 255 move the packed tallies, and the contour lanes, to
+    two-byte lanes."""
     p = Profile(("a", "b", "c"), ((300, (0, 1, 2)), (200, (1, 2, 0)), (100, (2, 0, 1))))
     kernel = _kernel("clr", 3, 1, p.n)
     assert kernel.lane_format == "H"
     counts = _counts(p, kernel)
     tally = sum(c * part for c, part in zip(counts, kernel.contrib))
     assert set(rule_winners(kernel, p.n, tally, counts)) == reference_winners("clr", p)
+    for rule_id in ("vetocore", "young"):
+        kernel = _kernel(rule_id, 3, 1, p.n)._replace(always_elects=None)
+        tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+        assert set(rule_winners(kernel, p.n, tally, counts)) == set(winners(rule_id, p))
 
 
 def test_every_registered_rule_has_a_kernel_decision():
@@ -289,9 +297,10 @@ def test_ballot_decisions_match_rules_and_oracles():
     for p in _decision_cases():
         kernels = {rule_id: _kernel(rule_id, p.m, 1, p.n) for rule_id in BALLOT_RULES}
         counts = _counts(p, kernels["irv"])
-        tally = sum(c * part for c, part in zip(counts, kernels["irv"].contrib))
         got = {}
         for rule_id, kernel in kernels.items():
+            # each kernel's own packing: the contour rules' carries contour lanes
+            tally = sum(c * part for c, part in zip(counts, kernel.contrib))
             screened, decided = _kernel_answers(kernel, p.n, tally, counts)
             assert screened == decided == set(winners(rule_id, p)), (rule_id, p)
             got[rule_id] = decided
@@ -302,6 +311,57 @@ def test_ballot_decisions_match_rules_and_oracles():
             assert got["dodgson"] == _argmin_oracle(p, oracle_dodgson_score), p
             dodgson_checked += 1
     assert dodgson_checked >= 923 + 60  # every m = 3 profile, most seeded ones
+
+
+def _contours(p, a):
+    """c(a, .): the voters per upper contour of a, a bitmask, counted from
+    the rankings, in increasing bitmask order."""
+    c = {}
+    for count, r in p.ballots:
+        up = sum(1 << b for b in r[: r.index(a)])
+        c[up] = c.get(up, 0) + count
+    return tuple(sorted(c.items()))
+
+
+def test_contour_key_determines_veto_core_and_young():
+    """Profiles sharing a candidate's key (n, a, c(a, .)) share, in their
+    reports, the set through which the veto core blocks it (or None) with
+    the coalition's size, and its Young score, on every profile of up to 7
+    voters over 3 candidates and 4 over 4.  The contour functions give
+    those values from the key alone, and the kernel's contour lanes for a
+    hold c(a, .), one lane per contour of a in increasing bitmask order."""
+    for m, profiles in ((3, all_profiles(3, 7)), (4, all_profiles(4, 4))):
+        kernel = _kernel("vetocore", m, 1, 1)
+        assert kernel.contour is _blocking_set
+        assert _kernel("young", m, 1, 1).contour is _young_score
+        lane = {a: [u for u in range(1 << m) if not u >> a & 1] for a in range(m)}
+        seen, lookups = {}, 0
+        for p in profiles:
+            counts = _counts(p, kernel)
+            tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+            veto, young = report("vetocore", p), report("young", p)
+            for a in range(m):
+                contours = _contours(p, a)
+                block = tally >> kernel.contour_shifts[a] & kernel.contour_mask
+                assert block == sum(c << 8 * lane[a].index(u) for u, c in contours), (p, a)
+                blocked = veto.trace["blocked"].get(a)
+                got = (
+                    blocked and (blocked["blocking_set"], blocked["coalition_size"]),
+                    young.scores[a],
+                )
+                key = (p.n, a, contours)
+                if key not in seen:
+                    pools = {u: c for u, c in contours if u}
+                    bset, size = _blocking_set(m, p.n, a, pools)
+                    members = [b for b in range(m) if bset >> b & 1]
+                    from_key = (
+                        (members, size) if bset else None,
+                        _young_score(m, p.n, a, pools),
+                    )
+                    assert from_key == got, (p, a)
+                assert seen.setdefault(key, got) == got, (p, a)
+                lookups += 1
+        assert 2 * len(seen) < lookups  # keys repeat, as the memo relies on
 
 
 @pytest.mark.parametrize("rule_id", BALLOT_RULES)
@@ -364,12 +424,25 @@ def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id):
                 assert _min_violation((rule_id, 4, k, n, s)) == expected, (k, n, s)
 
 
+@pytest.mark.parametrize("rule_id", ["vetocore", "young"])
+def test_orbit_reduced_slices_match_plain_enumeration_contour_rules_m4(rule_id):
+    """The rules decided per candidate from memoised contour lanes, at m = 4
+    and every k, up to 4 voters: a slice of 4 voters repeats contours."""
+    for k in (1, 2, 3):
+        for n in range(1, 5):
+            for s in range(1, n + 1):
+                expected = plain_min_violation(rule_id, 4, k, n, s)
+                assert _min_violation((rule_id, 4, k, n, s)) == expected, (k, n, s)
+
+
 def test_capped_memo_keeps_slice_results(monkeypatch):
     """A memo cleared every 8 entries gives each m = 4 slice the same
     result as the default memo and as plain enumeration, and never holds
-    more than 8 entries."""
+    more than 8 entries, whether it keys whole tallies or, for the veto
+    core, each candidate's contour lanes."""
     slices = [("convexmedian", 4, 2, 4, s) for s in range(1, 5)]
     slices += [("clr", 4, 3, 4, s) for s in range(1, 5)]
+    slices += [("vetocore", 4, 3, 4, s) for s in range(1, 5)]
     uncapped = [_min_violation(args) for args in slices]
     sizes = []
     evaluate = search.rule_winners
