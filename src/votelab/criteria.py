@@ -16,6 +16,7 @@ from .exact import ExactNumber, exact
 from .model import ChoiceSet, Profile
 from .rules import (
     ScoreVector,
+    _rule,
     closed_form,
     integer_truncated_scores,
     second_order_dominates,
@@ -117,14 +118,24 @@ def _coerce_q(q) -> ExactNumber:
     return qq
 
 
+def _supported(rule_id: str, profile: Profile, qq: ExactNumber, groups):
+    """The groups whose support strictly exceeds a qq share of the voters.
+    The rule id is checked here, so that a bad id raises whether or not a
+    group qualifies; the winners need computing only when one does."""
+    _rule(rule_id, profile.m)
+    threshold = qq * profile.n
+    return [(group, support) for group, support in groups if exact(support) > threshold]
+
+
 def check_qk_majority(rule_id: str, profile: Profile, q, k: int) -> Violation | None:
     """None when every sufficiently supported k-set contains all winners."""
     qq = _coerce_q(q)
-    groups = mutual_majority_groups(profile, k)
-    threshold = qq * profile.n
+    supported = _supported(rule_id, profile, qq, mutual_majority_groups(profile, k))
+    if not supported:
+        return None
     won = rule_winners(rule_id, profile)
-    for b_set, support in groups:
-        if exact(support) > threshold and not won <= b_set:
+    for b_set, support in supported:
+        if not won <= b_set:
             return Violation(b_set, support, won, profile, qq)
     return None
 
@@ -132,12 +143,13 @@ def check_qk_majority(rule_id: str, profile: Profile, q, k: int) -> Violation | 
 def check_ql_veto(rule_id: str, profile: Profile, q, l: int) -> Violation | None:
     """None when no sufficiently supported bottom l-set intersects the winners."""
     qq = _coerce_q(q)
-    groups = mutual_minority_groups(profile, l)
-    threshold = qq * profile.n
+    supported = _supported(rule_id, profile, qq, mutual_minority_groups(profile, l))
+    if not supported:
+        return None
     won = rule_winners(rule_id, profile)
     universe = frozenset(range(profile.m))
-    for l_set, support in groups:
-        if exact(support) > threshold and won & l_set:
+    for l_set, support in supported:
+        if won & l_set:
             return Violation(universe - l_set, support, won, profile, qq, vetoed=l_set)
     return None
 

@@ -17,7 +17,9 @@ exhaustive search calls the same functions on tallies it updates
 incrementally and on its count vectors, so each rule has one definition.
 Young and the veto core test each candidate by a function of its upper
 contours alone, which their decisions call on the ballots and the search
-calls on contour counts.
+calls on contour counts.  Convex median and the t12 rule score each
+candidate by a function of its rank-count column alone, which their
+decisions and the search both call.
 
 The registry at the end of the module maps each rule id to one record: the
 factory of its decision per m, the statistics the decision reads, how its
@@ -546,21 +548,30 @@ def convex_median_score(profile: Profile, cand: int) -> Fraction:
     return Fraction(*_convex_median_depth(col, profile.m, profile.n))
 
 
-def convex_median_decision(m, n, h, pos):
-    """The strict majority winner, else the least convex median scores.
+def _least_depths(depths: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The candidates of least depth, (numerator, denominator) pairs with
+    positive denominators compared by cross-multiplying."""
+    low, low_den = depths[0]
+    won = [0]
+    for a in range(1, len(depths)):
+        num, den = depths[a]
+        left, right = num * low_den, low * den
+        if left < right:
+            low, low_den = num, den
+            won = [a]
+        elif left == right:
+            won.append(a)
+    return tuple(won)
 
-    Scores are (numerator, denominator) pairs compared by cross-multiplying.
-    """
+
+def convex_median_decision(m, n, h, pos):
+    """The strict majority winner, else the least convex median scores,
+    (numerator, denominator) pairs."""
     mw = _majority_winner(m, n, pos)
     if mw is not None:
         return (mw,), None, {"majority_winner": mw}
     depths = [_convex_median_depth(_column(pos, m, a), m, n) for a in range(m)]
-    low, low_den = depths[0]
-    for num, den in depths[1:]:
-        if num * low_den < low * den:
-            low, low_den = num, den
-    won = tuple(a for a, (num, den) in enumerate(depths) if num * low_den == low * den)
-    return won, depths, None
+    return _least_depths(depths), depths, None
 
 
 # -- proportional veto core -------------------------------------------------------
@@ -660,6 +671,14 @@ def _tradeoff_depth(col: Sequence[int], m: int, n: int) -> ExactNumber:
         in_piece = [t for t in roots if exact(j) <= t <= exact(j + 1)]
         assert in_piece, "a sign change must bracket a root"
         return in_piece[-1]
+
+
+def _untied_argmin(scores: Sequence) -> tuple[int, ...] | None:
+    """The least score's candidate when it is the only one; None on a tie,
+    which theorem12_decision breaks by dominance, reading more than the
+    scores."""
+    won = _argmin(scores)
+    return won if len(won) == 1 else None
 
 
 def theorem12_decision(m, n, h, pos):
@@ -778,6 +797,19 @@ class _Rule:
     builds its trace from the ballots; the exhaustive search calls it on
     contour counts it keeps per candidate and memoises each candidate's
     value on them.  None keeps the search on the decision.
+
+    ``column`` declares the rank-column statistic in the same way, for a
+    rule that reads rank counts: when the profile has no strict majority
+    winner, its winners depend on each candidate's rank-count column alone,
+    through the function ``(col, m, n) -> value`` with ``col[l]`` the voters
+    ranking the candidate at position l + 1.  The decision calls it on the
+    profile's columns; the exhaustive search calls it on the rank lanes
+    it keeps, after its majority screen, and memoises each column's value.
+
+    ``least`` picks the winners from the list of every candidate's contour
+    or column value: by default the candidates of least value.  It returns
+    None when the values alone do not decide, and the search then calls
+    the decision.
     """
 
     decision: Callable[[int], Decision]
@@ -791,6 +823,8 @@ class _Rule:
     text: dict[str, tuple[str, Fraction]] = field(default_factory=dict)
     always_elects: str | None = None
     contour: Callable[[int, int, int, dict[int, int]], object] | None = None
+    column: Callable[[Sequence[int], int, int], object] | None = None
+    least: Callable[[Sequence], tuple[int, ...] | None] = _argmin
 
     def __post_init__(self):
         if self.majority_sup is None and self.majority is not None:
@@ -888,7 +922,7 @@ _RULES: dict[str, _Rule] = {
             "veto": ("(3l-4)/(4l-4)", Fraction(3, 4)),
             "veto-half": ("(-7+3l+sqrt(17-10l+9l^2))/(8l-8)", Fraction(3, 4)),
         },
-        always_elects="majority",
+        always_elects="majority", column=_convex_median_depth, least=_least_depths,
     ),
     "vetocore": _Rule(
         lambda m: proportional_veto_core_decision, False, "ballots",
@@ -901,7 +935,10 @@ _RULES: dict[str, _Rule] = {
         # (0, 0), are the least
         contour=_blocking_set,
     ),
-    "t12rule": _Rule(lambda m: theorem12_decision, False, "ranks", always_elects="majority"),
+    "t12rule": _Rule(
+        lambda m: theorem12_decision, False, "ranks", always_elects="majority",
+        column=_tradeoff_depth, least=_untied_argmin,
+    ),
 }
 
 RULE_IDS = tuple(_RULES)

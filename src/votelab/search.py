@@ -374,15 +374,22 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
 # as it reads them, the rank-count lanes or the count vector's nonzero
 # (count, ballot type) pairs, without building a Profile; a contour rule
 # elects the candidates of least value, each value computed from that
-# candidate's contour lanes alone.  A rule whose record says it always
-# elects a strict Condorcet or majority winner alone is answered from the
-# unpacked lanes, undecided, when they show one.
+# candidate's contour lanes alone, and a column rule (convex median, the
+# t12 rule) likewise from that candidate's rank lanes, its column of the
+# rank block.  A rule whose record says it always elects a strict
+# Condorcet or majority winner alone is answered from the unpacked lanes,
+# undecided, when they show one.
 # Each slice keeps a memo from the lanes a tally rule reads, and its screen
 # reads, to the winners: a profile repeating them is answered before any
-# unpacking.  A contour rule's memo instead maps one candidate's contour
-# lanes to its value, as a whole profile's contours rarely repeat while one
-# candidate's do.  The memo lives for one slice and is cleared at a fixed
-# size, so results and memory do not depend on the worker count.
+# unpacking.  A whole profile's contours or rank counts rarely repeat while
+# one candidate's do, so the memo also maps one candidate's contour lanes,
+# or its rank column, to its value.  As the value reads nothing else, that
+# key leaves the candidate out: the rank block is rank-major, so shifting
+# the tally right by a lanes brings a's column onto candidate 0's lanes,
+# and one mask cuts it; a's contour lanes are cut the same way.  Such keys
+# are stored bitwise negated, so they never meet a whole-profile key.  The
+# memo lives for one slice and is cleared at a fixed size, so results and
+# memory do not depend on the worker count.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
 # onto itself and, as every rule is neutral, a violation onto a violation.
@@ -472,7 +479,12 @@ class _Kernel(NamedTuple):
 
     A rule whose record gives a ``contour`` function is decided by it
     instead of by ``decide``: ``tally >> contour_shifts[a] & contour_mask``
-    are candidate a's contour lanes, the key of a's value in the memo.
+    are candidate a's contour lanes, the key of a's value in the memo.  A
+    rule whose record gives a ``column`` function is decided by it past the
+    majority screen: ``tally >> column_shifts[a] & column_mask`` is
+    candidate a's rank column, in candidate 0's rank lanes, the key of its
+    value.  ``least`` picks the winners from the values, or returns None
+    and leaves them to ``decide``.
     """
 
     m: int
@@ -490,18 +502,23 @@ class _Kernel(NamedTuple):
     contour: Callable[[int, int, int, dict[int, int]], object] | None
     contour_shifts: tuple[int, ...]
     contour_mask: int
+    column: Callable[[Sequence[int], int, int], object] | None
+    column_shifts: tuple[int, ...]
+    column_mask: int
+    least: Callable[[Sequence], tuple[int, ...] | None]
 
 
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
     rule = _rule(rule_id, m)
-    block = 8 * size * m * m  # bits of the tournament block, and of the rank block
+    lane = 8 * size  # bits of one lane
+    block = lane * m * m  # bits of the tournament block, and of the rank block
     # the blocks the memo key covers: those the decision or the screen reads
     tournament = rule.tournament or rule.always_elects == "condorcet"
     ranks = rule.stat == "ranks" or rule.always_elects == "majority"
     ballots = rule.stat == "ballots"
     contours = rule.contour is not None
-    span = 8 * size << m - 1  # bits of one candidate's contour lanes
+    span = lane << m - 1  # bits of one candidate's contour lanes
     second = m * span if contours else block  # bits of the contour or rank block
     return _Kernel(
         m, rule.decision(m), ballots, rule.always_elects, _tables(m, k).types,
@@ -513,6 +530,12 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
         contour=rule.contour,
         contour_shifts=tuple(block + a * span for a in range(m)) if contours else (),
         contour_mask=(1 << span) - 1,
+        column=rule.column,
+        # candidate a's rank lanes m*m + l*m + a, shifted right by a lanes,
+        # sit where candidate 0's lanes m*m + l*m were
+        column_shifts=tuple(block + a * lane for a in range(m)),
+        column_mask=sum((1 << lane) - 1 << l * m * lane for l in range(m)),
+        least=rule.least,
     )
 
 
@@ -529,13 +552,15 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
     unpacked rank counts or, for a rule that reads ballots, the nonzero
     (count, ballot type) pairs, each only when its record says the decision
     reads it.  A rule with a contour function is instead decided by each
-    candidate's value on its unpacked contour lanes.  A rule that always
-    elects a strict Condorcet or first-place majority winner alone is not
-    decided when the lanes show one: that winner is returned.  Given a
-    memo, a dict that lives for one slice, the winners of a rule that reads
-    no ballots are kept under the lanes it reads, and a profile repeating
-    them is answered from the memo; a contour rule's memo keeps each
-    candidate's value under its contour lanes.
+    candidate's value on its unpacked contour lanes, and one with a column
+    function by each candidate's value on its rank column, unless the
+    values tie in a way its record leaves to the decision.  A rule that
+    always elects a strict Condorcet or first-place majority winner alone
+    is not decided when the lanes show one: that winner is returned.
+    Given a memo, a dict that lives for one slice, the winners of a rule
+    that reads no ballots are kept under the lanes it reads, and a profile
+    repeating them is answered from the memo; a contour or column rule's
+    memo also keeps each value under the candidate's lanes.
     """
     key = None
     if memo is not None and kernel.key_mask:
@@ -543,8 +568,6 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
         won = memo.get(key)
         if won is not None:
             return won
-        if len(memo) >= _MEMO_ENTRIES:
-            memo.clear()
     elif kernel.contour is not None and kernel.always_elects is None:
         return _contour_winners(kernel, n, tally, memo)  # no screen: no lanes to unpack
     m = kernel.m
@@ -562,6 +585,8 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
             if 2 * lanes[m * m + a] > n:
                 won = (a,)
                 break
+    if won is None and kernel.column is not None:
+        won = _column_winners(kernel, n, tally, lanes, memo)
     if won is None:
         if not kernel.reads_ballots:
             stat = lanes[m * m :] if kernel.reads_ranks else None
@@ -572,19 +597,39 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
         h = lanes[: m * m] if kernel.reads_tournament else None
         won = kernel.decide(m, n, h, stat)[0]
     if key is not None:
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
         memo[key] = won
     return won
 
 
+def _column_winners(kernel: _Kernel, n: int, tally: int, lanes, memo) -> tuple[int, ...] | None:
+    """The rule's pick from each candidate's value on its rank-count
+    column, read from the memo under the column's lanes or computed from
+    the unpacked lanes; None when the values alone do not decide.  The
+    caller's whole-profile entry, stored next, clears a full memo."""
+    m = kernel.m
+    if memo is None:
+        return kernel.least([kernel.column(lanes[m * m + a :: m], m, n) for a in range(m)])
+    values = []
+    for a, shift in enumerate(kernel.column_shifts):
+        key = ~(tally >> shift & kernel.column_mask)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = kernel.column(lanes[m * m + a :: m], m, n)
+        values.append(value)
+    return kernel.least(values)
+
+
 def _contour_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ...]:
-    """The candidates of least contour value, each value read from the
+    """The rule's pick from each candidate's contour value, read from the
     memo under the candidate's contour lanes or computed from them."""
     m = kernel.m
     values = []
     size = kernel.contour_mask.bit_length() // 8
     for a, shift in enumerate(kernel.contour_shifts):
         block = tally >> shift & kernel.contour_mask
-        key = block * m + a
+        key = ~block
         value = None if memo is None else memo.get(key)
         if value is None:
             lanes = memoryview(block.to_bytes(size, sys.byteorder)).cast(kernel.lane_format)
@@ -596,8 +641,7 @@ def _contour_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ..
                     memo.clear()
                 memo[key] = value
         values.append(value)
-    low = min(values)
-    return tuple(a for a, value in enumerate(values) if value == low)
+    return kernel.least(values)
 
 
 def _fill(counts: list[int], lo: int, hi: int, total: int, contrib, tally: int):

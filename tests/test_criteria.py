@@ -7,10 +7,12 @@ from votelab import (
     ExactNumber,
     Profile,
     Quota,
+    all_profiles,
     check_qk_majority,
     check_ql_veto,
     exact,
     mutual_majority_groups,
+    mutual_minority_groups,
     quota_majority,
     quota_majority_sup,
     quota_veto_sup,
@@ -18,8 +20,9 @@ from votelab import (
     second_order_dominance,
     tradeoff_threshold,
 )
+from votelab import criteria
 from votelab.criteria import TRADEOFF_THRESHOLD_SUP, scoring_majority_loser_ok
-from votelab.rules import RULE_IDS, ScoreVector, scoring_rule_quota
+from votelab.rules import RULE_IDS, ScoreVector, scoring_rule_quota, winners
 
 F = Fraction
 
@@ -102,6 +105,60 @@ class TestCheckVeto:
                 assert veto.b_set == frozenset(range(m)) - veto.vetoed
                 assert not veto.winners <= veto.b_set
                 assert maj.support * 1 > q * p.n
+
+
+class TestLazyWinners:
+    """The checks compute a rule's winners only when some group's support
+    clears the quota, and answer as if they had computed them first."""
+
+    @staticmethod
+    def eager(won, groups, q, n, veto):
+        """The first qualifying group the winners violate, with its support."""
+        for group, support in groups:
+            if support > q * n and (won & group if veto else not won <= group):
+                return group, support
+        return None
+
+    def test_results_equal_eager_evaluation(self, monkeypatch):
+        cached, calls = {}, []
+
+        def counted(rule_id, p):
+            calls.append((rule_id, p))
+            if (rule_id, p) not in cached:
+                cached[rule_id, p] = winners(rule_id, p)
+            return cached[rule_id, p]
+
+        monkeypatch.setattr(criteria, "rule_winners", counted)
+        universe = frozenset(range(3))
+        for p in all_profiles(3, 6):
+            for rule_id in list(RULE_IDS) + ["scoring:5,2,0"]:
+                won = winners(rule_id, p)
+                for size in (1, 2):
+                    majority = mutual_majority_groups(p, size)
+                    minority = mutual_minority_groups(p, size)
+                    for q in (F(1, 3), F(1, 2), F(2, 3)):
+                        calls.clear()
+                        got = check_qk_majority(rule_id, p, q, size)
+                        expected = self.eager(won, majority, q, p.n, veto=False)
+                        assert (got and (got.b_set, got.support)) == expected, (rule_id, p)
+                        assert got is None or got.winners == won
+                        qualifies = any(support > q * p.n for _, support in majority)
+                        assert len(calls) == qualifies, (rule_id, p, q)
+                        calls.clear()
+                        got = check_ql_veto(rule_id, p, q, size)
+                        expected = self.eager(won, minority, q, p.n, veto=True)
+                        assert (got and (got.vetoed, got.support)) == expected, (rule_id, p)
+                        assert got is None or got.b_set == universe - got.vetoed
+                        qualifies = any(support > q * p.n for _, support in minority)
+                        assert len(calls) == qualifies, (rule_id, p, q)
+
+    def test_bad_ids_raise_without_a_qualifying_group(self, cycle3):
+        for check in (check_qk_majority, check_ql_veto):
+            assert check("plurality", cycle3, F(1, 2), 1) is None
+            with pytest.raises(ValueError, match="unknown rule id"):
+                check("nosuchrule", cycle3, F(1, 2), 1)
+            with pytest.raises(ValueError, match="2 weights for m=3"):
+                check("scoring:1,0", cycle3, F(1, 2), 1)
 
 
 class TestDominance:

@@ -28,6 +28,8 @@ from votelab.rules import (
     RULE_IDS,
     ScoreVector,
     _blocking_set,
+    _convex_median_depth,
+    _tradeoff_depth,
     _young_score,
     integer_truncated_scores,
     parse_score_vector,
@@ -156,10 +158,13 @@ def _decision_cases():
 
 def _kernel_answers(kernel, n, tally, counts):
     """The kernel's winners, and the decision's own with the winner screen
-    cleared, so that the decision is checked on every profile."""
+    cleared, so that the decision is checked on every profile.  The rank
+    columns' values are defined only past the majority screen, so the
+    decision alone runs without them too."""
+    decision_only = kernel._replace(always_elects=None, column=None)
     return (
         set(rule_winners(kernel, n, tally, counts)),
-        set(rule_winners(kernel._replace(always_elects=None), n, tally, counts)),
+        set(rule_winners(decision_only, n, tally, counts)),
     )
 
 
@@ -181,7 +186,8 @@ def test_statistic_level_functions_match_reference():
 
 def test_wide_lanes_hold_large_counts():
     """Counts above 255 move the packed tallies, and the contour lanes, to
-    two-byte lanes."""
+    two-byte lanes; each rank column's memo key then holds its two-byte
+    counts."""
     p = Profile(("a", "b", "c"), ((300, (0, 1, 2)), (200, (1, 2, 0)), (100, (2, 0, 1))))
     kernel = _kernel("clr", 3, 1, p.n)
     assert kernel.lane_format == "H"
@@ -192,6 +198,13 @@ def test_wide_lanes_hold_large_counts():
         kernel = _kernel(rule_id, 3, 1, p.n)._replace(always_elects=None)
         tally = sum(c * part for c, part in zip(counts, kernel.contrib))
         assert set(rule_winners(kernel, p.n, tally, counts)) == set(winners(rule_id, p))
+    columns = {sum(c << 16 * l * 3 for l, c in enumerate(col)) for col in _rank_columns(p)}
+    for rule_id in ("convexmedian", "t12rule"):
+        kernel = _kernel(rule_id, 3, 1, p.n)
+        tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+        memo = {}
+        assert set(rule_winners(kernel, p.n, tally, counts, memo)) == set(winners(rule_id, p))
+        assert {~key for key in memo if key < 0} == columns, rule_id
 
 
 def test_every_registered_rule_has_a_kernel_decision():
@@ -329,13 +342,15 @@ def test_contour_key_determines_veto_core_and_young():
     the coalition's size, and its Young score, on every profile of up to 7
     voters over 3 candidates and 4 over 4.  The contour functions give
     those values from the key alone, and the kernel's contour lanes for a
-    hold c(a, .), one lane per contour of a in increasing bitmask order."""
+    hold c(a, .), one lane per contour of a in increasing bitmask order.
+    Across candidates, those lanes and n, the search's memo key, determine
+    whether the veto core blocks the candidate and its Young score."""
     for m, profiles in ((3, all_profiles(3, 7)), (4, all_profiles(4, 4))):
         kernel = _kernel("vetocore", m, 1, 1)
         assert kernel.contour is _blocking_set
         assert _kernel("young", m, 1, 1).contour is _young_score
         lane = {a: [u for u in range(1 << m) if not u >> a & 1] for a in range(m)}
-        seen, lookups = {}, 0
+        seen, shared, lookups = {}, {}, 0
         for p in profiles:
             counts = _counts(p, kernel)
             tally = sum(c * part for c, part in zip(counts, kernel.contrib))
@@ -360,8 +375,58 @@ def test_contour_key_determines_veto_core_and_young():
                     )
                     assert from_key == got, (p, a)
                 assert seen.setdefault(key, got) == got, (p, a)
+                across = (blocked is None, young.scores[a])
+                assert shared.setdefault((p.n, block), across) == across, (p, a)
                 lookups += 1
         assert 2 * len(seen) < lookups  # keys repeat, as the memo relies on
+        assert len(shared) < len(seen)  # and more so across candidates
+
+
+def _rank_columns(p):
+    """Per candidate, the voters ranking it at each position, counted from
+    the rankings."""
+    cols = [[0] * p.m for _ in range(p.m)]
+    for count, r in p.ballots:
+        for l, a in enumerate(r):
+            cols[a][l] += count
+    return cols
+
+
+def test_column_key_determines_convex_median_and_t12_values():
+    """Profiles sharing a candidate's rank column and n, the search's memo
+    key for it, share that candidate's convex median score and tradeoff
+    score in their reports, across candidates, on every profile without a
+    strict majority winner of up to 7 voters over 3 candidates and 4 over
+    4.  The column functions give those scores from the key alone, and
+    tally >> column_shifts[a] & column_mask holds a's rank counts in
+    candidate 0's rank lanes, whatever a."""
+    for m, profiles in ((3, all_profiles(3, 7)), (4, all_profiles(4, 4))):
+        kernel = _kernel("convexmedian", m, 1, 1)
+        t12 = _kernel("t12rule", m, 1, 1)
+        assert kernel.column is _convex_median_depth and t12.column is _tradeoff_depth
+        assert (kernel.column_shifts, kernel.column_mask) == (t12.column_shifts, t12.column_mask)
+        seen, lookups = {}, 0
+        for p in profiles:
+            counts = _counts(p, kernel)
+            tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+            cols = _rank_columns(p)
+            keys = [tally >> shift & kernel.column_mask for shift in kernel.column_shifts]
+            for a, key in enumerate(keys):
+                assert key == sum(c << 8 * l * m for l, c in enumerate(cols[a])), (p, a)
+            if majority_winner(p) is not None:
+                continue  # the scores are undefined
+            median, tradeoff = report("convexmedian", p), report("t12rule", p)
+            for a, key in enumerate(keys):
+                got = (median.scores[a], tradeoff.scores[a])
+                if (p.n, key) not in seen:
+                    col = [key >> 8 * l * m & 0xFF for l in range(m)]
+                    from_key = (
+                        F(*_convex_median_depth(col, m, p.n)), _tradeoff_depth(col, m, p.n),
+                    )
+                    assert from_key == got, (p, a)
+                assert seen.setdefault((p.n, key), got) == got, (p, a)
+                lookups += 1
+        assert 4 * len(seen) < lookups  # keys repeat, as the memo relies on
 
 
 @pytest.mark.parametrize("rule_id", BALLOT_RULES)
@@ -424,6 +489,16 @@ def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id):
                 assert _min_violation((rule_id, 4, k, n, s)) == expected, (k, n, s)
 
 
+def test_orbit_reduced_slices_match_plain_enumeration_t12rule_m4():
+    """t12rule, decided per candidate from memoised rank columns and by its
+    decision on ties, at m = 4 and every k, up to 4 voters."""
+    for k in (1, 2, 3):
+        for n in range(1, 5):
+            for s in range(1, n + 1):
+                expected = plain_min_violation("t12rule", 4, k, n, s)
+                assert _min_violation(("t12rule", 4, k, n, s)) == expected, (k, n, s)
+
+
 @pytest.mark.parametrize("rule_id", ["vetocore", "young"])
 def test_orbit_reduced_slices_match_plain_enumeration_contour_rules_m4(rule_id):
     """The rules decided per candidate from memoised contour lanes, at m = 4
@@ -438,18 +513,21 @@ def test_orbit_reduced_slices_match_plain_enumeration_contour_rules_m4(rule_id):
 def test_capped_memo_keeps_slice_results(monkeypatch):
     """A memo cleared every 8 entries gives each m = 4 slice the same
     result as the default memo and as plain enumeration, and never holds
-    more than 8 entries, whether it keys whole tallies or, for the veto
-    core, each candidate's contour lanes."""
+    more than 8 entries, whether it keys whole tallies or each candidate's
+    rank column (convexmedian, t12rule) or contour lanes (the veto core)."""
     slices = [("convexmedian", 4, 2, 4, s) for s in range(1, 5)]
+    slices += [("t12rule", 4, 2, 4, s) for s in range(1, 5)]
     slices += [("clr", 4, 3, 4, s) for s in range(1, 5)]
     slices += [("vetocore", 4, 3, 4, s) for s in range(1, 5)]
     uncapped = [_min_violation(args) for args in slices]
-    sizes = []
+    sizes, per_candidate = [], set()
     evaluate = search.rule_winners
 
     def measured(kernel, n, tally, counts, memo=None):
         won = evaluate(kernel, n, tally, counts, memo)
         sizes.append(len(memo))
+        if any(key < 0 for key in memo):  # the per-candidate keys are negated
+            per_candidate.add((kernel.column or kernel.contour).__name__)
         return won
 
     monkeypatch.setattr(search, "_MEMO_ENTRIES", 8)
@@ -457,6 +535,7 @@ def test_capped_memo_keeps_slice_results(monkeypatch):
     for args, expected in zip(slices, uncapped):
         assert _min_violation(args) == expected == plain_min_violation(*args), args
     assert max(sizes) == 8
+    assert per_candidate == {"_convex_median_depth", "_tradeoff_depth", "_blocking_set"}
 
 
 def _orbit_count(m, k, n, support):
