@@ -15,11 +15,11 @@ in any order.  Winners come back as ascending candidate indices and scores
 in the rule's raw form, integers wherever the value is an integer.  The
 exhaustive search calls the same functions on tallies it updates
 incrementally and on its count vectors, so each rule has one definition.
-Young and the veto core test each candidate by a function of its upper
-contours alone, which their decisions call on the ballots and the search
-calls on contour counts.  Convex median and the t12 rule score each
-candidate by a function of its rank-count column alone, which their
-decisions and the search both call.
+Convex median and the t12 rule value each candidate by a function of its
+rank-count column alone, and Young and the veto core by a function of its
+upper contours alone; each elects from the values by one pick.  The
+decisions and the search compute the same values with the same
+functions, so the search needs no decision for these four rules.
 
 The registry at the end of the module maps each rule id to one record: the
 factory of its decision per m, the statistics the decision reads, how its
@@ -362,11 +362,15 @@ def _young(n: int, cand: int, row: Sequence[int], pools: dict[int, int]):
     raise AssertionError("removing every opposing voter always works")
 
 
-def _young_score(m: int, n: int, cand: int, pools: dict[int, int]) -> int:
-    """Young score of cand from its pooled upper contours alone: h(cand, b)
+def _young_score(m: int, n: int, lanes: Sequence[int]) -> int:
+    """Young score of a candidate from its contour counts alone, lanes[U]
+    the voters whose upper contour of it is U, a bitmask over the other
+    m - 1 candidates.  The score does not change when candidates are
+    relabelled, so the candidate is scored as candidate m - 1: h(cand, b)
     is n less the voters whose contour holds b."""
+    pools = {u: c for u, c in enumerate(lanes) if u and c}
     row = [n - sum(t for c, t in pools.items() if c >> b & 1) for b in range(m)]
-    return _young(n, cand, row, pools)[0]
+    return _young(n, m - 1, row, pools)[0]
 
 
 def young_score(profile: Profile, cand: int) -> int:
@@ -522,7 +526,7 @@ def _majority_winner(m: int, n: int, pos: Sequence[int]) -> int | None:
     return None
 
 
-def _convex_median_depth(col: Sequence[int], m: int, n: int) -> tuple[int, int]:
+def _convex_median_depth(m: int, n: int, col: Sequence[int]) -> tuple[int, int]:
     """The convex median score of a rank-count column as (numerator, denominator)."""
     if 2 * col[0] > n:
         raise ValueError("score undefined for a strict majority winner")
@@ -545,7 +549,7 @@ def convex_median_score(profile: Profile, cand: int) -> Fraction:
     winner, since then no depth satisfies the condition.
     """
     col = _column(profile.rank_counts, profile.m, cand)
-    return Fraction(*_convex_median_depth(col, profile.m, profile.n))
+    return Fraction(*_convex_median_depth(profile.m, profile.n, col))
 
 
 def _least_depths(depths: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -570,24 +574,24 @@ def convex_median_decision(m, n, h, pos):
     mw = _majority_winner(m, n, pos)
     if mw is not None:
         return (mw,), None, {"majority_winner": mw}
-    depths = [_convex_median_depth(_column(pos, m, a), m, n) for a in range(m)]
+    depths = [_convex_median_depth(m, n, _column(pos, m, a)) for a in range(m)]
     return _least_depths(depths), depths, None
 
 
 # -- proportional veto core -------------------------------------------------------
 
 
-def _blocking_set(m: int, n: int, cand: int, pools: dict[int, int]) -> tuple[int, int]:
-    """The first set of candidates blocking cand, as a bitmask, and the
-    size of its largest blocking coalition; (0, 0) when no coalition can
-    block cand.
+def _blocking_set(m: int, n: int, pools: dict[int, int]) -> tuple[int, int]:
+    """The first set of candidates blocking a candidate, as a bitmask, and
+    the size of its largest blocking coalition; (0, 0) when no coalition
+    can block it.
 
-    ``pools`` maps each nonempty upper contour of cand, a bitmask of the
-    candidates ranked above it, to the voters who have it.  A coalition of
-    t voters blocks cand through a nonempty set B of candidates they all
-    prefer to it when |A \\ B| * n < m * t.  For a fixed B the largest such
-    coalition is every voter ranking all of B above cand, so cand is
-    blocked iff some nonempty B has (m - |B|) * n < m * t(B), where t(B)
+    ``pools`` maps each nonempty upper contour of the candidate, a bitmask
+    of the candidates ranked above it, to the voters who have it.  A
+    coalition of t voters blocks it through a nonempty set B of candidates
+    they all prefer to it when |A \\ B| * n < m * t.  For a fixed B the
+    largest such coalition is every voter ranking all of B above it, so it
+    is blocked iff some nonempty B has (m - |B|) * n < m * t(B), where t(B)
     sums the pools whose contour contains B.  Widening B to the
     intersection of every contour containing it keeps t(B) and only lowers
     m - |B|, so only the nonempty intersections of contours need trying: at
@@ -605,6 +609,12 @@ def _blocking_set(m: int, n: int, cand: int, pools: dict[int, int]) -> tuple[int
     return 0, 0
 
 
+def _blocked(m: int, n: int, lanes: Sequence[int]) -> tuple[int, int]:
+    """_blocking_set from a candidate's contour counts alone, the lanes of
+    _young_score; the set comes back in their bits."""
+    return _blocking_set(m, n, {u: c for u, c in enumerate(lanes) if u and c})
+
+
 def proportional_veto_core_decision(m, n, h, ballots):
     """All candidates no coalition can block, each tested by _blocking_set.
     Scores are 1 for a stable candidate and 0 for a blocked one; the trace
@@ -614,7 +624,7 @@ def proportional_veto_core_decision(m, n, h, ballots):
     blocked: dict[int, dict] = {}
     for a, up in enumerate(_upper_contours(m, ballots)):
         pools = _pooled(up, counts)
-        bset, voters = _blocking_set(m, n, a, pools)
+        bset, voters = _blocking_set(m, n, pools)
         if bset:
             blocked[a] = {
                 "coalition_types": [i for i, c in enumerate(up) if c & bset == bset],
@@ -655,10 +665,10 @@ def tradeoff_score(profile: Profile, cand: int) -> ExactNumber:
     exactly.  Undefined (raises) for a strict majority winner.
     """
     col = _column(profile.rank_counts, profile.m, cand)
-    return _tradeoff_depth(col, profile.m, profile.n)
+    return _tradeoff_depth(profile.m, profile.n, col)
 
 
-def _tradeoff_depth(col: Sequence[int], m: int, n: int) -> ExactNumber:
+def _tradeoff_depth(m: int, n: int, col: Sequence[int]) -> ExactNumber:
     if 2 * col[0] > n:
         raise ValueError("score undefined for a strict majority winner")
     for j, N, C in _piecewise_depth_pieces(col, m):
@@ -673,12 +683,19 @@ def _tradeoff_depth(col: Sequence[int], m: int, n: int) -> ExactNumber:
         return in_piece[-1]
 
 
-def _untied_argmin(scores: Sequence) -> tuple[int, ...] | None:
-    """The least score's candidate when it is the only one; None on a tie,
-    which theorem12_decision breaks by dominance, reading more than the
-    scores."""
-    won = _argmin(scores)
-    return won if len(won) == 1 else None
+def _tradeoff_value(m: int, n: int, col: Sequence[int]) -> tuple[ExactNumber, list[int]]:
+    """A rank-count column's tradeoff depth and truncated scores."""
+    return _tradeoff_depth(m, n, col), _truncated_scores(col, m)
+
+
+def _least_undominated(values: Sequence[tuple[ExactNumber, list[int]]]) -> tuple[int, ...]:
+    """The candidates of least tradeoff depth, less those that another of
+    them second-order dominates, from each candidate's _tradeoff_value."""
+    won = _argmin([depth for depth, _ in values])
+    if len(won) > 1:
+        bt = [scores for _, scores in values]
+        won = tuple(a for a in won if not any(second_order_dominates(bt[b], bt[a]) for b in won))
+    return won
 
 
 def theorem12_decision(m, n, h, pos):
@@ -693,16 +710,9 @@ def theorem12_decision(m, n, h, pos):
     mw = _majority_winner(m, n, pos)
     if mw is not None:
         return (mw,), None, {"majority_winner": mw}
-    cols = [_column(pos, m, a) for a in range(m)]
-    scores = [_tradeoff_depth(col, m, n) for col in cols]
-    argmin = _argmin(scores)
-    won = argmin
-    if len(argmin) > 1:
-        bt = {a: _truncated_scores(cols[a], m) for a in argmin}
-        won = tuple(
-            a for a in argmin if not any(second_order_dominates(bt[b], bt[a]) for b in argmin)
-        )
-    return won, scores, {"score_argmin": list(argmin)}
+    values = [_tradeoff_value(m, n, _column(pos, m, a)) for a in range(m)]
+    scores = [depth for depth, _ in values]
+    return _least_undominated(values), scores, {"score_argmin": list(_argmin(scores))}
 
 
 # -- closed-form quotas ---------------------------------------------------------------
@@ -788,28 +798,22 @@ class _Rule:
     such a profile without calling the decision; reports never do.  None
     makes no such claim.
 
-    ``contour`` declares the contour statistic: for a rule whose winners
-    depend on each candidate's upper contours alone, it is the function
-    ``(m, n, cand, pools) -> value`` of one candidate, ``pools`` mapping
-    each nonempty upper contour of cand (a bitmask of the candidates ranked
-    above it) to its voters, and the rule elects the candidates of least
-    value.  The decision calls it on contours pooled from the ballots and
-    builds its trace from the ballots; the exhaustive search calls it on
-    contour counts it keeps per candidate and memoises each candidate's
-    value on them.  None keeps the search on the decision.
-
-    ``column`` declares the rank-column statistic in the same way, for a
-    rule that reads rank counts: when the profile has no strict majority
-    winner, its winners depend on each candidate's rank-count column alone,
-    through the function ``(col, m, n) -> value`` with ``col[l]`` the voters
-    ranking the candidate at position l + 1.  The decision calls it on the
-    profile's columns; the exhaustive search calls it on the rank lanes
-    it keeps, after its majority screen, and memoises each column's value.
-
-    ``least`` picks the winners from the list of every candidate's contour
-    or column value: by default the candidates of least value.  It returns
-    None when the values alone do not decide, and the search then calls
-    the decision.
+    ``value`` declares a per-candidate statistic, for a rule whose winners,
+    past its winner screen, depend on each candidate's own lanes alone:
+    the function ``(m, n, lanes) -> value`` of one candidate.  For a rule
+    that reads rank counts the lanes are its rank-count column, ``lanes[l]``
+    the voters ranking it at position l + 1 (convexmedian, t12rule); for one
+    that reads ballots they are its contour counts, ``lanes[U]`` the voters
+    whose upper contour of it, the set ranked above it, is U, a bitmask
+    over the other m - 1 candidates (young, vetocore).  ``least`` picks the
+    winners from the list of every candidate's value, and always decides:
+    by default it elects the candidates of least value.  The exhaustive
+    search calls both on the lanes it keeps, memoises each candidate's
+    value under its lanes and never calls the decision.  The decision
+    computes the same values from the profile, through the same functions
+    (young and vetocore through ``_young`` and ``_blocking_set`` on contours
+    pooled from the ballots), and builds its trace.  None keeps the search
+    on the decision.
     """
 
     decision: Callable[[int], Decision]
@@ -822,9 +826,8 @@ class _Rule:
     veto_sup: Callable[[int, bool], object] | None = None
     text: dict[str, tuple[str, Fraction]] = field(default_factory=dict)
     always_elects: str | None = None
-    contour: Callable[[int, int, int, dict[int, int]], object] | None = None
-    column: Callable[[Sequence[int], int, int], object] | None = None
-    least: Callable[[Sequence], tuple[int, ...] | None] = _argmin
+    value: Callable[[int, int, Sequence[int]], object] | None = None
+    least: Callable[[Sequence], tuple[int, ...]] = _argmin
 
     def __post_init__(self):
         if self.majority_sup is None and self.majority is not None:
@@ -886,7 +889,7 @@ _RULES: dict[str, _Rule] = {
     ),
     "young": _Rule(
         lambda m: young_decision, True, "ballots", **_SIMPSON_QUOTAS,
-        always_elects="condorcet", contour=_young_score,
+        always_elects="condorcet", value=_young_score,
     ),
     "dodgson": _Rule(
         lambda m: dodgson_decision, True, "ballots",
@@ -922,7 +925,7 @@ _RULES: dict[str, _Rule] = {
             "veto": ("(3l-4)/(4l-4)", Fraction(3, 4)),
             "veto-half": ("(-7+3l+sqrt(17-10l+9l^2))/(8l-8)", Fraction(3, 4)),
         },
-        always_elects="majority", column=_convex_median_depth, least=_least_depths,
+        always_elects="majority", value=_convex_median_depth, least=_least_depths,
     ),
     "vetocore": _Rule(
         lambda m: proportional_veto_core_decision, False, "ballots",
@@ -933,11 +936,11 @@ _RULES: dict[str, _Rule] = {
         text={"veto": ("l/(l+1)", ONE), "veto-half": ("1/2", HALF)},
         # the core is never empty (Moulin 1981), so its members, of value
         # (0, 0), are the least
-        contour=_blocking_set,
+        value=_blocked,
     ),
     "t12rule": _Rule(
         lambda m: theorem12_decision, False, "ranks", always_elects="majority",
-        column=_tradeoff_depth, least=_untied_argmin,
+        value=_tradeoff_value, least=_least_undominated,
     ),
 }
 

@@ -366,30 +366,30 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
 # ballot types, those top-ranking B first.  The walk keeps the profile's
 # pairwise and positional tallies packed into one integer, a lane of whole
 # bytes per tally entry, and adds a type's packed contribution as its count
-# changes.  For a rule whose record declares the contour statistic (Young
-# and the veto core) the integer holds, in place of the rank counts it does
-# not read, a lane c(a, U) per candidate a and set U of other candidates:
-# the voters whose upper contour of a, the set they rank above it, is
-# exactly U.  A rule is then decided on the unpacked tournament lanes and,
-# as it reads them, the rank-count lanes or the count vector's nonzero
-# (count, ballot type) pairs, without building a Profile; a contour rule
-# elects the candidates of least value, each value computed from that
-# candidate's contour lanes alone, and a column rule (convex median, the
-# t12 rule) likewise from that candidate's rank lanes, its column of the
-# rank block.  A rule whose record says it always elects a strict
-# Condorcet or majority winner alone is answered from the unpacked lanes,
-# undecided, when they show one.
+# changes.  For a rule whose record declares a per-candidate value on
+# contours (Young and the veto core) the integer holds, in place of the
+# rank counts it does not read, a lane c(a, U) per candidate a and set U of
+# other candidates: the voters whose upper contour of a, the set they rank
+# above it, is exactly U.  A rule whose record says it always elects a
+# strict Condorcet or majority winner alone is answered from the unpacked
+# lanes, undecided, when they show one.  A rule with a per-candidate value
+# (convex median, the t12 rule, Young, the veto core) is otherwise decided
+# by its pick from each candidate's value on that candidate's lanes alone:
+# its rank column, the candidate's column of the rank block, or its
+# contour lanes.  Any other rule is decided on the unpacked tournament
+# lanes and, as it reads them, the rank-count lanes or the count vector's
+# nonzero (count, ballot type) pairs, without building a Profile.
 # Each slice keeps a memo from the lanes a tally rule reads, and its screen
 # reads, to the winners: a profile repeating them is answered before any
 # unpacking.  A whole profile's contours or rank counts rarely repeat while
-# one candidate's do, so the memo also maps one candidate's contour lanes,
-# or its rank column, to its value.  As the value reads nothing else, that
-# key leaves the candidate out: the rank block is rank-major, so shifting
-# the tally right by a lanes brings a's column onto candidate 0's lanes,
-# and one mask cuts it; a's contour lanes are cut the same way.  Such keys
-# are stored bitwise negated, so they never meet a whole-profile key.  The
-# memo lives for one slice and is cleared at a fixed size, so results and
-# memory do not depend on the worker count.
+# one candidate's do, so the memo also maps one candidate's lanes to its
+# value.  As the value reads nothing else, that key leaves the candidate
+# out: the rank block is rank-major, so shifting the tally right by a lanes
+# brings a's column onto candidate 0's lanes, and one mask cuts it; a's
+# contour lanes are cut the same way.  Such keys are stored bitwise
+# negated, so they never meet a whole-profile key.  The memo lives for one
+# slice and is cleared at a fixed size, so results and memory do not depend
+# on the worker count.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
 # onto itself and, as every rule is neutral, a violation onto a violation.
@@ -438,9 +438,9 @@ def _contributions(m: int, k: int, lane_bytes: int, contours: bool) -> tuple[int
     """Per ballot type, its packed tallies: lane a*m + b holds h(a, b) and
     lane m*m + l*m + a the count of rank l + 1 for a.  With contours, lane
     m*m + a*2^(m-1) + i instead holds c(a, U), the voters whose upper
-    contour of a is exactly U, where i is U's bitmask with bit a taken out;
-    a contour rule reads no rank counts, and its screen, if any, only the
-    tournament."""
+    contour of a is exactly U, where i is U's bitmask with bit a taken out,
+    a bitmask over the other candidates; a contour rule reads no rank
+    counts, and its screen, if any, only the tournament."""
     bits = 8 * lane_bytes
     out = []
     for r in _tables(m, k).types:
@@ -458,15 +458,6 @@ def _contributions(m: int, k: int, lane_bytes: int, contours: bool) -> tuple[int
     return tuple(out)
 
 
-@functools.cache
-def _contour_masks(m: int) -> tuple[tuple[int, ...], ...]:
-    """Per candidate a, the bitmask U of each contour lane c(a, U) after
-    the first, whose U is empty, in lane order."""
-    return tuple(
-        tuple(u for u in range(1, 1 << m) if not u >> a & 1) for a in range(m)
-    )
-
-
 class _Kernel(NamedTuple):
     """One rule at m candidates, for profiles of a given voter count.
 
@@ -477,14 +468,11 @@ class _Kernel(NamedTuple):
     the majority screen reads them, both blocks when both apply.  A rule
     that reads ballots has key_mask 0 and no whole-profile memo.
 
-    A rule whose record gives a ``contour`` function is decided by it
-    instead of by ``decide``: ``tally >> contour_shifts[a] & contour_mask``
-    are candidate a's contour lanes, the key of a's value in the memo.  A
-    rule whose record gives a ``column`` function is decided by it past the
-    majority screen: ``tally >> column_shifts[a] & column_mask`` is
-    candidate a's rank column, in candidate 0's rank lanes, the key of its
-    value.  ``least`` picks the winners from the values, or returns None
-    and leaves them to ``decide``.
+    A rule whose record gives a per-candidate ``value`` is decided by it
+    and ``least`` past its screen, never by ``decide``: ``tally >> shifts[a]
+    & mask`` is candidate a's block, its rank column or its contour lanes
+    moved down to lane 0, and the key of its value in the memo; ``cut``
+    takes a's lanes from the unpacked block.
     """
 
     m: int
@@ -499,13 +487,11 @@ class _Kernel(NamedTuple):
     reads_ranks: bool
     key_shift: int
     key_mask: int
-    contour: Callable[[int, int, int, dict[int, int]], object] | None
-    contour_shifts: tuple[int, ...]
-    contour_mask: int
-    column: Callable[[Sequence[int], int, int], object] | None
-    column_shifts: tuple[int, ...]
-    column_mask: int
-    least: Callable[[Sequence], tuple[int, ...] | None]
+    value: Callable[[int, int, Sequence[int]], object] | None
+    shifts: tuple[int, ...]
+    mask: int
+    cut: slice
+    least: Callable[[Sequence], tuple[int, ...]]
 
 
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
@@ -517,9 +503,16 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     tournament = rule.tournament or rule.always_elects == "condorcet"
     ranks = rule.stat == "ranks" or rule.always_elects == "majority"
     ballots = rule.stat == "ballots"
-    contours = rule.contour is not None
-    span = lane << m - 1  # bits of one candidate's contour lanes
-    second = m * span if contours else block  # bits of the contour or rank block
+    contours = ballots and rule.value is not None
+    if contours:  # a's 2^(m-1) contour lanes start at lane m*m + a*2^(m-1)
+        span = lane << m - 1
+        second = m * span  # bits of the contour block
+        shifts = tuple(block + a * span for a in range(m))
+        mask, cut = (1 << span) - 1, slice(1 << m - 1)
+    else:  # a's rank lanes m*m + l*m + a, shifted right by a lanes, sit on candidate 0's
+        second = block
+        shifts = tuple(block + a * lane for a in range(m))
+        mask, cut = sum((1 << lane) - 1 << l * m * lane for l in range(m)), slice(0, m * m, m)
     return _Kernel(
         m, rule.decision(m), ballots, rule.always_elects, _tables(m, k).types,
         _contributions(m, k, size, contours), (block + second) // 8, fmt,
@@ -527,15 +520,7 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
         reads_ranks=rule.stat == "ranks",
         key_shift=0 if tournament else block,
         key_mask=0 if ballots else (1 << block * (tournament + ranks)) - 1,
-        contour=rule.contour,
-        contour_shifts=tuple(block + a * span for a in range(m)) if contours else (),
-        contour_mask=(1 << span) - 1,
-        column=rule.column,
-        # candidate a's rank lanes m*m + l*m + a, shifted right by a lanes,
-        # sit where candidate 0's lanes m*m + l*m were
-        column_shifts=tuple(block + a * lane for a in range(m)),
-        column_mask=sum((1 << lane) - 1 << l * m * lane for l in range(m)),
-        least=rule.least,
+        value=rule.value, shifts=shifts, mask=mask, cut=cut, least=rule.least,
     )
 
 
@@ -548,19 +533,17 @@ _MEMO_ENTRIES = 1 << 16
 def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequence[int]:
     """Winners of the enumerated profile with these counts and packed tallies.
 
-    The rule's decision gets the unpacked tournament counts, and the
-    unpacked rank counts or, for a rule that reads ballots, the nonzero
-    (count, ballot type) pairs, each only when its record says the decision
-    reads it.  A rule with a contour function is instead decided by each
-    candidate's value on its unpacked contour lanes, and one with a column
-    function by each candidate's value on its rank column, unless the
-    values tie in a way its record leaves to the decision.  A rule that
-    always elects a strict Condorcet or first-place majority winner alone
-    is not decided when the lanes show one: that winner is returned.
+    A rule that always elects a strict Condorcet or first-place majority
+    winner alone is not decided when the unpacked lanes show one: that
+    winner is returned.  A rule with a per-candidate value is otherwise
+    decided by each candidate's value on its own lanes.  Any other rule's
+    decision gets the unpacked tournament counts, and the unpacked rank
+    counts or, for a rule that reads ballots, the nonzero (count, ballot
+    type) pairs, each only when its record says the decision reads it.
     Given a memo, a dict that lives for one slice, the winners of a rule
     that reads no ballots are kept under the lanes it reads, and a profile
-    repeating them is answered from the memo; a contour or column rule's
-    memo also keeps each value under the candidate's lanes.
+    repeating them is answered from the memo; a rule with a per-candidate
+    value also keeps each value under the candidate's lanes.
     """
     key = None
     if memo is not None and kernel.key_mask:
@@ -568,34 +551,31 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
         won = memo.get(key)
         if won is not None:
             return won
-    elif kernel.contour is not None and kernel.always_elects is None:
-        return _contour_winners(kernel, n, tally, memo)  # no screen: no lanes to unpack
-    m = kernel.m
-    lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
-    lanes = lanes.cast(kernel.lane_format)
     won = None
-    if kernel.always_elects == "condorcet":
-        for a in range(m):
-            # its row's least entry is h(a, a) = 0, the next its worst duel
-            if 2 * sorted(lanes[a * m : a * m + m])[1] > n:
-                won = (a,)
-                break
-    elif kernel.always_elects == "majority":
-        for a in range(m):
-            if 2 * lanes[m * m + a] > n:
-                won = (a,)
-                break
-    if won is None and kernel.column is not None:
-        won = _column_winners(kernel, n, tally, lanes, memo)
+    if kernel.always_elects or kernel.value is None:
+        m = kernel.m
+        lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
+        lanes = lanes.cast(kernel.lane_format)
+        if kernel.always_elects == "condorcet":
+            for a in range(m):
+                # its row's least entry is h(a, a) = 0, the next its worst duel
+                if 2 * sorted(lanes[a * m : a * m + m])[1] > n:
+                    won = (a,)
+                    break
+        elif kernel.always_elects == "majority":
+            for a in range(m):
+                if 2 * lanes[m * m + a] > n:
+                    won = (a,)
+                    break
+        if won is None and kernel.value is None:
+            if not kernel.reads_ballots:
+                stat = lanes[m * m :] if kernel.reads_ranks else None
+            else:
+                stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
+            h = lanes[: m * m] if kernel.reads_tournament else None
+            won = kernel.decide(m, n, h, stat)[0]
     if won is None:
-        if not kernel.reads_ballots:
-            stat = lanes[m * m :] if kernel.reads_ranks else None
-        elif kernel.contour is None:
-            stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
-        else:  # a rule that reads ballots has no whole-profile key
-            return _contour_winners(kernel, n, tally, memo)
-        h = lanes[: m * m] if kernel.reads_tournament else None
-        won = kernel.decide(m, n, h, stat)[0]
+        won = _candidate_winners(kernel, n, tally, memo)
     if key is not None:
         if len(memo) >= _MEMO_ENTRIES:
             memo.clear()
@@ -603,39 +583,18 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
     return won
 
 
-def _column_winners(kernel: _Kernel, n: int, tally: int, lanes, memo) -> tuple[int, ...] | None:
-    """The rule's pick from each candidate's value on its rank-count
-    column, read from the memo under the column's lanes or computed from
-    the unpacked lanes; None when the values alone do not decide.  The
-    caller's whole-profile entry, stored next, clears a full memo."""
-    m = kernel.m
-    if memo is None:
-        return kernel.least([kernel.column(lanes[m * m + a :: m], m, n) for a in range(m)])
+def _candidate_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ...]:
+    """The rule's pick from each candidate's value, read from the memo
+    under the candidate's block, bitwise negated so that it never meets a
+    whole-profile key, or computed from the block's lanes."""
     values = []
-    for a, shift in enumerate(kernel.column_shifts):
-        key = ~(tally >> shift & kernel.column_mask)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = kernel.column(lanes[m * m + a :: m], m, n)
-        values.append(value)
-    return kernel.least(values)
-
-
-def _contour_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ...]:
-    """The rule's pick from each candidate's contour value, read from the
-    memo under the candidate's contour lanes or computed from them."""
-    m = kernel.m
-    values = []
-    size = kernel.contour_mask.bit_length() // 8
-    for a, shift in enumerate(kernel.contour_shifts):
-        block = tally >> shift & kernel.contour_mask
+    for shift in kernel.shifts:
+        block = tally >> shift & kernel.mask
         key = ~block
         value = None if memo is None else memo.get(key)
         if value is None:
-            lanes = memoryview(block.to_bytes(size, sys.byteorder)).cast(kernel.lane_format)
-            # lane 0 counts the voters ranking a on top, who are in no pool
-            pools = {u: c for u, c in zip(_contour_masks(m)[a], lanes[1:]) if c}
-            value = kernel.contour(m, n, a, pools)
+            lanes = memoryview(block.to_bytes(kernel.tally_bytes, sys.byteorder))
+            value = kernel.value(kernel.m, n, lanes.cast(kernel.lane_format)[kernel.cut])
             if memo is not None:
                 if len(memo) >= _MEMO_ENTRIES:
                     memo.clear()

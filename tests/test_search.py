@@ -307,11 +307,13 @@ class TestExhaustiveSearch:
 
     def test_t12rule_empirical_quotas(self):
         """t12rule has no closed-form quota; the paper leaves its per-m quota
-        open.  Its exhaustive empirical quotas, at budgets large enough to
-        show them: 1/2 for k = 1, 6/11 for m = 3, k = 2 (first at 11
-        voters), and 4/7 for m = 4, k = 2 and 3 (first at 7 voters).  Each is
-        at most tradeoff_threshold(k) = 2k/(3k+1): 1/2 reaches it at k = 1
-        and 4/7 at k = 2, while 6/11 (k = 2) and 4/7 (k = 3) stay below."""
+        open.  The largest violating shares the exhaustive search finds, up
+        to 11 voters at m = 3 and 7 at m = 4, are lower bounds on its
+        quotas, not the quotas: 1/2 for k = 1, 6/11 for m = 3, k = 2 (first
+        at 11 voters; 31 voters give 17/31), and 4/7 for m = 4, k = 2 and 3
+        (first at 7 voters).  Each is at most tradeoff_threshold(k) =
+        2k/(3k+1): 1/2 reaches it at k = 1 and 4/7 at k = 2, while 6/11
+        (k = 2) and 4/7 (k = 3) stay below."""
         table = {
             (m, k): empirical_quota("t12rule", m, k, SearchBudget(max_voters=n))
             for m, n in ((3, 11), (4, 7))
@@ -328,6 +330,19 @@ class TestExhaustiveSearch:
             if exact(share) == tradeoff_threshold(k).value
         }
         assert reached == {(3, 1), (4, 1), (4, 2)}
+
+    def test_t12rule_m3_k2_grows_past_six_elevenths(self):
+        """Up to 31 voters t12rule's largest violating share at m = 3, k = 2
+        is 17/31, above the 6/11 found up to 11 voters and still below
+        tradeoff_threshold(2) = 4/7.  Its witness elects a and c, which tie
+        at the least tradeoff depth and neither dominates the other."""
+        share, witness = max_violation("t12rule", 3, 2, SearchBudget(max_voters=31))
+        assert share == F(17, 31)
+        assert witness.profile.ballots == (
+            (8, (0, 1, 2)), (9, (1, 0, 2)), (8, (2, 0, 1)), (6, (2, 1, 0)),
+        )
+        assert witness.support == 17 and set(witness.winners) == {0, 2}
+        assert report("t12rule", witness.profile).trace == {"score_argmin": [0, 2]}
 
     def test_six_candidates_take_only_a_voter_budget(self):
         """A search is bounded by its voter count alone: at m = 6 two voters

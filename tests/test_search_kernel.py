@@ -27,9 +27,10 @@ from votelab import (
 from votelab.rules import (
     RULE_IDS,
     ScoreVector,
+    _blocked,
     _blocking_set,
     _convex_median_depth,
-    _tradeoff_depth,
+    _tradeoff_value,
     _young_score,
     integer_truncated_scores,
     parse_score_vector,
@@ -158,10 +159,10 @@ def _decision_cases():
 
 def _kernel_answers(kernel, n, tally, counts):
     """The kernel's winners, and the decision's own with the winner screen
-    cleared, so that the decision is checked on every profile.  The rank
-    columns' values are defined only past the majority screen, so the
-    decision alone runs without them too."""
-    decision_only = kernel._replace(always_elects=None, column=None)
+    and the per-candidate values cleared, so that the decision is checked
+    on every profile.  The rank columns' values are defined only past the
+    majority screen."""
+    decision_only = kernel._replace(always_elects=None, value=None)
     return (
         set(rule_winners(kernel, n, tally, counts)),
         set(rule_winners(decision_only, n, tally, counts)),
@@ -186,25 +187,29 @@ def test_statistic_level_functions_match_reference():
 
 def test_wide_lanes_hold_large_counts():
     """Counts above 255 move the packed tallies, and the contour lanes, to
-    two-byte lanes; each rank column's memo key then holds its two-byte
-    counts."""
+    two-byte lanes; each candidate's memo key then holds its two-byte
+    counts: its rank column, or its contour counts c(a, .)."""
     p = Profile(("a", "b", "c"), ((300, (0, 1, 2)), (200, (1, 2, 0)), (100, (2, 0, 1))))
     kernel = _kernel("clr", 3, 1, p.n)
     assert kernel.lane_format == "H"
     counts = _counts(p, kernel)
     tally = sum(c * part for c, part in zip(counts, kernel.contrib))
     assert set(rule_winners(kernel, p.n, tally, counts)) == reference_winners("clr", p)
-    for rule_id in ("vetocore", "young"):
-        kernel = _kernel(rule_id, 3, 1, p.n)._replace(always_elects=None)
-        tally = sum(c * part for c, part in zip(counts, kernel.contrib))
-        assert set(rule_winners(kernel, p.n, tally, counts)) == set(winners(rule_id, p))
+    lane = {a: _contour_lanes(3, a) for a in range(3)}
+    contours = {
+        sum(c << 16 * lane[a].index(u) for u, c in _contours(p, a)) for a in range(3)
+    }
     columns = {sum(c << 16 * l * 3 for l, c in enumerate(col)) for col in _rank_columns(p)}
-    for rule_id in ("convexmedian", "t12rule"):
-        kernel = _kernel(rule_id, 3, 1, p.n)
+    for rule_id, keys in (
+        ("vetocore", contours), ("young", contours),
+        ("convexmedian", columns), ("t12rule", columns),
+    ):
+        kernel = _kernel(rule_id, 3, 1, p.n)._replace(always_elects=None)
+        assert kernel.lane_format == "H", rule_id
         tally = sum(c * part for c, part in zip(counts, kernel.contrib))
         memo = {}
         assert set(rule_winners(kernel, p.n, tally, counts, memo)) == set(winners(rule_id, p))
-        assert {~key for key in memo if key < 0} == columns, rule_id
+        assert {~key for key in memo if key < 0} == keys, rule_id
 
 
 def test_every_registered_rule_has_a_kernel_decision():
@@ -326,6 +331,12 @@ def test_ballot_decisions_match_rules_and_oracles():
     assert dodgson_checked >= 923 + 60  # every m = 3 profile, most seeded ones
 
 
+def _contour_lanes(m, a):
+    """The contours U of a in the order of a's contour lanes: increasing
+    bitmask, which stays increasing with bit a taken out."""
+    return [u for u in range(1 << m) if not u >> a & 1]
+
+
 def _contours(p, a):
     """c(a, .): the voters per upper contour of a, a bitmask, counted from
     the rankings, in increasing bitmask order."""
@@ -347,9 +358,9 @@ def test_contour_key_determines_veto_core_and_young():
     whether the veto core blocks the candidate and its Young score."""
     for m, profiles in ((3, all_profiles(3, 7)), (4, all_profiles(4, 4))):
         kernel = _kernel("vetocore", m, 1, 1)
-        assert kernel.contour is _blocking_set
-        assert _kernel("young", m, 1, 1).contour is _young_score
-        lane = {a: [u for u in range(1 << m) if not u >> a & 1] for a in range(m)}
+        assert kernel.value is _blocked
+        assert _kernel("young", m, 1, 1).value is _young_score
+        lane = {a: _contour_lanes(m, a) for a in range(m)}
         seen, shared, lookups = {}, {}, 0
         for p in profiles:
             counts = _counts(p, kernel)
@@ -357,7 +368,7 @@ def test_contour_key_determines_veto_core_and_young():
             veto, young = report("vetocore", p), report("young", p)
             for a in range(m):
                 contours = _contours(p, a)
-                block = tally >> kernel.contour_shifts[a] & kernel.contour_mask
+                block = tally >> kernel.shifts[a] & kernel.mask
                 assert block == sum(c << 8 * lane[a].index(u) for u, c in contours), (p, a)
                 blocked = veto.trace["blocked"].get(a)
                 got = (
@@ -366,14 +377,14 @@ def test_contour_key_determines_veto_core_and_young():
                 )
                 key = (p.n, a, contours)
                 if key not in seen:
-                    pools = {u: c for u, c in contours if u}
-                    bset, size = _blocking_set(m, p.n, a, pools)
+                    bset, size = _blocking_set(m, p.n, {u: c for u, c in contours if u})
                     members = [b for b in range(m) if bset >> b & 1]
-                    from_key = (
-                        (members, size) if bset else None,
-                        _young_score(m, p.n, a, pools),
-                    )
+                    lanes = [0] * len(lane[a])
+                    for u, c in contours:
+                        lanes[lane[a].index(u)] = c
+                    from_key = ((members, size) if bset else None, _young_score(m, p.n, lanes))
                     assert from_key == got, (p, a)
+                    assert (_blocked(m, p.n, lanes) == (0, 0)) == (not bset), (p, a)
                 assert seen.setdefault(key, got) == got, (p, a)
                 across = (blocked is None, young.scores[a])
                 assert shared.setdefault((p.n, block), across) == across, (p, a)
@@ -397,20 +408,20 @@ def test_column_key_determines_convex_median_and_t12_values():
     key for it, share that candidate's convex median score and tradeoff
     score in their reports, across candidates, on every profile without a
     strict majority winner of up to 7 voters over 3 candidates and 4 over
-    4.  The column functions give those scores from the key alone, and
-    tally >> column_shifts[a] & column_mask holds a's rank counts in
-    candidate 0's rank lanes, whatever a."""
+    4.  The value functions give those scores from the key alone, and
+    tally >> shifts[a] & mask holds a's rank counts in candidate 0's rank
+    lanes, whatever a."""
     for m, profiles in ((3, all_profiles(3, 7)), (4, all_profiles(4, 4))):
         kernel = _kernel("convexmedian", m, 1, 1)
         t12 = _kernel("t12rule", m, 1, 1)
-        assert kernel.column is _convex_median_depth and t12.column is _tradeoff_depth
-        assert (kernel.column_shifts, kernel.column_mask) == (t12.column_shifts, t12.column_mask)
+        assert kernel.value is _convex_median_depth and t12.value is _tradeoff_value
+        assert (kernel.shifts, kernel.mask) == (t12.shifts, t12.mask)
         seen, lookups = {}, 0
         for p in profiles:
             counts = _counts(p, kernel)
             tally = sum(c * part for c, part in zip(counts, kernel.contrib))
             cols = _rank_columns(p)
-            keys = [tally >> shift & kernel.column_mask for shift in kernel.column_shifts]
+            keys = [tally >> shift & kernel.mask for shift in kernel.shifts]
             for a, key in enumerate(keys):
                 assert key == sum(c << 8 * l * m for l, c in enumerate(cols[a])), (p, a)
             if majority_winner(p) is not None:
@@ -421,7 +432,7 @@ def test_column_key_determines_convex_median_and_t12_values():
                 if (p.n, key) not in seen:
                     col = [key >> 8 * l * m & 0xFF for l in range(m)]
                     from_key = (
-                        F(*_convex_median_depth(col, m, p.n)), _tradeoff_depth(col, m, p.n),
+                        F(*_convex_median_depth(m, p.n, col)), _tradeoff_value(m, p.n, col)[0],
                     )
                     assert from_key == got, (p, a)
                 assert seen.setdefault((p.n, key), got) == got, (p, a)
@@ -490,8 +501,8 @@ def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id):
 
 
 def test_orbit_reduced_slices_match_plain_enumeration_t12rule_m4():
-    """t12rule, decided per candidate from memoised rank columns and by its
-    decision on ties, at m = 4 and every k, up to 4 voters."""
+    """t12rule, decided per candidate from memoised rank columns, with its
+    dominance tie-break, at m = 4 and every k, up to 4 voters."""
     for k in (1, 2, 3):
         for n in range(1, 5):
             for s in range(1, n + 1):
@@ -527,7 +538,7 @@ def test_capped_memo_keeps_slice_results(monkeypatch):
         won = evaluate(kernel, n, tally, counts, memo)
         sizes.append(len(memo))
         if any(key < 0 for key in memo):  # the per-candidate keys are negated
-            per_candidate.add((kernel.column or kernel.contour).__name__)
+            per_candidate.add(kernel.value.__name__)
         return won
 
     monkeypatch.setattr(search, "_MEMO_ENTRIES", 8)
@@ -535,7 +546,33 @@ def test_capped_memo_keeps_slice_results(monkeypatch):
     for args, expected in zip(slices, uncapped):
         assert _min_violation(args) == expected == plain_min_violation(*args), args
     assert max(sizes) == 8
-    assert per_candidate == {"_convex_median_depth", "_tradeoff_depth", "_blocking_set"}
+    assert per_candidate == {"_convex_median_depth", "_tradeoff_value", "_blocked"}
+
+
+def test_per_candidate_rules_never_call_their_decision(monkeypatch):
+    """convexmedian, t12rule, young and vetocore answer every m = 3 slice
+    of up to 6 voters and the m = 4 slices of the capped-memo test from
+    their screens and per-candidate values alone, t12rule's dominance
+    tie-break included: a kernel whose decision raises gives each slice
+    the plain enumeration's result."""
+    slices = [
+        (rule_id, 3, k, n, s)
+        for rule_id in ("convexmedian", "t12rule", "young", "vetocore")
+        for k in (1, 2)
+        for n in range(1, 7)
+        for s in range(1, n + 1)
+    ]
+    slices += [(rule_id, 4, 2, 4, s) for rule_id in ("convexmedian", "t12rule") for s in range(1, 5)]
+    slices += [(rule_id, 4, 3, 4, s) for rule_id in ("young", "vetocore") for s in range(1, 5)]
+    expected = [plain_min_violation(*args) for args in slices]
+    build = search._kernel
+
+    def decide(m, n, h, stat):
+        raise AssertionError("the decision was called")
+
+    monkeypatch.setattr(search, "_kernel", lambda *args: build(*args)._replace(decide=decide))
+    for args, want in zip(slices, expected):
+        assert _min_violation(args) == want, args
 
 
 def _orbit_count(m, k, n, support):
