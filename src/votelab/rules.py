@@ -795,8 +795,11 @@ class _Rule:
     profile has one: "condorcet" for a strict Condorcet winner, beating
     every other candidate in a strict majority duel, and "majority" for a
     strict first-place majority winner.  The exhaustive search then answers
-    such a profile without calling the decision; reports never do.  None
-    makes no such claim.
+    such a profile without calling the decision; reports never do.  As
+    voters added to a profile only add to its winner's counts, the search
+    also skips every profile of a slice that extends a B part (the voters
+    ranking the qualified set on top) in which the B part alone shows such
+    a winner against the whole voter count.  None makes no such claim.
 
     ``value`` declares a per-candidate statistic, for a rule whose winners,
     past its winner screen, depend on each candidate's own lanes alone:

@@ -372,11 +372,17 @@ def _profiles_with_support(m: int, k: int, n: int, support: int):
 # other candidates: the voters whose upper contour of a, the set they rank
 # above it, is exactly U.  A rule whose record says it always elects a
 # strict Condorcet or majority winner alone is answered from the unpacked
-# lanes, undecided, when they show one.  A rule with a per-candidate value
-# (convex median, the t12 rule, Young, the veto core) is otherwise decided
-# by its pick from each candidate's value on that candidate's lanes alone:
-# its rank column, the candidate's column of the rank block, or its
-# contour lanes.  Any other rule is decided on the unpacked tournament
+# lanes, undecided, when they show one.  The same screen runs once per B
+# part, the counts of the types top-ranking B, on that part's tallies
+# against all n voters: the other voters only add to a candidate's first
+# places and duel votes, so a winner it finds wins every completion of the
+# B part alone, and none of them is evaluated.  That winner is in B, since
+# a B voter ranks every candidate of B above every other, so no skipped
+# profile is a violation.  A rule with a per-candidate value (convex
+# median, the t12 rule, Young, the veto core) is otherwise decided by its
+# pick from each candidate's value on that candidate's lanes alone: its
+# rank column, the candidate's column of the rank block, or its contour
+# lanes.  Any other rule is decided on the unpacked tournament
 # lanes and, as it reads them, the rank-count lanes or the count vector's
 # nonzero (count, ballot type) pairs, without building a Profile.
 # Each slice keeps a memo from the lanes a tally rule reads, and its screen
@@ -494,6 +500,7 @@ class _Kernel(NamedTuple):
     least: Callable[[Sequence], tuple[int, ...]]
 
 
+@functools.lru_cache(maxsize=1024)
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
     rule = _rule(rule_id, m)
@@ -534,16 +541,16 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
     """Winners of the enumerated profile with these counts and packed tallies.
 
     A rule that always elects a strict Condorcet or first-place majority
-    winner alone is not decided when the unpacked lanes show one: that
-    winner is returned.  A rule with a per-candidate value is otherwise
-    decided by each candidate's value on its own lanes.  Any other rule's
-    decision gets the unpacked tournament counts, and the unpacked rank
-    counts or, for a rule that reads ballots, the nonzero (count, ballot
-    type) pairs, each only when its record says the decision reads it.
-    Given a memo, a dict that lives for one slice, the winners of a rule
-    that reads no ballots are kept under the lanes it reads, and a profile
-    repeating them is answered from the memo; a rule with a per-candidate
-    value also keeps each value under the candidate's lanes.
+    winner alone is not decided when `_screened_winner` finds one in the
+    unpacked lanes: that winner is returned.  A rule with a per-candidate
+    value is otherwise decided by each candidate's value on its own lanes.
+    Any other rule's decision gets the unpacked tournament counts, and the
+    unpacked rank counts or, for a rule that reads ballots, the nonzero
+    (count, ballot type) pairs, each only when its record says the decision
+    reads it.  Given a memo, a dict that lives for one slice, the winners
+    of a rule that reads no ballots are kept under the lanes it reads, and
+    a profile repeating them is answered from the memo; a rule with a
+    per-candidate value also keeps each value under the candidate's lanes.
     """
     key = None
     if memo is not None and kernel.key_mask:
@@ -554,19 +561,9 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
     won = None
     if kernel.always_elects or kernel.value is None:
         m = kernel.m
-        lanes = memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder))
-        lanes = lanes.cast(kernel.lane_format)
-        if kernel.always_elects == "condorcet":
-            for a in range(m):
-                # its row's least entry is h(a, a) = 0, the next its worst duel
-                if 2 * sorted(lanes[a * m : a * m + m])[1] > n:
-                    won = (a,)
-                    break
-        elif kernel.always_elects == "majority":
-            for a in range(m):
-                if 2 * lanes[m * m + a] > n:
-                    won = (a,)
-                    break
+        lanes = _lanes(kernel, tally)
+        if kernel.always_elects:
+            won = _screened_winner(kernel, n, lanes)
         if won is None and kernel.value is None:
             if not kernel.reads_ballots:
                 stat = lanes[m * m :] if kernel.reads_ranks else None
@@ -583,6 +580,33 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
     return won
 
 
+def _lanes(kernel: _Kernel, tally: int):
+    """The packed tallies unpacked, one memoryview item per lane."""
+    return memoryview(tally.to_bytes(kernel.tally_bytes, sys.byteorder)).cast(kernel.lane_format)
+
+
+def _screened_winner(kernel: _Kernel, n: int, lanes) -> tuple[int] | None:
+    """The candidate the lanes show as a strict Condorcet winner, or a strict
+    first-place majority winner, among n voters, as the rule's record says
+    it always elects alone; None when they show none.
+
+    The lanes may count only some of the n voters: the others can only add
+    to the counts, so a candidate found here wins on every profile that
+    adds them, and the rule elects it alone there.
+    """
+    m = kernel.m
+    if kernel.always_elects == "condorcet":
+        for a in range(m):
+            # its row's least entry is h(a, a) = 0, the next its worst duel
+            if 2 * sorted(lanes[a * m : a * m + m])[1] > n:
+                return (a,)
+    else:
+        for a in range(m):
+            if 2 * lanes[m * m + a] > n:
+                return (a,)
+    return None
+
+
 def _candidate_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ...]:
     """The rule's pick from each candidate's value, read from the memo
     under the candidate's block, bitwise negated so that it never meets a
@@ -593,8 +617,7 @@ def _candidate_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, 
         key = ~block
         value = None if memo is None else memo.get(key)
         if value is None:
-            lanes = memoryview(block.to_bytes(kernel.tally_bytes, sys.byteorder))
-            value = kernel.value(kernel.m, n, lanes.cast(kernel.lane_format)[kernel.cut])
+            value = kernel.value(kernel.m, n, _lanes(kernel, block)[kernel.cut])
             if memo is not None:
                 if len(memo) >= _MEMO_ENTRIES:
                     memo.clear()
@@ -664,6 +687,8 @@ def _min_violation(args):
             if image == head:
                 stabiliser.append(pull_o)
         else:
+            if kernel.always_elects and _screened_winner(kernel, n, _lanes(kernel, b_tally)):
+                continue  # every completion elects that candidate, which is in B, alone
             for tally in _fill(counts, split, len(counts), n - support, kernel.contrib, b_tally):
                 if stabiliser:
                     tail = counts[split:]

@@ -238,13 +238,17 @@ def test_every_registered_rule_has_a_kernel_decision():
         max_violation(SCORING[3], 4, 1, search.SearchBudget(max_voters=1))
 
 
-def _strict_winners(p):
+def _strict_winners(p, k=None):
     """The profile's strict Condorcet winner and strict first-place majority
-    winner, each None when there is none, counted from its rankings."""
+    winner, each None when there is none, counted from its rankings.  Given
+    k, only the voters top-ranking B = {0..k-1} are counted, still against
+    all n voters: the winners the B part alone shows."""
     n, m = p.n, p.m
     beats = [[0] * m for _ in range(m)]
     first = [0] * m
     for c, r in p.ballots:
+        if k is not None and set(r[:k]) != set(range(k)):
+            continue
         first[r[0]] += c
         for i, a in enumerate(r):
             for b in r[i + 1 :]:
@@ -276,6 +280,31 @@ def test_winner_screens_never_change_a_winner_set():
         screen = _kernel(rule_id, 3, 1, 1).always_elects
         assert deviates[rule_id] == expected[screen], rule_id
     assert deviates["scoring"] == both
+
+
+def test_head_screen_winner_wins_every_completion():
+    """Wherever the voters top-ranking B = {0..k-1} alone give a candidate
+    more than n/2 votes in each of its duels (more than n/2 first places),
+    every rule screened for the Condorcet (majority) winner elects that
+    candidate alone on the whole profile, and it is in B.  So the search may
+    skip every completion of such a B part.  Checked for every k on every
+    profile with at most 7 voters over 3 candidates or 4 over 4."""
+    screened = {"condorcet": CONDORCET_RULES, "majority": MAJORITY_RULES}
+    fired = {kind: 0 for kind in screened}
+    for p in itertools.chain(all_profiles(3, 7), all_profiles(4, 4)):
+        won = {}  # rule id -> its winners on p, computed once
+        for k in range(1, p.m):
+            head = dict(zip(screened, _strict_winners(p, k)))
+            for kind, rule_ids in screened.items():
+                if head[kind] is None:
+                    continue
+                fired[kind] += 1
+                assert head[kind] < k, (p, k)
+                for rule_id in rule_ids:
+                    if rule_id not in won:
+                        won[rule_id] = set(winners(rule_id, p))
+                    assert won[rule_id] == {head[kind]}, (rule_id, p, k)
+    assert all(fired.values()), fired
 
 
 def test_memo_key_determines_the_winners():
@@ -470,13 +499,19 @@ def plain_min_violation(rule_id, m, k, n, support):
     return best
 
 
+def _assert_slices_match_plain(rule_id, m, ks, max_voters):
+    """Each (n, support) slice with at most max_voters voters, for each k in
+    ks, gives the plain enumeration's result."""
+    for k in ks:
+        for n in range(1, max_voters + 1):
+            for s in range(1, n + 1):
+                expected = plain_min_violation(rule_id, m, k, n, s)
+                assert _min_violation((rule_id, m, k, n, s)) == expected, (k, n, s)
+
+
 @pytest.mark.parametrize("rule_id", list(RULE_IDS) + [SCORING[3]])
 def test_orbit_reduced_slices_match_plain_enumeration_m3(rule_id):
-    for k in (1, 2):
-        for n in range(1, 7):
-            for s in range(1, n + 1):
-                expected = plain_min_violation(rule_id, 3, k, n, s)
-                assert _min_violation((rule_id, 3, k, n, s)) == expected, (k, n, s)
+    _assert_slices_match_plain(rule_id, 3, (1, 2), 6)
 
 
 def test_orbit_reduced_slices_match_plain_enumeration_convexmedian_m4():
@@ -493,32 +528,27 @@ def test_orbit_reduced_slices_match_plain_enumeration_convexmedian_m4():
 @pytest.mark.parametrize("rule_id", ["irv", "young", "dodgson"])
 def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id):
     """Screened ballot rules at m = 4 and every k, up to 3 voters."""
-    for k in (1, 2, 3):
-        for n in range(1, 4):
-            for s in range(1, n + 1):
-                expected = plain_min_violation(rule_id, 4, k, n, s)
-                assert _min_violation((rule_id, 4, k, n, s)) == expected, (k, n, s)
+    _assert_slices_match_plain(rule_id, 4, (1, 2, 3), 3)
 
 
 def test_orbit_reduced_slices_match_plain_enumeration_t12rule_m4():
     """t12rule, decided per candidate from memoised rank columns, with its
     dominance tie-break, at m = 4 and every k, up to 4 voters."""
-    for k in (1, 2, 3):
-        for n in range(1, 5):
-            for s in range(1, n + 1):
-                expected = plain_min_violation("t12rule", 4, k, n, s)
-                assert _min_violation(("t12rule", 4, k, n, s)) == expected, (k, n, s)
+    _assert_slices_match_plain("t12rule", 4, (1, 2, 3), 4)
+
+
+@pytest.mark.parametrize("rule_id", ["simpson", "clr", "black", "runoff", "plurality"])
+def test_orbit_reduced_slices_match_plain_enumeration_screened_tally_rules_m4(rule_id):
+    """The screened tally rules at m = 4 and every k, up to 4 voters: slices
+    where the head screen settles some B parts and not others."""
+    _assert_slices_match_plain(rule_id, 4, (1, 2, 3), 4)
 
 
 @pytest.mark.parametrize("rule_id", ["vetocore", "young"])
 def test_orbit_reduced_slices_match_plain_enumeration_contour_rules_m4(rule_id):
     """The rules decided per candidate from memoised contour lanes, at m = 4
     and every k, up to 4 voters: a slice of 4 voters repeats contours."""
-    for k in (1, 2, 3):
-        for n in range(1, 5):
-            for s in range(1, n + 1):
-                expected = plain_min_violation(rule_id, 4, k, n, s)
-                assert _min_violation((rule_id, 4, k, n, s)) == expected, (k, n, s)
+    _assert_slices_match_plain(rule_id, 4, (1, 2, 3), 4)
 
 
 def test_capped_memo_keeps_slice_results(monkeypatch):
@@ -575,21 +605,35 @@ def test_per_candidate_rules_never_call_their_decision(monkeypatch):
         assert _min_violation(args) == want, args
 
 
-def _orbit_count(m, k, n, support):
-    """Orbits of S_k x S_{m-k} on one slice, counted by relabelling profiles."""
+def _orbits(m, k, n, support):
+    """The orbits of S_k x S_{m-k} on one slice, found by relabelling
+    profiles: each orbit's smallest Profile.ballots key, mapped to one of
+    its profiles."""
     group = [
         head + tail
         for head in itertools.permutations(range(k))
         for tail in itertools.permutations(range(k, m))
     ]
-    return len({
-        min(relabel_profile(p, g).ballots for g in group)
+    return {
+        min(relabel_profile(p, g).ballots for g in group): p
         for p in _profiles_with_support(m, k, n, support)
-    })
+    }
 
 
-@pytest.mark.parametrize("m, k, n", [(3, 1, 5), (3, 2, 5), (4, 2, 3), (4, 3, 3)])
-def test_one_evaluation_per_orbit(monkeypatch, m, k, n):
+ORBIT_SLICES = [(3, 1, 5), (3, 2, 5), (4, 2, 3), (4, 3, 3)]
+
+
+@pytest.mark.parametrize("rule_id, m, k, n", [
+    pytest.param("plurality", *mkn, id="-".join(map(str, mkn))) for mkn in ORBIT_SLICES
+] + [
+    pytest.param("antiplurality", *mkn, id="-".join(map(str, ("antiplurality",) + mkn)))
+    for mkn in ORBIT_SLICES
+])
+def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
+    """The kernel evaluates each orbit of a slice once, except those whose
+    B part the head screen settles.  antiplurality has no screen, so every
+    orbit is evaluated; plurality skips each orbit whose B part alone gives
+    a candidate more than n/2 first places."""
     calls = []
     evaluate = search.rule_winners
 
@@ -600,5 +644,8 @@ def test_one_evaluation_per_orbit(monkeypatch, m, k, n):
     monkeypatch.setattr(search, "rule_winners", counted)
     for s in range(1, n + 1):
         calls.clear()
-        _min_violation(("plurality", m, k, n, s))
-        assert len(calls) == _orbit_count(m, k, n, s), s
+        _min_violation((rule_id, m, k, n, s))
+        orbits = _orbits(m, k, n, s).values()
+        if rule_id == "plurality":
+            orbits = [p for p in orbits if _strict_winners(p, k)[1] is None]
+        assert len(calls) == len(orbits), s
