@@ -22,14 +22,9 @@ from .model import (
     TournamentMatrix,
     condorcet_winner,
     default_candidates,
-    majority_loser,
     majority_winner,
     positional_matrix,
-    relabel_profile,
-    restrict_profile,
     tournament_matrix,
-    truncated_borda,
-    weak_condorcet_winners,
 )
 from .profile_io import parse_profile, serialize_profile
 from .rules import (

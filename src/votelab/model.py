@@ -2,10 +2,10 @@
 
 A profile is an anonymous multiset of strict rankings with integer
 multiplicities.  All derived quantities (tournament matrix, positional
-matrix, Condorcet-style winners, truncated positional scores) are pure
-functions of the profile, and all threshold tests against n/2 are done in
-integer arithmetic.  A profile counts its pairwise and rank tallies at most
-once, on first read, and every reader shares them.
+matrix, Condorcet and majority winners) are pure functions of the profile,
+and all threshold tests against n/2 are done in integer arithmetic.  A
+profile counts its pairwise and rank tallies at most once, on first read,
+and every reader shares them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import itertools
 import operator
 import string
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -194,36 +193,13 @@ def positional_matrix(profile: Profile) -> PositionalMatrix:
     return PositionalMatrix(tuple(tuple(row) for row in counts))
 
 
-def _resolve_subset(profile: Profile, subset: Iterable[int] | None) -> tuple[int, ...]:
-    if subset is None:
-        return tuple(range(profile.m))
-    sub = tuple(sorted(set(int(c) for c in subset)))
-    if not sub:
-        raise ValueError("candidate subset must be nonempty")
-    if sub[0] < 0 or sub[-1] >= profile.m:
-        raise ValueError("candidate index out of range")
-    return sub
-
-
-def condorcet_winner(profile: Profile, subset: Iterable[int] | None = None) -> int | None:
-    """The candidate beating every other one in the subset strictly, if any."""
-    sub = _resolve_subset(profile, subset)
+def condorcet_winner(profile: Profile) -> int | None:
+    """The candidate beating every other one strictly, if any."""
     h, m, n = profile.pair_counts, profile.m, profile.n
-    for a in sub:
-        if all(2 * h[a * m + b] > n for b in sub if b != a):
+    for a in range(m):
+        if all(2 * h[a * m + b] > n for b in range(m) if b != a):
             return a
     return None
-
-
-def weak_condorcet_winners(
-    profile: Profile, subset: Iterable[int] | None = None
-) -> frozenset[int]:
-    """All candidates that never lose a pairwise comparison within the subset."""
-    sub = _resolve_subset(profile, subset)
-    h, m, n = profile.pair_counts, profile.m, profile.n
-    return frozenset(
-        a for a in sub if all(2 * h[a * m + b] >= n for b in sub if b != a)
-    )
 
 
 def majority_winner(profile: Profile) -> int | None:
@@ -233,55 +209,3 @@ def majority_winner(profile: Profile) -> int | None:
         if 2 * top > n:
             return a
     return None
-
-
-def majority_loser(profile: Profile) -> int | None:
-    """Candidate bottom-ranked by more than half the voters, if any."""
-    m, n = profile.m, profile.n
-    for a, bottom in enumerate(profile.rank_counts[(m - 1) * m :]):
-        if 2 * bottom > n:
-            return a
-    return None
-
-
-def restrict_profile(profile: Profile, subset: Iterable[int]) -> Profile:
-    """Project every ranking onto the subset, preserving relative order."""
-    sub = _resolve_subset(profile, subset)
-    keep = set(sub)
-    remap = {old: new for new, old in enumerate(sub)}
-    ballots = tuple(
-        (count, tuple(remap[c] for c in ranking if c in keep))
-        for count, ranking in profile.ballots
-    )
-    return Profile(tuple(profile.candidates[c] for c in sub), ballots)
-
-
-def relabel_profile(profile: Profile, perm: Sequence[int]) -> Profile:
-    """Apply a candidate permutation: old index i becomes perm[i]."""
-    m = profile.m
-    if sorted(perm) != list(range(m)):
-        raise ValueError("perm must be a permutation of the candidate indices")
-    new_names = [""] * m
-    for old, new in enumerate(perm):
-        new_names[new] = profile.candidates[old]
-    ballots = tuple(
-        (count, tuple(perm[c] for c in ranking)) for count, ranking in profile.ballots
-    )
-    return Profile(tuple(new_names), ballots)
-
-
-def truncated_borda(profile: Profile, cand: int, t: Fraction | int) -> Fraction:
-    """Positional score with linearly decaying weights cut off at depth t.
-
-    The weight of rank i (1-based) is t - (i - 1), applied while positive;
-    rank counts beyond m are zero.  Exact for fractional t.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("depth t must be positive")
-    m, pos = profile.m, profile.rank_counts
-    total = Fraction(0)
-    depth = min(int(t) + 1, m)
-    for i in range(1, depth + 1):
-        total += (t - (i - 1)) * pos[(i - 1) * m + cand]
-    return total

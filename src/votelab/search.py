@@ -48,6 +48,10 @@ class SearchBudget:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("max_voters", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_voters < 1:
             raise ValueError("max_voters must be at least 1")
         if self.workers < 1:
@@ -706,21 +710,31 @@ def _check_query(rule_id: str, m: int, k: int) -> None:
     _rule(rule_id, m)  # raises on an unknown id or a vector of the wrong length
     if not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
+    if m > 7:
+        # _tables keeps one m!-long pull per non-identity element of
+        # S_k x S_{m-k}: 3.6 million entries at m = 7, k = 1
+        entries = (math.factorial(k) * math.factorial(m - k) - 1) * math.factorial(m)
+        raise ValueError(
+            f"searches need m <= 7: the orbit tables for m={m}, k={k} "
+            f"would hold {entries:,} entries"
+        )
 
 
 def _violations(rule_id: str, m: int, k: int, budget: SearchBudget, supports):
     """For n = 1..max_voters, yield n and the minimal violations of the
     slices with the supports that supports(n) names, in that order.
 
-    Slices go to a process pool when the budget has more than one worker.
+    Slices go to a process pool when the budget has more than one worker,
+    with at most one process per CPU: the pool starts all of them at once.
     """
     pool = None
-    if budget.workers > 1:
+    workers = min(budget.workers, os.cpu_count() or 1)
+    if workers > 1:
         # imported on demand: multiprocessing is a large share of the
         # time `import votelab` takes
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(budget.workers)
+        pool = ProcessPoolExecutor(workers)
     try:
         for n in range(1, budget.max_voters + 1):
             slices = [(rule_id, m, k, n, s) for s in supports(n)]

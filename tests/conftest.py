@@ -1,3 +1,6 @@
+from fractions import Fraction
+from typing import Sequence
+
 import pytest
 from hypothesis import strategies as st
 
@@ -56,3 +59,39 @@ def profiles(draw, max_m=4, max_voters=8, min_m=1):
         ballots = trimmed or [ballots[0][:1] + (ballots[0][1],)]
         ballots = [(max(1, c), r) for c, r in ballots]
     return Profile(default_candidates(m), tuple(ballots))
+
+
+# Independent references for the tests: the library ranks candidates by
+# truncated scores only through `rules._piecewise_depth_pieces`, and relabels
+# profiles only inside the search's orbit tables.
+
+
+def relabel_profile(profile: Profile, perm: Sequence[int]) -> Profile:
+    """Apply a candidate permutation: old index i becomes perm[i]."""
+    m = profile.m
+    if sorted(perm) != list(range(m)):
+        raise ValueError("perm must be a permutation of the candidate indices")
+    new_names = [""] * m
+    for old, new in enumerate(perm):
+        new_names[new] = profile.candidates[old]
+    ballots = tuple(
+        (count, tuple(perm[c] for c in ranking)) for count, ranking in profile.ballots
+    )
+    return Profile(tuple(new_names), ballots)
+
+
+def truncated_borda(profile: Profile, cand: int, t: Fraction | int) -> Fraction:
+    """Positional score with linearly decaying weights cut off at depth t.
+
+    The weight of rank i (1-based) is t - (i - 1), applied while positive;
+    rank counts beyond m are zero.  Exact for fractional t.
+    """
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("depth t must be positive")
+    m, pos = profile.m, profile.rank_counts
+    total = Fraction(0)
+    depth = min(int(t) + 1, m)
+    for i in range(1, depth + 1):
+        total += (t - (i - 1)) * pos[(i - 1) * m + cand]
+    return total

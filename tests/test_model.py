@@ -11,18 +11,13 @@ from votelab import (
     RULE_IDS,
     Profile,
     condorcet_winner,
-    majority_loser,
     majority_winner,
     positional_matrix,
-    relabel_profile,
     report,
-    restrict_profile,
     tournament_matrix,
-    truncated_borda,
-    weak_condorcet_winners,
 )
 
-from conftest import profiles
+from conftest import profiles, relabel_profile, truncated_borda
 
 
 class TestProfile:
@@ -171,11 +166,9 @@ def test_stored_tallies_match_a_recount(p):
 class TestCondorcet:
     def test_four_bloc_winner(self, four_bloc):
         assert four_bloc.label(condorcet_winner(four_bloc)) == "a"
-        assert weak_condorcet_winners(four_bloc) == {0}
 
     def test_cycle_has_none(self, cycle3):
         assert condorcet_winner(cycle3) is None
-        assert weak_condorcet_winners(cycle3) == frozenset()
 
     def test_primary_five_winner(self, primary_five):
         assert primary_five.label(condorcet_winner(primary_five)) == "John"
@@ -183,12 +176,7 @@ class TestCondorcet:
     def test_exact_tie_is_weak_only(self):
         p = Profile(("a", "b"), ((1, (0, 1)), (1, (1, 0))))
         assert condorcet_winner(p) is None
-        assert weak_condorcet_winners(p) == {0, 1}
-
-    def test_subset_argument(self, four_bloc):
-        assert condorcet_winner(four_bloc, {2, 3}) == 2
-        with pytest.raises(ValueError):
-            condorcet_winner(four_bloc, set())
+        assert 2 * p.pair_counts[1] == 2 * p.pair_counts[2] == p.n  # both are weak winners
 
 
 class TestMajority:
@@ -198,37 +186,13 @@ class TestMajority:
     def test_unanimous(self):
         p = Profile(("a", "b", "c"), ((4, (1, 2, 0)),))
         assert majority_winner(p) == 1
-        assert majority_loser(p) == 0
 
     def test_primary_five_majority_loser(self, primary_five):
         assert majority_winner(primary_five) is None
-        assert primary_five.label(majority_loser(primary_five)) == "Hillary"
-
-
-class TestRestrict:
-    def test_primary_five_restriction_top_counts(self, primary_five):
-        keep = [primary_five.candidates.index(x) for x in ("John", "Ted", "Bernie")]
-        r = restrict_profile(primary_five, keep)
-        pos = positional_matrix(r)
-        tops = dict(zip(r.candidates, pos.counts[0]))
-        assert tops == {"John": 61, "Ted": 19, "Bernie": 20}
-
-    def test_full_restriction_is_identity(self, four_bloc):
-        assert restrict_profile(four_bloc, range(4)) == four_bloc
-
-    def test_singleton_restriction(self, four_bloc):
-        r = restrict_profile(four_bloc, {2})
-        assert r.m == 1 and r.n == 100
-
-    def test_preserves_pairwise_counts(self, primary_five):
-        keep = (0, 2, 4)
-        r = restrict_profile(primary_five, keep)
-        full = tournament_matrix(primary_five)
-        sub = tournament_matrix(r)
-        for i, a in enumerate(keep):
-            for j, b in enumerate(keep):
-                if a != b:
-                    assert sub.h[i][j] == full.h[a][b]
+        m, n = primary_five.m, primary_five.n
+        bottom = primary_five.rank_counts[(m - 1) * m :]
+        losers = [primary_five.label(a) for a in range(m) if 2 * bottom[a] > n]
+        assert losers == ["Hillary"]
 
 
 class TestTruncatedScores:
@@ -274,7 +238,9 @@ def test_positional_sums(p):
 def test_condorcet_winner_is_weak_winner(p):
     cw = condorcet_winner(p)
     if cw is not None:
-        assert cw in weak_condorcet_winners(p)
+        # a weak Condorcet winner loses no pairwise comparison
+        h, m = p.pair_counts, p.m
+        assert all(2 * h[cw * m + b] >= p.n for b in range(m) if b != cw)
 
 
 @settings(max_examples=40)

@@ -19,7 +19,6 @@ from votelab import (
     oracle_veto_core,
     oracle_young_score,
     random_profile,
-    relabel_profile,
     report,
     scoring_winners,
     serialize_profile,
@@ -31,7 +30,7 @@ from votelab import (
 from votelab.cli import main
 from votelab.rules import RULE_IDS, ScoreVector, _rule
 
-from conftest import profiles
+from conftest import profiles, relabel_profile, truncated_borda
 
 
 def names(profile, choice):
@@ -303,8 +302,6 @@ class TestConvexMedian:
 
     def test_four_bloc_scores_match_grid_scan(self, four_bloc):
         # independent check: densely scan depths for the last feasible point
-        from votelab import truncated_borda
-
         for a in range(4):
             feasible = [
                 Fraction(i, 512)
@@ -387,8 +384,6 @@ class TestTradeoffRule:
 
     def test_scores_match_numeric_scan(self):
         p = Profile.from_names("abc", [(2, "abc"), (2, "bca")])
-        from votelab import truncated_borda
-
         n = p.n
         for a in range(3):
             feasible = 1

@@ -379,3 +379,53 @@ class TestBudget:
             SearchBudget(max_voters=0)
         with pytest.raises(ValueError):
             SearchBudget(workers=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_voters", 2.5), ("workers", 1.5), ("max_voters", True),
+         ("workers", True), ("workers", "2")],
+    )
+    def test_refuses_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchBudget(**{field: value})
+
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch):
+        """The pool starts all of its processes at once, so a large worker
+        count is cut to the CPU count; this fake pool starts none."""
+        import concurrent.futures
+        import os
+
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        serial = max_violation("plurality", 3, 1, SearchBudget(max_voters=4))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        budget = SearchBudget(max_voters=4, workers=10**6)
+        assert max_violation("plurality", 3, 1, budget) == serial
+        assert requested == [3]
+
+    @pytest.mark.parametrize("m, k", [(8, 4), (9, 1)])
+    def test_refuses_more_than_seven_candidates(self, monkeypatch, m, k):
+        """Past m = 7 the orbit tables would need tens of millions of
+        entries, so the query is refused before any is built."""
+        from votelab import search
+
+        def no_tables(m, k):
+            raise AssertionError("orbit tables built")
+
+        monkeypatch.setattr(search, "_tables", no_tables)
+        budget = SearchBudget(max_voters=1)
+        with pytest.raises(ValueError, match="m <= 7.*entries"):
+            max_violation("plurality", m, k, budget)
+        with pytest.raises(ValueError, match="m <= 7.*entries"):
+            exhaustive_criterion_search("plurality", m, k, F(1, 2), budget)

@@ -19,7 +19,6 @@ from votelab import (
     majority_winner,
     positional_matrix,
     random_profile,
-    relabel_profile,
     tournament_matrix,
     tradeoff_score,
     winners,
@@ -49,6 +48,8 @@ from votelab.search import (
     parallel_universe_irv,
     rule_winners,
 )
+
+from conftest import relabel_profile
 
 F = Fraction
 TALLY_RULES = (
