@@ -22,7 +22,6 @@ from .model import (
     TournamentMatrix,
     condorcet_winner,
     default_candidates,
-    majority_winner,
     positional_matrix,
     tournament_matrix,
 )

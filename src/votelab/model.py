@@ -201,11 +201,3 @@ def condorcet_winner(profile: Profile) -> int | None:
             return a
     return None
 
-
-def majority_winner(profile: Profile) -> int | None:
-    """Candidate top-ranked by more than half the voters, if any."""
-    n = profile.n
-    for a, top in enumerate(profile.rank_counts[: profile.m]):
-        if 2 * top > n:
-            return a
-    return None

@@ -7,19 +7,17 @@ point.
 
 Every rule is decided by one function that needs no Profile,
 ``decide(m, n, h, stat) -> (winners, scores, trace)``.  ``h[a*m + b]``
-counts the voters preferring a to b, a flat integer sequence.  A tally-based
-rule's ``stat`` is the flat rank counts, ``pos[l*m + a]`` voters ranking a
-at position l + 1; instant runoff, Young, Dodgson and the veto core read
-ballots instead, and their ``stat`` is the nonzero (count, ranking) pairs
-in any order.  Winners come back as ascending candidate indices and scores
-in the rule's raw form, integers wherever the value is an integer.  The
-exhaustive search calls the same functions on tallies it updates
-incrementally and on its count vectors, so each rule has one definition.
-Convex median and the t12 rule value each candidate by a function of its
-rank-count column alone, and Young and the veto core by a function of its
-upper contours alone; each elects from the values by one pick.  The
-decisions and the search compute the same values with the same
-functions, so the search needs no decision for these four rules.
+counts the voters preferring a to b, a flat integer sequence; ``stat`` is
+as the rule's record says (see ``_Rule``), for a tally-based rule the flat
+rank counts, ``pos[l*m + a]`` voters ranking a at position l + 1.  Winners
+come back as ascending candidate indices and scores in the rule's raw
+form, integers wherever the value is an integer.  The exhaustive search
+calls the same functions on tallies it updates incrementally, so each rule
+has one definition; no rule reads ballots there.  Five rules value each
+candidate by a function of its own lanes alone, which the search calls in
+place of the decision: convex median and the t12 rule of its rank-count
+column, Young and the veto core of its contour lanes, Dodgson of its prefix
+lanes.  Their decisions compute the same values from the ballots.
 
 The registry at the end of the module maps each rule id to one record: the
 factory of its decision per m, the statistics the decision reads, how its
@@ -37,9 +35,11 @@ other name: callers ask for it by its id, through ``report`` or
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -122,15 +122,65 @@ def _argmin(values: Sequence) -> tuple[int, ...]:
     return tuple(a for a, v in enumerate(values) if v == best)
 
 
+@functools.cache
+def _prefixes(m: int) -> tuple[tuple[int, ...], ...]:
+    """The ordered sets a ballot can rank above a candidate, top first, over
+    the other m - 1 candidates relabelled 0..m-2, shortest first."""
+    return tuple(p for j in range(m) for p in itertools.permutations(range(m - 1), j))
+
+
+def _contour_lane(a: int, above: int) -> int:
+    """a's contour lane among its own for the bitmask of the set ranked above
+    it: the set relabelled over the others as b - (b > a), bit a taken out."""
+    return above & (1 << a) - 1 | above >> a + 1 << a
+
+
+@functools.cache
+def _layout(m: int, stat: str | None):
+    """Where the search counts a rule's ``stat``, as (lanes, stride, step,
+    width): ``lanes(r)[a]`` is the lane a voter ranking r adds one to for
+    candidate a, cached per ranking met, and a's lanes are a*stride +
+    j*step for j < width, j = 0 its first places.  Rank counts are
+    rank-major, lane l*m + a for rank l + 1; a's contour lanes are
+    _contour_lane's, its prefix lane j the index in _prefixes(m) of the
+    ordered set ranked above it, relabelled as there."""
+    cached = functools.lru_cache(maxsize=8192)  # a search meets 5,040 rankings at most
+    if stat is None:
+        return cached(lambda r: ()), 0, 0, 0
+    if stat == "ranks":
+        return cached(lambda r: tuple(r.index(a) * m + a for a in range(m))), 1, m, m
+    if stat == "contours":
+        w, j = 1 << m - 1, lambda a, above: _contour_lane(a, sum(1 << b for b in above))
+    else:
+        index = {p: i for i, p in enumerate(_prefixes(m))}
+        w, j = len(index), lambda a, above: index[tuple(b - (b > a) for b in above)]
+    return cached(lambda r: tuple(a * w + j(a, r[: r.index(a)]) for a in range(m))), w, 1, w
+
+
+def _packed(m: int, ballots: Ballots):
+    """The contour lanes counted from the ballots: a list of them all up to
+    m = 7, the most candidates a search takes; past that, as a block grows
+    as 2^m, per candidate a dict from j to its nonzero lane a*width + j."""
+    lanes_of, width = _layout(m, "contours")[::3]
+    if m > 7:
+        blocks = [collections.defaultdict(int) for _ in range(m)]
+        for count, ranking in ballots:
+            for a, i in enumerate(lanes_of(ranking)):
+                blocks[a][i - a * width] += count
+        return blocks
+    lanes = [0] * (m * width)
+    for count, ranking in ballots:
+        for i in lanes_of(ranking):
+            lanes[i] += count
+    return lanes
+
+
 def _upper_contours(m: int, ballots: Ballots) -> list[list[int]]:
-    """up[a][i]: bitmask of the candidates ballot type i ranks above a."""
-    up = [[0] * len(ballots) for _ in range(m)]
-    for i, (_, ranking) in enumerate(ballots):
-        seen = 0
-        for c in ranking:
-            up[c][i] = seen
-            seen |= 1 << c
-    return up
+    """up[a][i]: ballot type i's contour lane among a's, the bitmask of the
+    candidates it ranks above a, relabelled b - (b > a)."""
+    lanes_of, width = _layout(m, "contours")[::3]
+    rows = [lanes_of(r) for _, r in ballots]
+    return [[row[a] - a * width for row in rows] for a in range(m)]
 
 
 def _pooled(up: Sequence[int], counts: Sequence[int]) -> dict[int, int]:
@@ -202,18 +252,28 @@ def runoff_decision(m, n, h, pos):
 # -- instant runoff -----------------------------------------------------------
 
 
-def _transfer_tally(ballots: Ballots, active: frozenset[int]) -> dict[int, int]:
-    tally = {a: 0 for a in active}
-    for count, ranking in ballots:
-        for c in ranking:
-            if c in active:
-                tally[c] += count
-                break
-    return tally
+@functools.lru_cache(maxsize=4096)
+def _transfer_getters(m: int, active: frozenset[int]) -> tuple[tuple[int, Callable], ...]:
+    """Per active candidate a, a getter of its contour lanes c(a, U) whose U
+    holds no other active candidate, from the lanes as _packed gives them."""
+    width, held = _layout(m, "contours")[3], sum(1 << a for a in active)
+    getters = []
+    for a in active:
+        bits = _contour_lane(a, held)
+        if m > 7:  # a dict of a's nonzero lanes
+            get = lambda blocks, a=a, bits=bits: [c for u, c in blocks[a].items() if not u & bits]
+        else:
+            lanes = [a * width + u for u in range(width) if not u & bits]
+            # a getter of one index gives no tuple, one of a slice a sequence
+            get = operator.itemgetter(*lanes if len(lanes) > 1 else [slice(lanes[0], lanes[0] + 1)])
+        getters.append((a, get))
+    return tuple(getters)
 
 
-def instant_runoff_decision(m, n, h, ballots):
-    """Iteratively delete a candidate with the fewest top positions.
+def instant_runoff_decision(m, n, h, contours):
+    """Iteratively delete a candidate with the fewest top positions: a's
+    among the active candidates sums its contour lanes c(a, U), as _packed
+    gives them, of every U holding none of the others.
 
     When several candidates tie at the minimum, the winners are the union
     over all ways of deleting one of them (deleting the whole tied group at
@@ -231,7 +291,8 @@ def instant_runoff_decision(m, n, h, ballots):
         hit = winners_of.get(active)
         if hit is not None:
             return hit
-        tally = tallies[active] = _transfer_tally(ballots, active)
+        getters = _transfer_getters(m, active)
+        tally = tallies[active] = {a: sum(get(contours)) for a, get in getters}
         low = min(tally.values())
         out: set[int] = set()
         for loser in active:
@@ -309,12 +370,12 @@ def black_decision(m, n, h, pos):
 # -- Young ---------------------------------------------------------------------
 
 
-def _young(n: int, cand: int, row: Sequence[int], pools: dict[int, int]):
+def _young(n: int, row: Sequence[int], pools: dict[int, int]):
     """Young score of cand and a minimal removal, as voters per pool.
 
-    ``row`` is cand's tournament row h(cand, .) and ``pools`` maps each
-    nonempty upper contour of cand, a bitmask of the candidates ranked
-    above it, to the voters who have it; the others rank cand on top.
+    ``row`` holds cand's duel counts h(cand, b) against its opponents and
+    ``pools`` maps each nonempty upper contour of cand, a bitmask over row's
+    indices, to the voters who have it; the others rank cand on top.
     Writing h' for the kept votes, the target
     "2 h'(cand, b) >= n - removed" becomes, per opponent, (removed voters
     ranking cand above b) - (removed voters ranking b above cand) <=
@@ -330,13 +391,12 @@ def _young(n: int, cand: int, row: Sequence[int], pools: dict[int, int]):
     close its largest open deficit.  The score does not depend on the order
     of the pools; the removal returned, the first found, does.
     """
-    opponents = [b for b in range(len(row)) if b != cand]
-    slack = [2 * row[b] - n for b in opponents]
+    slack = [2 * x - n for x in row]
     start = -min(slack, default=0)
     if start <= 0:
         return 0, [0] * len(pools)
     caps = list(pools.values())
-    signs = [[-1 if c >> b & 1 else 1 for b in opponents] for c in pools]
+    signs = [[-1 if c >> b & 1 else 1 for b in range(len(row))] for c in pools]
     tails = [sum(caps[i + 1 :]) for i in range(len(caps))]
 
     def first(i: int, left: int, res: list[int]) -> list[int] | None:
@@ -365,21 +425,19 @@ def _young(n: int, cand: int, row: Sequence[int], pools: dict[int, int]):
 def _young_score(m: int, n: int, lanes: Sequence[int]) -> int:
     """Young score of a candidate from its contour counts alone, lanes[U]
     the voters whose upper contour of it is U, a bitmask over the other
-    m - 1 candidates.  The score does not change when candidates are
-    relabelled, so the candidate is scored as candidate m - 1: h(cand, b)
-    is n less the voters whose contour holds b."""
+    m - 1 candidates: h(cand, b) is n less the voters whose contour holds
+    b.  The score does not change when candidates are relabelled."""
     pools = {u: c for u, c in enumerate(lanes) if u and c}
-    row = [n - sum(t for c, t in pools.items() if c >> b & 1) for b in range(m)]
-    return _young(n, m - 1, row, pools)[0]
+    row = [n - sum(t for c, t in pools.items() if c >> b & 1) for b in range(m - 1)]
+    return _young(n, row, pools)[0]
 
 
 def young_score(profile: Profile, cand: int) -> int:
     """Fewest voters whose removal leaves cand unbeaten in every pairwise duel."""
     m = profile.m
-    row = profile.pair_counts[cand * m : cand * m + m]
+    row = [profile.pair_counts[cand * m + b] for b in range(m) if b != cand]
     counts = [count for count, _ in profile.ballots]
-    pools = _pooled(_upper_contours(m, profile.ballots)[cand], counts)
-    return _young(profile.n, cand, row, pools)[0]
+    return _young(profile.n, row, _pooled(_upper_contours(m, profile.ballots)[cand], counts))[0]
 
 
 def young_decision(m, n, h, ballots):
@@ -389,7 +447,7 @@ def young_decision(m, n, h, ballots):
     scores, removals = [], {}
     for a, up in enumerate(_upper_contours(m, ballots)):
         pools = _pooled(up, counts)
-        score, comp = _young(n, a, h[a * m : a * m + m], pools)
+        score, comp = _young(n, [h[a * m + b] for b in range(m) if b != a], pools)
         left = dict(zip(pools, comp))
         removed = [0] * len(counts)
         for i, contour in enumerate(up):
@@ -406,13 +464,33 @@ def young_decision(m, n, h, ballots):
 
 def dodgson_score(profile: Profile, cand: int) -> int:
     """Fewest adjacent swaps making cand beat everyone strictly."""
-    m = profile.m
-    row = profile.pair_counts[cand * m : cand * m + m]
-    return _dodgson(m, profile.n, profile.ballots, row, cand)
+    return _dodgson_of(profile.m, profile.n, profile.pair_counts, profile.ballots, cand)
 
 
-def _dodgson(m: int, n: int, ballots: Ballots, row: Sequence[int], cand: int) -> int:
-    """Dodgson score of cand, given its tournament row h(cand, .).
+def _dodgson_of(m: int, n: int, h: Sequence[int], ballots: Ballots, cand: int) -> int:
+    """_dodgson on cand's row of h and its voters pooled by the ordered
+    candidates they rank above it, opponent b relabelled b - (b > cand)."""
+    pools: dict[tuple[int, ...], int] = {}
+    for count, ranking in ballots:
+        above = ranking[: ranking.index(cand)]
+        pools[above] = pools.get(above, 0) + count
+    types = [(c, tuple(b - (b > cand) for b in reversed(p))) for p, c in pools.items() if p]
+    return _dodgson(n, [h[cand * m + b] for b in range(m) if b != cand], types)
+
+
+def _dodgson_score(m: int, n: int, lanes: Sequence[int]) -> int:
+    """Dodgson score of a candidate from its prefix lanes alone, lanes[i]
+    the voters ranking _prefixes(m)[i] above it: h(cand, b) is n less the
+    voters whose prefix holds b."""
+    types = [(c, p[::-1]) for c, p in zip(lanes, _prefixes(m)) if c and p]
+    return _dodgson(n, [n - sum(c for c, p in types if b in p) for b in range(m - 1)], types)
+
+
+def _dodgson(n: int, row: Sequence[int], types: Sequence[tuple[int, Sequence[int]]]) -> int:
+    """Dodgson score of a candidate, given its duel counts h(cand, b)
+    against its opponents, ``row``, and its voters pooled into (count,
+    above) types, ``above`` the opponents ranked above it, nearest first,
+    as indices into row.
 
     Only upward moves of cand are searched: a swap not lifting cand never
     increases any h(cand, .), and displacing a blocker costs exactly as much
@@ -420,25 +498,18 @@ def _dodgson(m: int, n: int, ballots: Ballots, row: Sequence[int], cand: int) ->
     cross-checks this restriction.
     """
     need = n // 2 + 1
-    opponents = [b for b in range(m) if b != cand]
-    deficits = tuple(max(0, need - row[b]) for b in opponents)
+    deficits = tuple(max(0, need - x) for x in row)
     if not any(deficits):
         return 0
-    opp_index = {b: j for j, b in enumerate(opponents)}
-    # For each ballot type: a voter lifting cand by s positions gains one
-    # duel vote against each of the s candidates immediately above cand.
-    # Per type the choice is the nonincreasing vector z, where z[d] voters
-    # lift past depth d+1; its cost is sum(z).
-    types = []
-    for count, ranking in ballots:
-        p = ranking.index(cand)
-        above = [opp_index[ranking[p - 1 - off]] for off in range(p)]
-        types.append((count, above))
+    # For each type: a voter lifting cand by s positions gains one duel vote
+    # against each of the s candidates immediately above cand.  Per type
+    # the choice is the nonincreasing vector z, where z[d] voters lift past
+    # depth d+1; its cost is sum(z).
 
     # Lifting cand to the top of every ballot costs at most n * (m - 1)
     # swaps, so this bound marks a state with no completion: it exceeds every
     # feasible cost.
-    INFEASIBLE = n * (m - 1) + 1
+    INFEASIBLE = n * len(row) + 1
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def best(i: int, defs: tuple[int, ...]) -> int:
@@ -492,7 +563,7 @@ def _dodgson(m: int, n: int, ballots: Ballots, row: Sequence[int], cand: int) ->
 
 def dodgson_decision(m, n, h, ballots):
     """The least Dodgson scores."""
-    scores = [_dodgson(m, n, ballots, h[a * m : a * m + m], a) for a in range(m)]
+    scores = [_dodgson_of(m, n, h, ballots, a) for a in range(m)]
     return _argmin(scores), scores, None
 
 
@@ -512,11 +583,6 @@ def _piecewise_depth_pieces(pos_column: Sequence[int], m: int):
         if j + 1 <= m:
             N += pos_column[j]
             C -= j * pos_column[j]
-
-
-def _column(pos: Sequence[int], m: int, cand: int) -> Sequence[int]:
-    """Rank counts of one candidate, rank 1 first."""
-    return pos[cand::m]
 
 
 def _majority_winner(m: int, n: int, pos: Sequence[int]) -> int | None:
@@ -548,7 +614,7 @@ def convex_median_score(profile: Profile, cand: int) -> Fraction:
     interval.  Undefined (raises) when the candidate is a strict majority
     winner, since then no depth satisfies the condition.
     """
-    col = _column(profile.rank_counts, profile.m, cand)
+    col = profile.rank_counts[cand :: profile.m]
     return Fraction(*_convex_median_depth(profile.m, profile.n, col))
 
 
@@ -574,7 +640,7 @@ def convex_median_decision(m, n, h, pos):
     mw = _majority_winner(m, n, pos)
     if mw is not None:
         return (mw,), None, {"majority_winner": mw}
-    depths = [_convex_median_depth(m, n, _column(pos, m, a)) for a in range(m)]
+    depths = [_convex_median_depth(m, n, pos[a::m]) for a in range(m)]
     return _least_depths(depths), depths, None
 
 
@@ -623,13 +689,12 @@ def proportional_veto_core_decision(m, n, h, ballots):
     counts = [count for count, _ in ballots]
     blocked: dict[int, dict] = {}
     for a, up in enumerate(_upper_contours(m, ballots)):
-        pools = _pooled(up, counts)
-        bset, voters = _blocking_set(m, n, pools)
+        bset, voters = _blocking_set(m, n, _pooled(up, counts))
         if bset:
             blocked[a] = {
                 "coalition_types": [i for i, c in enumerate(up) if c & bset == bset],
                 "coalition_size": voters,
-                "blocking_set": [c for c in range(m) if bset >> c & 1],
+                "blocking_set": [b for b in range(m) if b != a and bset >> b - (b > a) & 1],
             }
     stable = tuple(a for a in range(m) if a not in blocked)
     return stable, [0 if a in blocked else 1 for a in range(m)], {"blocked": blocked}
@@ -646,7 +711,7 @@ def _truncated_scores(col: Sequence[int], m: int) -> list[int]:
 
 def integer_truncated_scores(profile: Profile, cand: int) -> list[int]:
     """B_t(cand) for integer depths t = 1..m-1 (integer arithmetic)."""
-    return _truncated_scores(_column(profile.rank_counts, profile.m, cand), profile.m)
+    return _truncated_scores(profile.rank_counts[cand :: profile.m], profile.m)
 
 
 def second_order_dominates(bt_a: Sequence[int], bt_b: Sequence[int]) -> bool:
@@ -664,8 +729,7 @@ def tradeoff_score(profile: Profile, cand: int) -> ExactNumber:
     interval the boundary is a quadratic with integer coefficients, solved
     exactly.  Undefined (raises) for a strict majority winner.
     """
-    col = _column(profile.rank_counts, profile.m, cand)
-    return _tradeoff_depth(profile.m, profile.n, col)
+    return _tradeoff_depth(profile.m, profile.n, profile.rank_counts[cand :: profile.m])
 
 
 def _tradeoff_depth(m: int, n: int, col: Sequence[int]) -> ExactNumber:
@@ -710,7 +774,7 @@ def theorem12_decision(m, n, h, pos):
     mw = _majority_winner(m, n, pos)
     if mw is not None:
         return (mw,), None, {"majority_winner": mw}
-    values = [_tradeoff_value(m, n, _column(pos, m, a)) for a in range(m)]
+    values = [_tradeoff_value(m, n, pos[a::m]) for a in range(m)]
     scores = [depth for depth, _ in values]
     return _least_undominated(values), scores, {"score_argmin": list(_argmin(scores))}
 
@@ -774,13 +838,14 @@ class _Rule:
     the paper's closed-form quotas.
 
     ``tournament`` says whether the decision reads the tournament counts,
-    and ``stat`` whether its last argument is the rank counts ("ranks"), the
-    ballots ("ballots") or nothing (None).  The exhaustive search memoises
-    a rule that reads no ballots on exactly these statistics, with those
-    its winner screen reads, so the decision gets None for any it leaves
-    out.  ``show`` turns a raw score into
-    the report's score and ``explain`` turns the raw trace of a profile with
-    m candidates into the report's; None keeps the raw value.
+    and ``stat`` names the lanes the exhaustive search packs after them
+    (``_layout``): none (None), the rank counts ("ranks"), or per candidate
+    its contour or prefix lanes ("contours", "prefixes").  The decision
+    gets those lanes, the ballots if the rule has a ``value``, and None for
+    any statistic the record leaves out, as the search memoises it on the
+    declared ones.  ``show`` turns a raw score into the report's score and
+    ``explain`` turns the raw trace of a profile with m candidates into the
+    report's; None keeps the raw value.
 
     ``majority(k, m)`` is the tight (q,k,m)-majority quota, ``majority_sup(k)``
     its supremum over m (by default the per-m form, when that ignores m) and
@@ -802,21 +867,16 @@ class _Rule:
     a winner against the whole voter count.  None makes no such claim.
 
     ``value`` declares a per-candidate statistic, for a rule whose winners,
-    past its winner screen, depend on each candidate's own lanes alone:
-    the function ``(m, n, lanes) -> value`` of one candidate.  For a rule
-    that reads rank counts the lanes are its rank-count column, ``lanes[l]``
-    the voters ranking it at position l + 1 (convexmedian, t12rule); for one
-    that reads ballots they are its contour counts, ``lanes[U]`` the voters
-    whose upper contour of it, the set ranked above it, is U, a bitmask
-    over the other m - 1 candidates (young, vetocore).  ``least`` picks the
-    winners from the list of every candidate's value, and always decides:
-    by default it elects the candidates of least value.  The exhaustive
-    search calls both on the lanes it keeps, memoises each candidate's
-    value under its lanes and never calls the decision.  The decision
-    computes the same values from the profile, through the same functions
-    (young and vetocore through ``_young`` and ``_blocking_set`` on contours
-    pooled from the ballots), and builds its trace.  None keeps the search
-    on the decision.
+    past its winner screen, depend on each candidate's own lanes alone: the
+    function ``(m, n, lanes) -> value`` of one candidate, given its lanes of
+    ``stat`` in ``_layout`` order (a rank-count column, contour lanes or
+    prefix lanes).  ``least`` picks the winners from the list of every
+    candidate's value, and always decides: by default it elects the
+    candidates of least value.  The search calls both on the lanes it
+    keeps, memoises each value under its lanes and never calls the
+    decision, which computes the same values through the same functions
+    from the ballots, in any order, and names ballot types in its trace.
+    None keeps the search on the decision.
     """
 
     decision: Callable[[int], Decision]
@@ -877,7 +937,7 @@ _RULES: dict[str, _Rule] = {
         always_elects="majority",
     ),
     "irv": _Rule(
-        lambda m: instant_runoff_decision, False, "ballots",
+        lambda m: instant_runoff_decision, False, "contours",
         majority=lambda k, m: HALF, veto_sup=lambda l, half: HALF,
         text=dict.fromkeys(("majority", "veto", "veto-half"), ("1/2", HALF)),
         always_elects="majority",
@@ -891,13 +951,14 @@ _RULES: dict[str, _Rule] = {
         lambda m: simpson_decision, True, None, **_SIMPSON_QUOTAS, always_elects="condorcet",
     ),
     "young": _Rule(
-        lambda m: young_decision, True, "ballots", **_SIMPSON_QUOTAS,
+        lambda m: young_decision, True, "contours", **_SIMPSON_QUOTAS,
         always_elects="condorcet", value=_young_score,
     ),
     "dodgson": _Rule(
-        lambda m: dodgson_decision, True, "ballots",
+        lambda m: dodgson_decision, True, "prefixes",
         majority=lambda k, m: (_clr_bound(k), Fraction(k, k + 1)),
         veto_sup=lambda l, half: (Fraction(5, 8), ONE), always_elects="condorcet",
+        value=_dodgson_score,
     ),
     "clr": _Rule(
         lambda m: clr_decision, True, None, lambda d: Fraction(d, 2), _clr_trace,
@@ -931,7 +992,7 @@ _RULES: dict[str, _Rule] = {
         always_elects="majority", value=_convex_median_depth, least=_least_depths,
     ),
     "vetocore": _Rule(
-        lambda m: proportional_veto_core_decision, False, "ballots",
+        lambda m: proportional_veto_core_decision, False, "contours",
         majority=lambda k, m: Fraction(m - k, m), majority_sup=lambda k: ONE,
         veto_sup=lambda l, half: (
             Fraction(1, 3) if l == 1 else HALF if half else Fraction(l, l + 1)
@@ -973,18 +1034,19 @@ def _rule(rule_id: str, m: int) -> _Rule:
 def report(rule_id: str, profile: Profile) -> ScoreReport:
     """Evaluate a rule by its stable identifier.
 
-    The decision reads only the statistics its record names, from the
-    profile's stored tallies, which are counted once per profile.  A decision
+    The decision reads only the statistics its record names: the
+    profile's stored tallies, counted once per profile, its ballots, or
+    the lanes of its record's ``stat`` counted from them.  A decision
     returning no scores (a strict majority winner under convexmedian or
     t12rule) leaves every candidate's score None.
     """
     m = profile.m
     rule = _rule(rule_id, m)
     h = profile.pair_counts if rule.tournament else None
-    if rule.stat == "ballots":
-        stat = profile.ballots
-    else:
-        stat = profile.rank_counts if rule.stat == "ranks" else None
+    if rule.stat in (None, "ranks"):
+        stat = rule.stat and profile.rank_counts
+    else:  # irv is decided on contour lanes; the others' traces name ballot types
+        stat = profile.ballots if rule.value else _packed(m, profile.ballots)
     won, raw, trace = rule.decision(m)(m, profile.n, h, stat)
     if raw is None:
         scores = dict.fromkeys(range(m))

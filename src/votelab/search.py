@@ -22,7 +22,7 @@ from .criteria import Violation
 from .errors import SearchBudgetExceeded
 from .exact import exact
 from .model import ChoiceSet, Profile, default_candidates
-from .rules import Decision, _rule
+from .rules import Decision, _layout, _rule
 
 ENV_MAX_VOTERS = "VOTELAB_MAX_VOTERS"
 
@@ -347,59 +347,30 @@ def _split_types(m: int, k: int):
     return b_types, o_types
 
 
-def _profiles_with_support(m: int, k: int, n: int, support: int):
-    """Profiles with exactly `support` voters top-ranking B = {0..k-1}.
-
-    The plain enumeration of one slice, which the tests use as the
-    reference for the search below.
-    """
-    b_types, o_types = _split_types(m, k)
-    labels = default_candidates(m)
-    for bvec in _count_vectors(support, len(b_types)):
-        b_part = tuple((c, b_types[i]) for i, c in enumerate(bvec) if c)
-        for ovec in _count_vectors(n - support, len(o_types)):
-            ballots = b_part + tuple(
-                (c, o_types[i]) for i, c in enumerate(ovec) if c
-            )
-            yield Profile(labels, ballots)
-
-
 # The search fixes the qualified set B = {0..k-1} (every rule is neutral)
 # and walks (n, support) slices: the profiles with n voters of whom exactly
 # `support` rank B on top.  A profile in a slice is a count vector over the
 # ballot types, those top-ranking B first.  The walk keeps the profile's
-# pairwise and positional tallies packed into one integer, a lane of whole
-# bytes per tally entry, and adds a type's packed contribution as its count
-# changes.  For a rule whose record declares a per-candidate value on
-# contours (Young and the veto core) the integer holds, in place of the
-# rank counts it does not read, a lane c(a, U) per candidate a and set U of
-# other candidates: the voters whose upper contour of a, the set they rank
-# above it, is exactly U.  A rule whose record says it always elects a
-# strict Condorcet or majority winner alone is answered from the unpacked
-# lanes, undecided, when they show one.  The same screen runs once per B
-# part, the counts of the types top-ranking B, on that part's tallies
-# against all n voters: the other voters only add to a candidate's first
-# places and duel votes, so a winner it finds wins every completion of the
-# B part alone, and none of them is evaluated.  That winner is in B, since
-# a B voter ranks every candidate of B above every other, so no skipped
-# profile is a violation.  A rule with a per-candidate value (convex
-# median, the t12 rule, Young, the veto core) is otherwise decided by its
-# pick from each candidate's value on that candidate's lanes alone: its
-# rank column, the candidate's column of the rank block, or its contour
-# lanes.  Any other rule is decided on the unpacked tournament
-# lanes and, as it reads them, the rank-count lanes or the count vector's
-# nonzero (count, ballot type) pairs, without building a Profile.
-# Each slice keeps a memo from the lanes a tally rule reads, and its screen
-# reads, to the winners: a profile repeating them is answered before any
-# unpacking.  A whole profile's contours or rank counts rarely repeat while
-# one candidate's do, so the memo also maps one candidate's lanes to its
-# value.  As the value reads nothing else, that key leaves the candidate
-# out: the rank block is rank-major, so shifting the tally right by a lanes
-# brings a's column onto candidate 0's lanes, and one mask cuts it; a's
-# contour lanes are cut the same way.  Such keys are stored bitwise
-# negated, so they never meet a whole-profile key.  The memo lives for one
-# slice and is cleared at a fixed size, so results and memory do not depend
-# on the worker count.
+# tallies packed into one integer, a lane of whole bytes per entry, and
+# adds a type's packed contribution as its count changes: the tournament
+# lanes, then the lanes of the statistic the rule's record names, laid out
+# by `rules._layout`; no rule reads ballots.  A rule whose record says it
+# always elects a strict Condorcet or majority winner alone is answered
+# from the unpacked lanes, undecided, when they show one.  The same screen
+# runs once per B part, the counts of the types top-ranking B, on that
+# part's tallies against all n voters: the other voters only add to a
+# candidate's first places and duel votes, so a winner it finds wins every
+# completion of the B part alone, and none of them is evaluated.  That
+# winner is in B, since a B voter ranks every candidate of B above every
+# other, so no skipped profile is a violation.  A rule with a per-candidate
+# value is otherwise decided by its pick from each candidate's value on
+# that candidate's lanes alone; any other rule by its decision on the
+# unpacked lanes, without building a Profile.  Each slice keeps a memo from
+# the tally or rank lanes a rule and its screen read to the winners, and
+# from one candidate's lanes, cut by one shift and one mask and stored
+# bitwise negated, to its value: a whole profile's lanes rarely repeat
+# while one candidate's do.  The memo lives for one slice and is cleared at
+# a fixed size, so results and memory do not depend on the worker count.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
 # onto itself and, as every rule is neutral, a violation onto a violation.
@@ -444,57 +415,41 @@ def _tables(m: int, k: int) -> _Tables:
 
 
 @functools.cache
-def _contributions(m: int, k: int, lane_bytes: int, contours: bool) -> tuple[int, ...]:
-    """Per ballot type, its packed tallies: lane a*m + b holds h(a, b) and
-    lane m*m + l*m + a the count of rank l + 1 for a.  With contours, lane
-    m*m + a*2^(m-1) + i instead holds c(a, U), the voters whose upper
-    contour of a is exactly U, where i is U's bitmask with bit a taken out,
-    a bitmask over the other candidates; a contour rule reads no rank
-    counts, and its screen, if any, only the tournament."""
-    bits = 8 * lane_bytes
+def _contributions(m: int, k: int, lane_bytes: int, stat: str | None) -> tuple[int, ...]:
+    """Per ballot type, its packed tallies: lane a*m + b holds h(a, b), and
+    lane m*m + i the lane i of the rule's ``stat`` in its layout."""
+    lanes_of = _layout(m, stat)[0]
     out = []
     for r in _tables(m, k).types:
         lanes = [r[i] * m + r[j] for i in range(m) for j in range(i + 1, m)]
-        if not contours:
-            lanes += [m * m + l * m + a for l, a in enumerate(r)]
-        else:
-            up = 0
-            for a in r:
-                # U's bitmask with bit a taken out: the bits above a move down one
-                i = up & (1 << a) - 1 | up >> a + 1 << a
-                lanes.append(m * m + (a << m - 1) + i)
-                up |= 1 << a
-        out.append(sum(1 << (bits * lane) for lane in lanes))
+        lanes += [m * m + i for i in lanes_of(r)]
+        out.append(sum(1 << (8 * lane_bytes * lane) for lane in lanes))
     return tuple(out)
 
 
 class _Kernel(NamedTuple):
     """One rule at m candidates, for profiles of a given voter count.
 
-    The ``reads_*`` flags are the statistics its record says the decision
-    reads; the others are passed as None.  ``tally >> key_shift & key_mask``
-    is the memo key: the tournament lanes when the decision or the
-    Condorcet screen reads them, the rank-count lanes when the decision or
-    the majority screen reads them, both blocks when both apply.  A rule
-    that reads ballots has key_mask 0 and no whole-profile memo.
-
-    A rule whose record gives a per-candidate ``value`` is decided by it
-    and ``least`` past its screen, never by ``decide``: ``tally >> shifts[a]
-    & mask`` is candidate a's block, its rank column or its contour lanes
-    moved down to lane 0, and the key of its value in the memo; ``cut``
-    takes a's lanes from the unpacked block.
+    The tallies hold the tournament lanes, then those of the rule's
+    ``stat``; lane m*m + a*stride holds a's first places.  The decision
+    gets the tournament if ``reads_tournament`` and the rest if the rule has
+    a ``stat``, else None.  ``tally >> key_shift & key_mask`` is the memo
+    key: the tournament lanes when the decision or the Condorcet screen
+    reads them and the rank lanes when the rule reads them; 0 on contour or
+    prefix lanes.  A rule with a per-candidate ``value`` is decided by it
+    and ``least``, never by ``decide``: ``tally >> shifts[a] & mask`` is
+    a's lanes moved down to candidate 0's, the key of its value in the
+    memo, and ``cut`` takes them from the unpacked block.
     """
 
     m: int
     decide: Decision
-    reads_ballots: bool
     always_elects: str | None  # "condorcet", "majority" or None, as in its record
-    types: tuple[tuple[int, ...], ...]
     contrib: tuple[int, ...]
     tally_bytes: int
     lane_format: str
     reads_tournament: bool
-    reads_ranks: bool
+    stride: int  # 0 for a rule packing no lanes after the tournament
     key_shift: int
     key_mask: int
     value: Callable[[int, int, Sequence[int]], object] | None
@@ -508,30 +463,19 @@ class _Kernel(NamedTuple):
 def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     size, fmt = next((size, fmt) for size, fmt in _LANES if n < 1 << (8 * size))
     rule = _rule(rule_id, m)
+    _, stride, step, width = _layout(m, rule.stat)
     lane = 8 * size  # bits of one lane
-    block = lane * m * m  # bits of the tournament block, and of the rank block
+    block = lane * m * m  # bits of the tournament block
     # the blocks the memo key covers: those the decision or the screen reads
     tournament = rule.tournament or rule.always_elects == "condorcet"
-    ranks = rule.stat == "ranks" or rule.always_elects == "majority"
-    ballots = rule.stat == "ballots"
-    contours = ballots and rule.value is not None
-    if contours:  # a's 2^(m-1) contour lanes start at lane m*m + a*2^(m-1)
-        span = lane << m - 1
-        second = m * span  # bits of the contour block
-        shifts = tuple(block + a * span for a in range(m))
-        mask, cut = (1 << span) - 1, slice(1 << m - 1)
-    else:  # a's rank lanes m*m + l*m + a, shifted right by a lanes, sit on candidate 0's
-        second = block
-        shifts = tuple(block + a * lane for a in range(m))
-        mask, cut = sum((1 << lane) - 1 << l * m * lane for l in range(m)), slice(0, m * m, m)
+    keyed = tournament + (rule.stat == "ranks") if rule.stat in (None, "ranks") else 0
     return _Kernel(
-        m, rule.decision(m), ballots, rule.always_elects, _tables(m, k).types,
-        _contributions(m, k, size, contours), (block + second) // 8, fmt,
-        reads_tournament=rule.tournament,
-        reads_ranks=rule.stat == "ranks",
-        key_shift=0 if tournament else block,
-        key_mask=0 if ballots else (1 << block * (tournament + ranks)) - 1,
-        value=rule.value, shifts=shifts, mask=mask, cut=cut, least=rule.least,
+        m, rule.decision(m), rule.always_elects, _contributions(m, k, size, rule.stat),
+        tally_bytes=size * m * (m + width), lane_format=fmt, reads_tournament=rule.tournament,
+        stride=stride, key_shift=0 if tournament else block, key_mask=(1 << block * keyed) - 1,
+        value=rule.value, shifts=tuple(block + a * stride * lane for a in range(m)),
+        mask=sum((1 << lane) - 1 << j * step * lane for j in range(width)),
+        cut=slice(0, width * step, step or 1), least=rule.least,
     )
 
 
@@ -541,20 +485,17 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
 _MEMO_ENTRIES = 1 << 16
 
 
-def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequence[int]:
-    """Winners of the enumerated profile with these counts and packed tallies.
+def rule_winners(kernel: _Kernel, n: int, tally: int, memo=None) -> Sequence[int]:
+    """Winners of the enumerated profile with these packed tallies.
 
     A rule that always elects a strict Condorcet or first-place majority
     winner alone is not decided when `_screened_winner` finds one in the
     unpacked lanes: that winner is returned.  A rule with a per-candidate
-    value is otherwise decided by each candidate's value on its own lanes.
-    Any other rule's decision gets the unpacked tournament counts, and the
-    unpacked rank counts or, for a rule that reads ballots, the nonzero
-    (count, ballot type) pairs, each only when its record says the decision
-    reads it.  Given a memo, a dict that lives for one slice, the winners
-    of a rule that reads no ballots are kept under the lanes it reads, and
-    a profile repeating them is answered from the memo; a rule with a
-    per-candidate value also keeps each value under the candidate's lanes.
+    value is otherwise decided by each candidate's value on its own lanes,
+    any other rule by its decision on the unpacked lanes.  Given a memo, a
+    dict that lives for one slice, the winners are kept under the key the
+    kernel's key_mask cuts, if any, and each value under its candidate's
+    lanes, and a profile repeating them is answered from the memo.
     """
     key = None
     if memo is not None and kernel.key_mask:
@@ -569,11 +510,8 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, counts, memo=None) -> Sequ
         if kernel.always_elects:
             won = _screened_winner(kernel, n, lanes)
         if won is None and kernel.value is None:
-            if not kernel.reads_ballots:
-                stat = lanes[m * m :] if kernel.reads_ranks else None
-            else:
-                stat = [(c, kernel.types[t]) for t, c in enumerate(counts) if c]
             h = lanes[: m * m] if kernel.reads_tournament else None
+            stat = lanes[m * m :] if kernel.stride else None
             won = kernel.decide(m, n, h, stat)[0]
     if won is None:
         won = _candidate_winners(kernel, n, tally, memo)
@@ -606,7 +544,7 @@ def _screened_winner(kernel: _Kernel, n: int, lanes) -> tuple[int] | None:
                 return (a,)
     else:
         for a in range(m):
-            if 2 * lanes[m * m + a] > n:
+            if 2 * lanes[m * m + a * kernel.stride] > n:
                 return (a,)
     return None
 
@@ -698,7 +636,7 @@ def _min_violation(args):
                     tail = counts[split:]
                     if any([counts[j] for j in pull] > tail for pull in stabiliser):
                         continue
-                won = rule_winners(kernel, n, tally, counts, memo)
+                won = rule_winners(kernel, n, tally, memo)
                 if max(won) >= k:
                     key, g = _orbit_minimum(tables, counts)
                     if best is None or key < best[0]:

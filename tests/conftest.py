@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from votelab import Profile, default_candidates
+from votelab.search import _count_vectors, _split_types
 
 
 @pytest.fixture
@@ -62,8 +63,10 @@ def profiles(draw, max_m=4, max_voters=8, min_m=1):
 
 
 # Independent references for the tests: the library ranks candidates by
-# truncated scores only through `rules._piecewise_depth_pieces`, and relabels
-# profiles only inside the search's orbit tables.
+# truncated scores only through `rules._piecewise_depth_pieces`, relabels
+# profiles only inside the search's orbit tables, finds a majority winner
+# only in `rules._majority_winner` and the search's screen, and enumerates a
+# slice of profiles only through the search's count vectors.
 
 
 def relabel_profile(profile: Profile, perm: Sequence[int]) -> Profile:
@@ -95,3 +98,27 @@ def truncated_borda(profile: Profile, cand: int, t: Fraction | int) -> Fraction:
     for i in range(1, depth + 1):
         total += (t - (i - 1)) * pos[(i - 1) * m + cand]
     return total
+
+
+def majority_winner(profile: Profile) -> int | None:
+    """Candidate top-ranked by more than half the voters, if any."""
+    n = profile.n
+    for a, top in enumerate(profile.rank_counts[: profile.m]):
+        if 2 * top > n:
+            return a
+    return None
+
+
+def profiles_with_support(m: int, k: int, n: int, support: int):
+    """Profiles with n voters of whom exactly `support` top-rank B = {0..k-1}.
+
+    The plain enumeration of one slice of the exhaustive search, the
+    reference its orbit-reduced walk is tested against.
+    """
+    b_types, o_types = _split_types(m, k)
+    labels = default_candidates(m)
+    for bvec in _count_vectors(support, len(b_types)):
+        b_part = tuple((c, b_types[i]) for i, c in enumerate(bvec) if c)
+        for ovec in _count_vectors(n - support, len(o_types)):
+            ballots = b_part + tuple((c, o_types[i]) for i, c in enumerate(ovec) if c)
+            yield Profile(labels, ballots)

@@ -11,13 +11,12 @@ from votelab import (
     RULE_IDS,
     Profile,
     condorcet_winner,
-    majority_winner,
     positional_matrix,
     report,
     tournament_matrix,
 )
 
-from conftest import profiles, relabel_profile, truncated_borda
+from conftest import majority_winner, profiles, relabel_profile, truncated_borda
 
 
 class TestProfile:

@@ -15,7 +15,6 @@ from votelab import (
     convex_median_score,
     dodgson_score,
     exact,
-    majority_winner,
     oracle_veto_core,
     oracle_young_score,
     random_profile,
@@ -141,6 +140,33 @@ class TestInstantRunoff:
         # deleting the whole tied minimum at once would elect c here
         p = Profile.from_names("abc", [(3, "abc"), (3, "bac"), (4, "cab")])
         assert winners("irv", p) == {0, 1}
+
+    @pytest.mark.parametrize("m", [7, 8, 30])
+    def test_many_candidates_match_plain_elimination(self, m):
+        # past m = 7 a report counts the contour lanes in a dict of the
+        # nonzero ones: a list would hold m 2^(m-1) lanes
+        rng = random.Random(m)
+        for _ in range(3):
+            # each candidate tops one group, of a size no other group has
+            groups = []
+            for i, top in enumerate(rng.sample(range(m), m)):
+                rest = rng.sample([c for c in range(m) if c != top], m - 1)
+                groups.append((i + 1, (top, *rest)))
+            p = Profile(tuple(f"c{i}" for i in range(m)), tuple(groups))
+            active, order = set(range(m)), []
+            while len(active) > 1:
+                firsts = dict.fromkeys(active, 0)
+                for count, ranking in p.ballots:
+                    firsts[next(c for c in ranking if c in active)] += count
+                losers = [a for a in active if firsts[a] == min(firsts.values())]
+                if len(losers) > 1:
+                    break  # the plain elimination has no tie to follow
+                order.append(losers)
+                active -= set(losers)
+            rep = report("irv", p)
+            assert [r["eliminated"] for r in rep.trace["rounds"]] == order
+            if len(active) == 1:
+                assert rep.winners == active
 
 
 class TestSimpson:

@@ -1,9 +1,9 @@
 """Differential tests of the statistic-level rule functions and the search kernel.
 
 The references here are deliberately plain: rules computed on a Profile with
-Fraction arithmetic, the brute-force oracles for the rules that read ballots,
-and slices enumerated profile by profile with `_profiles_with_support` and
-`rules.winners`.
+Fraction arithmetic, the brute-force oracles for the rules the search decides
+on contour or prefix lanes, and slices enumerated profile by profile with
+`profiles_with_support` and `rules.winners`.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from votelab import (
     Profile,
     all_profiles,
     condorcet_winner,
-    majority_winner,
+    dodgson_score,
     positional_matrix,
     random_profile,
     tournament_matrix,
@@ -29,6 +29,9 @@ from votelab.rules import (
     _blocked,
     _blocking_set,
     _convex_median_depth,
+    _dodgson_score,
+    _prefixes,
+    _rule,
     _tradeoff_value,
     _young_score,
     integer_truncated_scores,
@@ -40,7 +43,6 @@ from votelab import search
 from votelab.search import (
     _kernel,
     _min_violation,
-    _profiles_with_support,
     max_violation,
     oracle_dodgson_score,
     oracle_veto_core,
@@ -49,14 +51,16 @@ from votelab.search import (
     rule_winners,
 )
 
-from conftest import relabel_profile
+from conftest import majority_winner, profiles_with_support, relabel_profile
 
 F = Fraction
 TALLY_RULES = (
     "plurality", "runoff", "borda", "antiplurality", "simpson", "clr", "black",
     "convexmedian", "t12rule",
 )
-BALLOT_RULES = ("irv", "young", "dodgson", "vetocore")
+BALLOT_RULES = ("irv", "young", "dodgson", "vetocore")  # decided on contour or prefix lanes
+LAYOUTS = dict.fromkeys(("simpson", "clr", "black"))
+LAYOUTS.update(dict.fromkeys(("irv", "young", "vetocore"), "contours"), dodgson="prefixes")
 CONDORCET_RULES = ("simpson", "young", "dodgson", "clr", "black")
 MAJORITY_RULES = ("plurality", "runoff", "irv", "convexmedian", "t12rule")
 SCORING = {3: "scoring:5,2,0", 4: "scoring:6,3,1,0", 5: "scoring:9,4,3,1,0"}
@@ -141,13 +145,19 @@ def reference_winners(rule_id, p):
     raise AssertionError(rule_id)
 
 
-def _counts(p, kernel):
-    """The count vector of a profile over the kernel's ballot types."""
-    index = {r: t for t, r in enumerate(kernel.types)}
-    counts = [0] * len(kernel.types)
+def _counts(p):
+    """The count vector of a profile over the search's ballot types."""
+    types = search._tables(p.m, 1).types
+    index = {r: t for t, r in enumerate(types)}
+    counts = [0] * len(types)
     for c, r in p.ballots:
         counts[index[r]] = c
     return counts
+
+
+def _tally(counts, kernel):
+    """The kernel's packed tallies of a count vector."""
+    return sum(c * part for c, part in zip(counts, kernel.contrib))
 
 
 def _decision_cases():
@@ -158,15 +168,15 @@ def _decision_cases():
             yield random_profile(rng, m, rng.randint(1, 12))
 
 
-def _kernel_answers(kernel, n, tally, counts):
-    """The kernel's winners, and the decision's own with the winner screen
-    and the per-candidate values cleared, so that the decision is checked
-    on every profile.  The rank columns' values are defined only past the
-    majority screen."""
-    decision_only = kernel._replace(always_elects=None, value=None)
+def _kernel_answers(kernel, n, tally, **cleared):
+    """The kernel's winners, and its winners with the fields named in
+    cleared replaced: the winner screen, so that the rest of the kernel is
+    checked on every profile, and for the tally rules the per-candidate
+    values too, so that the decision is.  The rank columns' values are
+    defined only past the majority screen."""
     return (
-        set(rule_winners(kernel, n, tally, counts)),
-        set(rule_winners(decision_only, n, tally, counts)),
+        set(rule_winners(kernel, n, tally)),
+        set(rule_winners(kernel._replace(always_elects=None, **cleared), n, tally)),
     )
 
 
@@ -177,60 +187,76 @@ def test_statistic_level_functions_match_reference():
     for p in _decision_cases():
         kernel_rules = {rule_id: _kernel(rule_id, p.m, 1, p.n) for rule_id in TALLY_RULES}
         kernel_rules[SCORING[p.m]] = _kernel(SCORING[p.m], p.m, 1, p.n)
-        counts = _counts(p, kernel_rules["clr"])
-        tally = sum(c * part for c, part in zip(counts, kernel_rules["clr"].contrib))
+        counts = _counts(p)
         for rule_id, kernel in kernel_rules.items():
             expected = reference_winners(rule_id, p)
             assert set(winners(rule_id, p)) == expected, (rule_id, p)
-            got = _kernel_answers(kernel, p.n, tally, counts)
+            got = _kernel_answers(kernel, p.n, _tally(counts, kernel), value=None)
             assert got == (expected, expected), (rule_id, p)
 
 
 def test_wide_lanes_hold_large_counts():
-    """Counts above 255 move the packed tallies, and the contour lanes, to
-    two-byte lanes; each candidate's memo key then holds its two-byte
-    counts: its rank column, or its contour counts c(a, .)."""
+    """Counts above 255 move the packed tallies, and the contour and prefix
+    lanes, to two-byte lanes; each candidate's memo key then holds its
+    two-byte counts: its rank column, its contour counts c(a, .) or its
+    prefix counts.  irv's decision reads the two-byte contour lanes."""
     p = Profile(("a", "b", "c"), ((300, (0, 1, 2)), (200, (1, 2, 0)), (100, (2, 0, 1))))
     kernel = _kernel("clr", 3, 1, p.n)
     assert kernel.lane_format == "H"
-    counts = _counts(p, kernel)
-    tally = sum(c * part for c, part in zip(counts, kernel.contrib))
-    assert set(rule_winners(kernel, p.n, tally, counts)) == reference_winners("clr", p)
+    counts = _counts(p)
+    assert set(rule_winners(kernel, p.n, _tally(counts, kernel))) == reference_winners("clr", p)
     lane = {a: _contour_lanes(3, a) for a in range(3)}
     contours = {
         sum(c << 16 * lane[a].index(u) for u, c in _contours(p, a)) for a in range(3)
     }
     columns = {sum(c << 16 * l * 3 for l, c in enumerate(col)) for col in _rank_columns(p)}
+    order = _prefix_lanes(3)
+    prefixes = {
+        sum(c << 16 * order.index(u) for u, c in _prefix_counts(p, a)) for a in range(3)
+    }
     for rule_id, keys in (
-        ("vetocore", contours), ("young", contours),
+        ("vetocore", contours), ("young", contours), ("dodgson", prefixes),
         ("convexmedian", columns), ("t12rule", columns),
     ):
         kernel = _kernel(rule_id, 3, 1, p.n)._replace(always_elects=None)
         assert kernel.lane_format == "H", rule_id
-        tally = sum(c * part for c, part in zip(counts, kernel.contrib))
         memo = {}
-        assert set(rule_winners(kernel, p.n, tally, counts, memo)) == set(winners(rule_id, p))
+        got = rule_winners(kernel, p.n, _tally(counts, kernel), memo)
+        assert set(got) == set(winners(rule_id, p))
         assert {~key for key in memo if key < 0} == keys, rule_id
+    kernel = _kernel("irv", 3, 1, p.n)._replace(always_elects=None)
+    assert kernel.lane_format == "H"
+    tally = _tally(counts, kernel)
+    assert tally >> 16 * 9 == sum(
+        c << 16 * (4 * a + lane[a].index(u)) for a in range(3) for u, c in _contours(p, a)
+    )
+    assert set(rule_winners(kernel, p.n, tally)) == set(winners("irv", p)) == {0}
 
 
 def test_every_registered_rule_has_a_kernel_decision():
     """Every rule id, and a scoring: vector, has one decision the kernel
-    calls; exactly the ballot rules read ballots instead of rank counts.
+    calls, and packs after the tournament the lanes of its record's
+    statistic: none, the rank counts, or per candidate a block of contour
+    or prefix lanes, a's block starting ``stride`` lanes after a - 1's.
     The winner screens are the paper's grouping: the Condorcet-consistent
     rules, the majority-consistent ones, and none for the rest."""
     assert set(RULE_IDS) == set(TALLY_RULES) | set(BALLOT_RULES)
     for m in (2, 3, 4):
+        width = {None: 0, "ranks": m, "contours": 2 ** (m - 1), "prefixes": len(_prefix_lanes(m))}
         for rule_id in RULE_IDS:
             kernel = _kernel(rule_id, m, 1, 1)
             assert callable(kernel.decide), rule_id
-            assert kernel.reads_ballots == (rule_id in BALLOT_RULES), rule_id
+            layout = LAYOUTS.get(rule_id, "ranks")
+            assert _rule(rule_id, m).stat == layout, rule_id
+            assert kernel.tally_bytes == m * m + m * width[layout], rule_id  # one-byte lanes
+            assert kernel.stride == (1 if layout == "ranks" else width[layout]), rule_id
             screen = (
                 "condorcet" if rule_id in CONDORCET_RULES
                 else "majority" if rule_id in MAJORITY_RULES else None
             )
             assert kernel.always_elects == screen, rule_id
     kernel = _kernel(SCORING[3], 3, 1, 1)
-    assert kernel.reads_ballots is False and kernel.always_elects is None
+    assert (kernel.tally_bytes, kernel.stride, kernel.always_elects) == (18, 1, None)
     with pytest.raises(ValueError, match="unknown rule id"):
         _kernel("nosuchrule", 3, 1, 1)
     with pytest.raises(ValueError, match="unknown rule id"):
@@ -311,18 +337,19 @@ def test_head_screen_winner_wins_every_completion():
 def test_memo_key_determines_the_winners():
     """Profiles sharing a rule's memo key, the tally lanes its record says
     the rule reads, share its winner set under rules.winners, on every
-    profile of up to 6 voters over 3 candidates and 4 over 4.  The ballot
-    rules have no key."""
+    profile of up to 6 voters over 3 candidates and 4 over 4.  The rules on
+    contour or prefix lanes have no key: young, dodgson and the veto core
+    keep their values per candidate, and irv's contour lanes determine the
+    profile at m = 3, so a key there would never repeat."""
     for rule_id in BALLOT_RULES:
         assert _kernel(rule_id, 3, 1, 1).key_mask == 0, rule_id
     for m, profiles in ((3, all_profiles(3, 6)), (4, all_profiles(4, 4))):
         kernels = {rule_id: _kernel(rule_id, m, 1, 1) for rule_id in TALLY_RULES + (SCORING[m],)}
         groups = {rule_id: {} for rule_id in kernels}
         for p in profiles:
-            counts = _counts(p, kernels["clr"])
-            tally = sum(c * part for c, part in zip(counts, kernels["clr"].contrib))
+            counts = _counts(p)
             for rule_id, kernel in kernels.items():
-                key = tally >> kernel.key_shift & kernel.key_mask
+                key = _tally(counts, kernel) >> kernel.key_shift & kernel.key_mask
                 groups[rule_id].setdefault(key, []).append(p)
         for rule_id, by_key in groups.items():
             for same in by_key.values():
@@ -337,19 +364,18 @@ def _argmin_oracle(p, score):
 
 
 def test_ballot_decisions_match_rules_and_oracles():
-    """The ballot rules' decisions, fed the kernel's packed tallies and
-    count vectors, give rules.winners' answer, screened or not, and the
-    independent oracles' (the Dodgson oracle on profiles of up to 7 voters,
-    within its budget)."""
+    """The kernel's answers for the rules on contour or prefix lanes, fed
+    its packed tallies, screened or not, give rules.winners' answer, which
+    these rules' decisions compute from the ballots, and the independent
+    oracles' (the Dodgson oracle on profiles of up to 7 voters, within its
+    budget)."""
     dodgson_checked = 0
     for p in _decision_cases():
-        kernels = {rule_id: _kernel(rule_id, p.m, 1, p.n) for rule_id in BALLOT_RULES}
-        counts = _counts(p, kernels["irv"])
+        counts = _counts(p)
         got = {}
-        for rule_id, kernel in kernels.items():
-            # each kernel's own packing: the contour rules' carries contour lanes
-            tally = sum(c * part for c, part in zip(counts, kernel.contrib))
-            screened, decided = _kernel_answers(kernel, p.n, tally, counts)
+        for rule_id in BALLOT_RULES:
+            kernel = _kernel(rule_id, p.m, 1, p.n)
+            screened, decided = _kernel_answers(kernel, p.n, _tally(counts, kernel))
             assert screened == decided == set(winners(rule_id, p)), (rule_id, p)
             got[rule_id] = decided
         assert got["irv"] == set(parallel_universe_irv(p)), p
@@ -377,6 +403,53 @@ def _contours(p, a):
     return tuple(sorted(c.items()))
 
 
+def _prefix_lanes(m):
+    """The ordered sets a ballot can rank above a candidate, over the other
+    m - 1 candidates relabelled b - (b > a), in the order of its prefix
+    lanes: shortest first, then lexicographic."""
+    every = (p for j in range(m) for p in itertools.permutations(range(m - 1), j))
+    return sorted(every, key=lambda p: (len(p), p))
+
+
+def _prefix_counts(p, a):
+    """The voters per ordered prefix above a, relabelled as in
+    _prefix_lanes, counted from the rankings, in increasing order."""
+    c = {}
+    for count, r in p.ballots:
+        above = tuple(b - (b > a) for b in r[: r.index(a)])
+        c[above] = c.get(above, 0) + count
+    return tuple(sorted(c.items()))
+
+
+def test_prefix_key_determines_dodgson_score():
+    """Profiles sharing a candidate's prefix counts and n, the search's
+    memo key for it, share its Dodgson score, across candidates, on every
+    profile of up to 7 voters over 3 candidates and 4 over 4.
+    _dodgson_score gives dodgson_score from the key alone, and tally >>
+    shifts[a] & mask holds a's prefix counts, one lane per ordered prefix."""
+    for m, profiles in ((3, all_profiles(3, 7)), (4, all_profiles(4, 4))):
+        kernel = _kernel("dodgson", m, 1, 1)
+        assert kernel.value is _dodgson_score
+        order = _prefix_lanes(m)
+        assert list(_prefixes(m)) == order
+        seen, lookups = {}, 0
+        for p in profiles:
+            tally = _tally(_counts(p), kernel)
+            for a in range(m):
+                prefixes = _prefix_counts(p, a)
+                key = tally >> kernel.shifts[a] & kernel.mask
+                assert key == sum(c << 8 * order.index(u) for u, c in prefixes), (p, a)
+                score = dodgson_score(p, a)
+                if (p.n, key) not in seen:
+                    lanes = [0] * len(order)
+                    for u, c in prefixes:
+                        lanes[order.index(u)] = c
+                    assert _dodgson_score(m, p.n, lanes) == score, (p, a)
+                assert seen.setdefault((p.n, key), score) == score, (p, a)
+                lookups += 1
+        assert 2 * len(seen) < lookups  # keys repeat, as the memo relies on
+
+
 def test_contour_key_determines_veto_core_and_young():
     """Profiles sharing a candidate's key (n, a, c(a, .)) share, in their
     reports, the set through which the veto core blocks it (or None) with
@@ -393,8 +466,7 @@ def test_contour_key_determines_veto_core_and_young():
         lane = {a: _contour_lanes(m, a) for a in range(m)}
         seen, shared, lookups = {}, {}, 0
         for p in profiles:
-            counts = _counts(p, kernel)
-            tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+            tally = _tally(_counts(p), kernel)
             veto, young = report("vetocore", p), report("young", p)
             for a in range(m):
                 contours = _contours(p, a)
@@ -448,8 +520,7 @@ def test_column_key_determines_convex_median_and_t12_values():
         assert (kernel.shifts, kernel.mask) == (t12.shifts, t12.mask)
         seen, lookups = {}, 0
         for p in profiles:
-            counts = _counts(p, kernel)
-            tally = sum(c * part for c, part in zip(counts, kernel.contrib))
+            tally = _tally(_counts(p), kernel)
             cols = _rank_columns(p)
             keys = [tally >> shift & kernel.mask for shift in kernel.shifts]
             for a, key in enumerate(keys):
@@ -493,7 +564,7 @@ def plain_min_violation(rule_id, m, k, n, support):
     """The slice's smallest Profile.ballots key among violations, enumerated
     profile by profile."""
     best = None
-    for p in _profiles_with_support(m, k, n, support):
+    for p in profiles_with_support(m, k, n, support):
         won = winners(rule_id, p)
         if max(won) >= k and (best is None or p.ballots < best[0]):
             best = p.ballots, support, tuple(sorted(won))
@@ -526,10 +597,15 @@ def test_orbit_reduced_slices_match_plain_enumeration_convexmedian_m4():
     assert hits  # the witness slice n = 7, support 4 is among them
 
 
-@pytest.mark.parametrize("rule_id", ["irv", "young", "dodgson"])
-def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id):
-    """Screened ballot rules at m = 4 and every k, up to 3 voters."""
-    _assert_slices_match_plain(rule_id, 4, (1, 2, 3), 3)
+@pytest.mark.parametrize("rule_id, max_voters", [
+    pytest.param(rule_id, n, id=rule_id)
+    for rule_id, n in (("irv", 4), ("young", 3), ("dodgson", 4))
+])
+def test_orbit_reduced_slices_match_plain_enumeration_ballot_rules_m4(rule_id, max_voters):
+    """The screened rules on contour or prefix lanes at m = 4 and every k,
+    up to 4 voters; young, which the contour rules' test below takes to 4,
+    up to 3."""
+    _assert_slices_match_plain(rule_id, 4, (1, 2, 3), max_voters)
 
 
 def test_orbit_reduced_slices_match_plain_enumeration_t12rule_m4():
@@ -556,17 +632,19 @@ def test_capped_memo_keeps_slice_results(monkeypatch):
     """A memo cleared every 8 entries gives each m = 4 slice the same
     result as the default memo and as plain enumeration, and never holds
     more than 8 entries, whether it keys whole tallies or each candidate's
-    rank column (convexmedian, t12rule) or contour lanes (the veto core)."""
+    rank column (convexmedian, t12rule), contour lanes (the veto core) or
+    prefix lanes (dodgson)."""
     slices = [("convexmedian", 4, 2, 4, s) for s in range(1, 5)]
     slices += [("t12rule", 4, 2, 4, s) for s in range(1, 5)]
     slices += [("clr", 4, 3, 4, s) for s in range(1, 5)]
     slices += [("vetocore", 4, 3, 4, s) for s in range(1, 5)]
+    slices += [("dodgson", 4, 3, 4, s) for s in range(1, 5)]
     uncapped = [_min_violation(args) for args in slices]
     sizes, per_candidate = [], set()
     evaluate = search.rule_winners
 
-    def measured(kernel, n, tally, counts, memo=None):
-        won = evaluate(kernel, n, tally, counts, memo)
+    def measured(kernel, n, tally, memo=None):
+        won = evaluate(kernel, n, tally, memo)
         sizes.append(len(memo))
         if any(key < 0 for key in memo):  # the per-candidate keys are negated
             per_candidate.add(kernel.value.__name__)
@@ -577,24 +655,28 @@ def test_capped_memo_keeps_slice_results(monkeypatch):
     for args, expected in zip(slices, uncapped):
         assert _min_violation(args) == expected == plain_min_violation(*args), args
     assert max(sizes) == 8
-    assert per_candidate == {"_convex_median_depth", "_tradeoff_value", "_blocked"}
+    assert per_candidate == {
+        "_convex_median_depth", "_tradeoff_value", "_blocked", "_dodgson_score",
+    }
 
 
 def test_per_candidate_rules_never_call_their_decision(monkeypatch):
-    """convexmedian, t12rule, young and vetocore answer every m = 3 slice
-    of up to 6 voters and the m = 4 slices of the capped-memo test from
+    """convexmedian, t12rule, young, dodgson and vetocore answer every
+    m = 3 slice of up to 6 voters and the m = 4 slices of the capped-memo test from
     their screens and per-candidate values alone, t12rule's dominance
     tie-break included: a kernel whose decision raises gives each slice
     the plain enumeration's result."""
     slices = [
         (rule_id, 3, k, n, s)
-        for rule_id in ("convexmedian", "t12rule", "young", "vetocore")
+        for rule_id in ("convexmedian", "t12rule", "young", "dodgson", "vetocore")
         for k in (1, 2)
         for n in range(1, 7)
         for s in range(1, n + 1)
     ]
     slices += [(rule_id, 4, 2, 4, s) for rule_id in ("convexmedian", "t12rule") for s in range(1, 5)]
-    slices += [(rule_id, 4, 3, 4, s) for rule_id in ("young", "vetocore") for s in range(1, 5)]
+    slices += [
+        (rule_id, 4, 3, 4, s) for rule_id in ("young", "dodgson", "vetocore") for s in range(1, 5)
+    ]
     expected = [plain_min_violation(*args) for args in slices]
     build = search._kernel
 
@@ -617,7 +699,7 @@ def _orbits(m, k, n, support):
     ]
     return {
         min(relabel_profile(p, g).ballots for g in group): p
-        for p in _profiles_with_support(m, k, n, support)
+        for p in profiles_with_support(m, k, n, support)
     }
 
 
