@@ -35,6 +35,7 @@ other name: callers ask for it by its id, through ``report`` or
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -159,15 +160,24 @@ def _layout(m: int, stat: str | None):
 
 def _packed(m: int, ballots: Ballots):
     """The contour lanes counted from the ballots: a list of them all up to
-    m = 7, the most candidates a search takes; past that, as a block grows
-    as 2^m, per candidate a dict from j to its nonzero lane a*width + j."""
-    lanes_of, width = _layout(m, "contours")[::3]
+    m = 7, the most candidates a search takes.  Past that, as a block grows
+    as 2^m, per candidate its nonzero lanes as (U, count) pairs, U the
+    bitmask of the candidates ranked above it, not relabelled, fewest
+    members first, and ends, where ends[j] pairs have at most j members."""
     if m > 7:
         blocks = [collections.defaultdict(int) for _ in range(m)]
         for count, ranking in ballots:
-            for a, i in enumerate(lanes_of(ranking)):
-                blocks[a][i - a * width] += count
-        return blocks
+            above = 0
+            for a in ranking:
+                blocks[a][above] += count
+                above |= 1 << a
+        sized = []
+        for block in blocks:
+            pairs = sorted(block.items(), key=lambda lane: lane[0].bit_count())
+            sizes = [u.bit_count() for u, _ in pairs]
+            sized.append((pairs, [bisect.bisect_right(sizes, j) for j in range(m)]))
+        return sized
+    lanes_of, width = _layout(m, "contours")[::3]
     lanes = [0] * (m * width)
     for count, ranking in ballots:
         for i in lanes_of(ranking):
@@ -255,17 +265,15 @@ def runoff_decision(m, n, h, pos):
 @functools.lru_cache(maxsize=4096)
 def _transfer_getters(m: int, active: frozenset[int]) -> tuple[tuple[int, Callable], ...]:
     """Per active candidate a, a getter of its contour lanes c(a, U) whose U
-    holds no other active candidate, from the lanes as _packed gives them."""
+    holds no other active candidate, from the list of lanes _packed gives
+    up to m = 7."""
     width, held = _layout(m, "contours")[3], sum(1 << a for a in active)
     getters = []
     for a in active:
         bits = _contour_lane(a, held)
-        if m > 7:  # a dict of a's nonzero lanes
-            get = lambda blocks, a=a, bits=bits: [c for u, c in blocks[a].items() if not u & bits]
-        else:
-            lanes = [a * width + u for u in range(width) if not u & bits]
-            # a getter of one index gives no tuple, one of a slice a sequence
-            get = operator.itemgetter(*lanes if len(lanes) > 1 else [slice(lanes[0], lanes[0] + 1)])
+        lanes = [a * width + u for u in range(width) if not u & bits]
+        # a getter of one index gives no tuple, one of a slice a sequence
+        get = operator.itemgetter(*lanes if len(lanes) > 1 else [slice(lanes[0], lanes[0] + 1)])
         getters.append((a, get))
     return tuple(getters)
 
@@ -273,7 +281,9 @@ def _transfer_getters(m: int, active: frozenset[int]) -> tuple[tuple[int, Callab
 def instant_runoff_decision(m, n, h, contours):
     """Iteratively delete a candidate with the fewest top positions: a's
     among the active candidates sums its contour lanes c(a, U), as _packed
-    gives them, of every U holding none of the others.
+    gives them, of every U holding none of the others.  Past m = 7 such a U
+    has at most m - |active| members, so a's nonzero lanes are scanned up
+    to that size.
 
     When several candidates tie at the minimum, the winners are the union
     over all ways of deleting one of them (deleting the whole tied group at
@@ -291,8 +301,15 @@ def instant_runoff_decision(m, n, h, contours):
         hit = winners_of.get(active)
         if hit is not None:
             return hit
-        getters = _transfer_getters(m, active)
-        tally = tallies[active] = {a: sum(get(contours)) for a, get in getters}
+        if m > 7:
+            held, most = sum(1 << a for a in active), m - len(active)
+            tally = {
+                a: sum(c for u, c in contours[a][0][: contours[a][1][most]] if not u & held)
+                for a in active
+            }
+        else:
+            tally = {a: sum(get(contours)) for a, get in _transfer_getters(m, active)}
+        tallies[active] = tally
         low = min(tally.values())
         out: set[int] = set()
         for loser in active:
@@ -866,6 +883,21 @@ class _Rule:
     ranking the qualified set on top) in which the B part alone shows such
     a winner against the whole voter count.  None makes no such claim.
 
+    ``loser_screens`` names the tests by which the search shows, from part
+    of a slice's voters, that no candidate outside the qualified set B can
+    win, whatever the other voters do; each stays true as voters are added
+    to a fixed voter count n.  "blocked": the record's ``value`` is
+    ``_blocked``'s, and a candidate whose value, on the voters ranking B on
+    top alone and held to all n, has a nonzero blocking set is blocked on
+    every profile adding voters, as a set's coalition only grows.
+    "score-gap": the rule maximises the total of its integer ``weights(m)``,
+    one per rank; an outsider c wins only if the sum over b in B of
+    score(c) - score(b) is at least 0, and a voter adds at most k*w_1 less
+    the sum of the k least weights to it.  "condorcet-loser": the rule never
+    elects a strict Condorcet loser, which the lone outsider is at k = m - 1
+    when more than half the voters rank B on top.  The search runs the first
+    two per B part, the third per slice; reports never do.
+
     ``value`` declares a per-candidate statistic, for a rule whose winners,
     past its winner screen, depend on each candidate's own lanes alone: the
     function ``(m, n, lanes) -> value`` of one candidate, given its lanes of
@@ -891,29 +923,39 @@ class _Rule:
     always_elects: str | None = None
     value: Callable[[int, int, Sequence[int]], object] | None = None
     least: Callable[[Sequence], tuple[int, ...]] = _argmin
+    loser_screens: tuple[str, ...] = ()
+    weights: Callable[[int], tuple[int, ...]] | None = None
 
     def __post_init__(self):
         if self.majority_sup is None and self.majority is not None:
             object.__setattr__(self, "majority_sup", lambda k: self.majority(k, None))
 
 
-def _vector_rule(make: Callable[[int], ScoreVector], den: int = 1, **fields) -> _Rule:
+def _vector_rule(
+    make: Callable[[int], ScoreVector], den: int = 1, screens: tuple[str, ...] = (), **fields
+) -> _Rule:
     """The positional rule scoring m candidates with the vector make(m).
     Its decision sums the vector times ``den``, its weights' common
     denominator, so a total t is shown as the fraction t/den.  A lone
     candidate has no score vector; its one position counts 1 per voter.
-    Its per-m quota is the scoring rule's."""
+    Its per-m quota is the scoring rule's, and the search screens it by the
+    score gap of those weights and by ``screens``."""
+
+    @functools.cache
+    def weights(m: int) -> tuple[int, ...]:
+        return _integer_weights(make(m))[0] if m > 1 else (1,)
 
     @functools.cache
     def decide(m: int) -> Decision:
-        return scoring_decision(_integer_weights(make(m))[0] if m > 1 else (1,))
+        return scoring_decision(weights(m))
 
     return _Rule(decide, False, "ranks", lambda t: Fraction(t, den),
-                 majority=lambda k, m: scoring_rule_quota(make(m), k), **fields)
+                 majority=lambda k, m: scoring_rule_quota(make(m), k),
+                 loser_screens=("score-gap",) + screens, weights=weights, **fields)
 
 
 _BORDA = _vector_rule(
-    ScoreVector.borda, majority_sup=lambda k: ONE,
+    ScoreVector.borda, screens=("condorcet-loser",), majority_sup=lambda k: ONE,
     veto_sup=lambda l, half: (
         HALF if l == 1 else Fraction(3 * l - 1, 4 * l) if half else Fraction(l, l + 1)
     ),
@@ -934,13 +976,13 @@ _RULES: dict[str, _Rule] = {
         majority=lambda k, m: HALF if k in (1, m - 1) else Fraction(k, k + 2),
         majority_sup=lambda k: max(HALF, Fraction(k, k + 2)),
         veto_sup=lambda l, half: HALF if l == 1 else ONE, text={"majority": ("k/(k+2)", ONE)},
-        always_elects="majority",
+        always_elects="majority", loser_screens=("condorcet-loser",),
     ),
     "irv": _Rule(
         lambda m: instant_runoff_decision, False, "contours",
         majority=lambda k, m: HALF, veto_sup=lambda l, half: HALF,
         text=dict.fromkeys(("majority", "veto", "veto-half"), ("1/2", HALF)),
-        always_elects="majority",
+        always_elects="majority", loser_screens=("condorcet-loser",),
     ),
     "borda": _BORDA,
     "antiplurality": _vector_rule(
@@ -978,7 +1020,7 @@ _RULES: dict[str, _Rule] = {
             _BORDA.veto_sup(l, half) if l == 1 or half else Fraction(2 * l + 1, 2 * l + 4)
         ),
         text={**_BORDA.text, "veto": ("(2l+1)/(2l+4)", ONE)},
-        always_elects="condorcet",
+        always_elects="condorcet", loser_screens=("condorcet-loser",),
     ),
     "convexmedian": _Rule(
         lambda m: convex_median_decision, False, "ranks", lambda depth: Fraction(*depth),
@@ -1000,7 +1042,7 @@ _RULES: dict[str, _Rule] = {
         text={"veto": ("l/(l+1)", ONE), "veto-half": ("1/2", HALF)},
         # the core is never empty (Moulin 1981), so its members, of value
         # (0, 0), are the least
-        value=_blocked,
+        value=_blocked, loser_screens=("blocked",),
     ),
     "t12rule": _Rule(
         lambda m: theorem12_decision, False, "ranks", always_elects="majority",

@@ -362,7 +362,16 @@ def _split_types(m: int, k: int):
 # candidate's first places and duel votes, so a winner it finds wins every
 # completion of the B part alone, and none of them is evaluated.  That
 # winner is in B, since a B voter ranks every candidate of B above every
-# other, so no skipped profile is a violation.  A rule with a per-candidate
+# other, so no skipped profile is a violation.  The loser screens a rule's
+# record names are the dual tests, each sound for the same reason.  Per B
+# part: every candidate outside B is blocked on the part's contour lanes
+# against all n, or each one trails B on the score gap by more than the
+# other voters can add.  Per slice, before any B part is enumerated, when
+# more than half the n voters rank B on top: at k = 1 candidate 0 is then
+# the strict majority and Condorcet winner of every profile, which a rule
+# with a winner screen elects alone, and at k = m - 1 the lone outsider is
+# a strict Condorcet loser, which a rule so declared never elects; either
+# way the slice is clean.  A rule with a per-candidate
 # value is otherwise decided by its pick from each candidate's value on
 # that candidate's lanes alone; any other rule by its decision on the
 # unpacked lanes, without building a Profile.  Each slice keeps a memo from
@@ -440,6 +449,7 @@ class _Kernel(NamedTuple):
     and ``least``, never by ``decide``: ``tally >> shifts[a] & mask`` is
     a's lanes moved down to candidate 0's, the key of its value in the
     memo, and ``cut`` takes them from the unpacked block.
+    ``loser_screens`` and ``weights`` are the record's, the weights at m.
     """
 
     m: int
@@ -457,6 +467,8 @@ class _Kernel(NamedTuple):
     mask: int
     cut: slice
     least: Callable[[Sequence], tuple[int, ...]]
+    loser_screens: tuple[str, ...]
+    weights: tuple[int, ...] | None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -476,6 +488,7 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
         value=rule.value, shifts=tuple(block + a * stride * lane for a in range(m)),
         mask=sum((1 << lane) - 1 << j * step * lane for j in range(width)),
         cut=slice(0, width * step, step or 1), least=rule.least,
+        loser_screens=rule.loser_screens, weights=rule.weights and rule.weights(m),
     )
 
 
@@ -549,6 +562,42 @@ def _screened_winner(kernel: _Kernel, n: int, lanes) -> tuple[int] | None:
     return None
 
 
+def _slice_is_clean(kernel: _Kernel, k: int, n: int, support: int) -> bool:
+    """Whether (k, n, support) alone shows every profile of the slice clean:
+    with more than half the voters ranking B = {0..k-1} on top, at k = 1
+    candidate 0 is the strict majority and Condorcet winner, which a rule
+    with a winner screen elects alone, and at k = m - 1 the one outsider is
+    a strict Condorcet loser, which a rule so declared never elects."""
+    if 2 * support <= n:
+        return False
+    if k == 1:
+        return kernel.always_elects is not None
+    return k == kernel.m - 1 and "condorcet-loser" in kernel.loser_screens
+
+
+def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int) -> bool:
+    """Whether the tallies of the B part, the support voters ranking B =
+    {0..k-1} on top, alone show that no candidate outside B wins any
+    profile of n voters extending it, by a loser screen the rule declares.
+
+    "blocked": every outsider's value on its contour lanes has a nonzero
+    blocking set.  "score-gap": for every outsider c, k*score(c) less B's
+    total score, plus n - support times the most one more voter can add to
+    it, k*w_1 less the k least weights, is below 0.
+    """
+    m = kernel.m
+    if "blocked" in kernel.loser_screens:
+        blocks = (_lanes(kernel, tally >> kernel.shifts[c] & kernel.mask) for c in range(k, m))
+        return all(kernel.value(m, n, lanes[kernel.cut])[0] for lanes in blocks)
+    if "score-gap" in kernel.loser_screens:
+        # the weights fall with the rank, so the k least are the last k
+        w, ranks = kernel.weights, _lanes(kernel, tally)[m * m :]
+        scores = [sum(x * ranks[l * m + a] for l, x in enumerate(w) if x) for a in range(m)]
+        slack = (n - support) * (k * w[0] - sum(w[m - k :])) - sum(scores[:k])
+        return all(k * scores[c] + slack < 0 for c in range(k, m))
+    return False
+
+
 def _candidate_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ...]:
     """The rule's pick from each candidate's value, read from the memo
     under the candidate's block, bitwise negated so that it never meets a
@@ -613,8 +662,10 @@ def _min_violation(args):
     """The smallest violation key in one (n, support) slice, with its
     support and winners, or None when the slice is clean."""
     rule_id, m, k, n, support = args
-    tables = _tables(m, k)
     kernel = _kernel(rule_id, m, k, n)
+    if _slice_is_clean(kernel, k, n, support):
+        return None
+    tables = _tables(m, k)
     split = tables.split
     counts = [0] * len(tables.types)
     memo = {}  # this slice's winners by the statistic the rule reads
@@ -631,6 +682,8 @@ def _min_violation(args):
         else:
             if kernel.always_elects and _screened_winner(kernel, n, _lanes(kernel, b_tally)):
                 continue  # every completion elects that candidate, which is in B, alone
+            if kernel.loser_screens and _outsiders_lose(kernel, k, n, support, b_tally):
+                continue  # no completion elects a candidate outside B
             for tally in _fill(counts, split, len(counts), n - support, kernel.contrib, b_tally):
                 if stabiliser:
                     tail = counts[split:]

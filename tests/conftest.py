@@ -1,3 +1,5 @@
+import functools
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -122,3 +124,70 @@ def profiles_with_support(m: int, k: int, n: int, support: int):
         for ovec in _count_vectors(n - support, len(o_types)):
             ballots = b_part + tuple((c, o_types[i]) for i, c in enumerate(ovec) if c)
             yield Profile(labels, ballots)
+
+
+# Independent references for the search's loser screens.  Each works on a
+# profile's B part, its voters ranking B = {0..k-1} on top, held to all of
+# the profile's n voters, and counts from the rankings.
+
+
+def _b_part(p: Profile, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The profile's ballots that rank B = {0..k-1} on top."""
+    return tuple((c, r) for c, r in p.ballots if set(r[:k]) == set(range(k)))
+
+
+def score_gap_excludes_outsiders(p: Profile, k: int, vec: Sequence) -> bool:
+    """Whether, under the score vector vec, each outsider c trails B on the
+    B part by more than the other voters can make up: the sum over b in B
+    of score(c) - score(b) on the B part, plus n - s times the most one
+    ranking adds to it, found by trying every ranking, is below 0."""
+    m, n, vec = p.m, p.n, tuple(map(Fraction, vec))
+    head = _b_part(p, k)
+    s = sum(c for c, _ in head)
+    for c in range(k, m):
+        gap = sum(count * _score_gap(vec, k, r, c) for count, r in head)
+        if gap + (n - s) * _most_score_gap(vec, k, c) >= 0:
+            return False
+    return True
+
+
+def _score_gap(vec: tuple, k: int, r: tuple[int, ...], c: int) -> Fraction:
+    return sum(vec[r.index(c)] - vec[r.index(b)] for b in range(k))
+
+
+@functools.cache
+def _most_score_gap(vec: tuple, k: int, c: int) -> Fraction:
+    return max(_score_gap(vec, k, r, c) for r in itertools.permutations(range(len(vec))))
+
+
+def veto_blocks_outsiders(p: Profile, k: int) -> bool:
+    """Whether the B part alone blocks every outsider c in the proportional
+    veto core: some nonempty set X of other candidates has (m - |X|) * n
+    < m * t, t the B part's voters ranking all of X above c.  Every X is
+    tried."""
+    m, n = p.m, p.n
+    head = _b_part(p, k)
+    for c in range(k, m):
+        others = [b for b in range(m) if b != c]
+        if not any(
+            (m - size) * n
+            < m * sum(count for count, r in head if all(r.index(b) < r.index(c) for b in xs))
+            for size in range(1, m)
+            for xs in itertools.combinations(others, size)
+        ):
+            return False
+    return True
+
+
+def outsiders_are_condorcet_losers(p: Profile, k: int) -> bool:
+    """Whether the B part alone gives each outsider c a strict minority in
+    every duel: more than n/2 of the B part's voters, n the profile's,
+    rank the opponent above c."""
+    m, n = p.m, p.n
+    head = _b_part(p, k)
+    return all(
+        2 * sum(count for count, r in head if r.index(b) < r.index(c)) > n
+        for c in range(k, m)
+        for b in range(m)
+        if b != c
+    )

@@ -6,6 +6,7 @@ on contour or prefix lanes, and slices enumerated profile by profile with
 `profiles_with_support` and `rules.winners`.
 """
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from votelab import (
     Profile,
     all_profiles,
     condorcet_winner,
+    default_candidates,
     dodgson_score,
     positional_matrix,
     random_profile,
@@ -41,8 +43,10 @@ from votelab.rules import (
 )
 from votelab import search
 from votelab.search import (
+    _count_vectors,
     _kernel,
     _min_violation,
+    _split_types,
     max_violation,
     oracle_dodgson_score,
     oracle_veto_core,
@@ -51,7 +55,14 @@ from votelab.search import (
     rule_winners,
 )
 
-from conftest import majority_winner, profiles_with_support, relabel_profile
+from conftest import (
+    majority_winner,
+    outsiders_are_condorcet_losers,
+    profiles_with_support,
+    relabel_profile,
+    score_gap_excludes_outsiders,
+    veto_blocks_outsiders,
+)
 
 F = Fraction
 TALLY_RULES = (
@@ -64,6 +75,7 @@ LAYOUTS.update(dict.fromkeys(("irv", "young", "vetocore"), "contours"), dodgson=
 CONDORCET_RULES = ("simpson", "young", "dodgson", "clr", "black")
 MAJORITY_RULES = ("plurality", "runoff", "irv", "convexmedian", "t12rule")
 SCORING = {3: "scoring:5,2,0", 4: "scoring:6,3,1,0", 5: "scoring:9,4,3,1,0"}
+CONDORCET_LOSER_RULES = ("irv", "runoff", "borda", "black")  # never elect a strict Condorcet loser
 FIXED_VECTORS = {
     "plurality": ScoreVector.plurality,
     "borda": ScoreVector.borda,
@@ -239,7 +251,10 @@ def test_every_registered_rule_has_a_kernel_decision():
     statistic: none, the rank counts, or per candidate a block of contour
     or prefix lanes, a's block starting ``stride`` lanes after a - 1's.
     The winner screens are the paper's grouping: the Condorcet-consistent
-    rules, the majority-consistent ones, and none for the rest."""
+    rules, the majority-consistent ones, and none for the rest.  The loser
+    screens: the veto core's blocking, the score gap of every positional
+    rule, which carries its integer weights, and the Condorcet loser that
+    irv, runoff, borda and black never elect."""
     assert set(RULE_IDS) == set(TALLY_RULES) | set(BALLOT_RULES)
     for m in (2, 3, 4):
         width = {None: 0, "ranks": m, "contours": 2 ** (m - 1), "prefixes": len(_prefix_lanes(m))}
@@ -255,8 +270,19 @@ def test_every_registered_rule_has_a_kernel_decision():
                 else "majority" if rule_id in MAJORITY_RULES else None
             )
             assert kernel.always_elects == screen, rule_id
+            losers = {"blocked"} if rule_id == "vetocore" else set()
+            if rule_id in FIXED_VECTORS:
+                losers.add("score-gap")
+                assert kernel.weights == tuple(FIXED_VECTORS[rule_id](m).scores), rule_id
+            else:
+                assert kernel.weights is None, rule_id
+            if rule_id in CONDORCET_LOSER_RULES:
+                losers.add("condorcet-loser")
+            assert set(kernel.loser_screens) == losers, rule_id
     kernel = _kernel(SCORING[3], 3, 1, 1)
     assert (kernel.tally_bytes, kernel.stride, kernel.always_elects) == (18, 1, None)
+    assert (kernel.loser_screens, kernel.weights) == (("score-gap",), (5, 2, 0))
+    assert _kernel("scoring:1/2,1/3,0", 3, 1, 1).weights == (3, 2, 0)
     with pytest.raises(ValueError, match="unknown rule id"):
         _kernel("nosuchrule", 3, 1, 1)
     with pytest.raises(ValueError, match="unknown rule id"):
@@ -332,6 +358,99 @@ def test_head_screen_winner_wins_every_completion():
                         won[rule_id] = set(winners(rule_id, p))
                     assert won[rule_id] == {head[kind]}, (rule_id, p, k)
     assert all(fired.values()), fired
+
+
+def _group(m, k):
+    """The candidate permutations fixing B = {0..k-1}: S_k x S_{m-k}."""
+    return [
+        head + tail
+        for head in itertools.permutations(range(k))
+        for tail in itertools.permutations(range(k, m))
+    ]
+
+
+def _screened_rules(p, k, vectors):
+    """The rules whose loser screen the references in conftest fire for on
+    p's B part, mapped to that screen."""
+    fired = {}
+    for rule_id, vec in vectors.items():
+        if score_gap_excludes_outsiders(p, k, vec):
+            fired[rule_id] = "score-gap"
+    if veto_blocks_outsiders(p, k):
+        fired["vetocore"] = "blocked"
+    if outsiders_are_condorcet_losers(p, k):
+        fired.update(dict.fromkeys(CONDORCET_LOSER_RULES, "condorcet-loser"))
+    return fired
+
+
+@pytest.mark.parametrize("m, max_voters", [(3, 7), (4, 6)])
+def test_loser_screens_hold_on_every_completion(m, max_voters):
+    """Wherever the reference of a loser screen fires on a B part, the
+    voters ranking B = {0..k-1} on top held to n voters, no completion of
+    it to n voters elects a candidate outside B under rules.report, for each
+    rule declaring that screen: the score gap of plurality, borda,
+    antiplurality and a scoring: vector, the veto core's blocking of every
+    outsider, and the strict Condorcet loser that irv, runoff, borda and
+    black never elect.  The last fires exactly where the search settles a
+    slice: k = m - 1 with more than n/2 voters in the B part; at k = 1 such
+    a B part shows candidate 0 as the strict majority and Condorcet winner.
+    One B part per orbit of S_k x S_{m-k} is checked, as every rule is
+    neutral; the completions are all checked."""
+    labels = default_candidates(m)
+    vectors = {rule_id: make(m).scores for rule_id, make in FIXED_VECTORS.items()}
+    vectors[SCORING[m]] = parse_score_vector(SCORING[m][len("scoring:"):], m).scores
+    fired = collections.Counter()
+    for k in range(1, m):
+        b_types, o_types = _split_types(m, k)
+        group = _group(m, k)
+        for n in range(1, max_voters + 1):
+            for s in range(1, n + 1):
+                for bvec in _count_vectors(s, len(b_types)):
+                    head = Profile(labels, tuple((c, b_types[i]) for i, c in enumerate(bvec) if c))
+                    if min(relabel_profile(head, g).ballots for g in group) != head.ballots:
+                        continue  # not its orbit's smallest
+                    # the screens read the B part and n alone
+                    filled = Profile(labels, head.ballots + ((n - s, o_types[0]),)) if n > s else head
+                    screened = _screened_rules(filled, k, vectors)
+                    losers = "condorcet-loser" in screened.values()
+                    assert losers == (k == m - 1 and 2 * s > n)
+                    if k == 1 and 2 * s > n:
+                        assert _strict_winners(filled, k) == (0, 0)
+                    if not screened:
+                        continue
+                    fired.update(screened.values())
+                    for ovec in _count_vectors(n - s, len(o_types)):
+                        p = Profile(labels, head.ballots + tuple(
+                            (c, o_types[i]) for i, c in enumerate(ovec) if c
+                        ))
+                        for rule_id in screened:
+                            assert max(winners(rule_id, p)) < k, (rule_id, p, k)
+    assert set(fired) == {"score-gap", "blocked", "condorcet-loser"}, fired
+
+
+def test_condorcet_loser_declarations():
+    """irv, runoff, borda and black, which the search screens by the strict
+    Condorcet loser, never elect one: on every profile of up to 7 voters over
+    3 candidates and on seeded profiles over 4 and 5.  Of the other rules,
+    plurality, antiplurality, simpson, young and the veto core elect one on
+    some of these profiles, so they could not carry the screen; dodgson,
+    clr, convexmedian and the t12 rule elect none here, but nothing shows
+    they never do, so they do not carry it either."""
+    rng = random.Random(2022)
+    seeded = [random_profile(rng, m, rng.randint(3, 12)) for m in (4, 5) for _ in range(600)]
+    elects = collections.Counter()
+    losers = 0
+    for p in itertools.chain(all_profiles(3, 7), seeded):
+        m, h = p.m, p.pair_counts
+        loser = [c for c in range(m) if all(2 * h[b * m + c] > p.n for b in range(m) if b != c)]
+        if not loser:
+            continue
+        losers += 1
+        for rule_id in RULE_IDS:
+            if loser[0] in winners(rule_id, p):
+                elects[rule_id] += 1
+    assert losers > 2000
+    assert set(elects) == {"plurality", "antiplurality", "simpson", "young", "vetocore"}, elects
 
 
 def test_memo_key_determines_the_winners():
@@ -621,6 +740,22 @@ def test_orbit_reduced_slices_match_plain_enumeration_screened_tally_rules_m4(ru
     _assert_slices_match_plain(rule_id, 4, (1, 2, 3), 4)
 
 
+@pytest.mark.parametrize("rule_id", ["antiplurality", "borda", SCORING[4]])
+def test_orbit_reduced_slices_match_plain_enumeration_score_gap_rules_m4(monkeypatch, rule_id):
+    """The rules screened by the score gap at m = 4 and every k, up to 4
+    voters: slices where the screen settles some B parts and not others."""
+    settled = []
+    screen = search._outsiders_lose
+
+    def counted(*args):
+        settled.append(screen(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(search, "_outsiders_lose", counted)
+    _assert_slices_match_plain(rule_id, 4, (1, 2, 3), 4)
+    assert any(settled) and not all(settled)
+
+
 @pytest.mark.parametrize("rule_id", ["vetocore", "young"])
 def test_orbit_reduced_slices_match_plain_enumeration_contour_rules_m4(rule_id):
     """The rules decided per candidate from memoised contour lanes, at m = 4
@@ -692,11 +827,7 @@ def _orbits(m, k, n, support):
     """The orbits of S_k x S_{m-k} on one slice, found by relabelling
     profiles: each orbit's smallest Profile.ballots key, mapped to one of
     its profiles."""
-    group = [
-        head + tail
-        for head in itertools.permutations(range(k))
-        for tail in itertools.permutations(range(k, m))
-    ]
+    group = _group(m, k)
     return {
         min(relabel_profile(p, g).ballots for g in group): p
         for p in profiles_with_support(m, k, n, support)
@@ -706,17 +837,40 @@ def _orbits(m, k, n, support):
 ORBIT_SLICES = [(3, 1, 5), (3, 2, 5), (4, 2, 3), (4, 3, 3)]
 
 
+def _head_majority(p, k):
+    return _strict_winners(p, k)[1] is not None
+
+
+def _gap_screen(rule_id):
+    return lambda p, k: score_gap_excludes_outsiders(p, k, FIXED_VECTORS[rule_id](p.m).scores)
+
+
+# per rule, the references for the screens that settle a B part or a slice
+ORBIT_SCREENS = {
+    "plurality": (_head_majority, _gap_screen("plurality")),
+    "antiplurality": (_gap_screen("antiplurality"),),
+    "vetocore": (veto_blocks_outsiders,),
+    "irv": (_head_majority, outsiders_are_condorcet_losers),
+}
+
+
 @pytest.mark.parametrize("rule_id, m, k, n", [
     pytest.param("plurality", *mkn, id="-".join(map(str, mkn))) for mkn in ORBIT_SLICES
 ] + [
-    pytest.param("antiplurality", *mkn, id="-".join(map(str, ("antiplurality",) + mkn)))
-    for mkn in ORBIT_SLICES
+    pytest.param(rule_id, *mkn, id="-".join(map(str, (rule_id,) + mkn)))
+    for rule_id, slices in (
+        ("antiplurality", ORBIT_SLICES), ("vetocore", [(3, 2, 5)]), ("irv", [(3, 2, 5)]),
+    )
+    for mkn in slices
 ])
 def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
     """The kernel evaluates each orbit of a slice once, except those whose
-    B part the head screen settles.  antiplurality has no screen, so every
-    orbit is evaluated; plurality skips each orbit whose B part alone gives
-    a candidate more than n/2 first places."""
+    B part or slice a screen settles: the head screen of plurality and irv
+    (a candidate with more than n/2 first places on the B part alone), the
+    score gap of plurality and antiplurality, the veto core's blocking of
+    every outsider and the Condorcet loser irv never elects.  The settled
+    orbits are found by the references in conftest, on one profile of each
+    orbit."""
     calls = []
     evaluate = search.rule_winners
 
@@ -725,10 +879,12 @@ def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
         return evaluate(*args)
 
     monkeypatch.setattr(search, "rule_winners", counted)
+    settled = 0
     for s in range(1, n + 1):
         calls.clear()
         _min_violation((rule_id, m, k, n, s))
-        orbits = _orbits(m, k, n, s).values()
-        if rule_id == "plurality":
-            orbits = [p for p in orbits if _strict_winners(p, k)[1] is None]
-        assert len(calls) == len(orbits), s
+        orbits = list(_orbits(m, k, n, s).values())
+        kept = [p for p in orbits if not any(screen(p, k) for screen in ORBIT_SCREENS[rule_id])]
+        settled += len(orbits) - len(kept)
+        assert len(calls) == len(kept), s
+    assert settled  # each case has orbits a screen settles
