@@ -893,10 +893,19 @@ class _Rule:
     "score-gap": the rule maximises the total of its integer ``weights(m)``,
     one per rank; an outsider c wins only if the sum over b in B of
     score(c) - score(b) is at least 0, and a voter adds at most k*w_1 less
-    the sum of the k least weights to it.  "condorcet-loser": the rule never
-    elects a strict Condorcet loser, which the lone outsider is at k = m - 1
-    when more than half the voters rank B on top.  The search runs the first
-    two per B part, the third per slice; reports never do.
+    the sum of the k least weights to it.  "bound": the rule elects the
+    ``least`` of its ``value``s, and a candidate's value never falls as one
+    voter moves it down one place: a depth, as every truncated score falls,
+    or a Young score, as a removal that served the candidate one place
+    higher serves it still.  So its value is at most the one with the other
+    voters ranking it last and at least the one with them ranking it first,
+    and an outsider not among the least of B's worst values and its own
+    best never wins; t12rule's dominance tie-break holds at those bounds
+    too, as each truncated score moves the same way as the depth.
+    "condorcet-loser": the rule never elects a strict Condorcet loser, which
+    the lone outsider is at k = m - 1 when more than half the voters rank B
+    on top.  The search runs the first three per B part, the fourth per
+    slice; reports never do.
 
     ``value`` declares a per-candidate statistic, for a rule whose winners,
     past its winner screen, depend on each candidate's own lanes alone: the
@@ -994,7 +1003,7 @@ _RULES: dict[str, _Rule] = {
     ),
     "young": _Rule(
         lambda m: young_decision, True, "contours", **_SIMPSON_QUOTAS,
-        always_elects="condorcet", value=_young_score,
+        always_elects="condorcet", value=_young_score, loser_screens=("bound",),
     ),
     "dodgson": _Rule(
         lambda m: dodgson_decision, True, "prefixes",
@@ -1032,6 +1041,7 @@ _RULES: dict[str, _Rule] = {
             "veto-half": ("(-7+3l+sqrt(17-10l+9l^2))/(8l-8)", Fraction(3, 4)),
         },
         always_elects="majority", value=_convex_median_depth, least=_least_depths,
+        loser_screens=("bound",),
     ),
     "vetocore": _Rule(
         lambda m: proportional_veto_core_decision, False, "contours",
@@ -1046,7 +1056,7 @@ _RULES: dict[str, _Rule] = {
     ),
     "t12rule": _Rule(
         lambda m: theorem12_decision, False, "ranks", always_elects="majority",
-        value=_tradeoff_value, least=_least_undominated,
+        value=_tradeoff_value, least=_least_undominated, loser_screens=("bound",),
     ),
 }
 

@@ -366,15 +366,17 @@ def _split_types(m: int, k: int):
 # record names are the dual tests, each sound for the same reason.  Per B
 # part: every candidate outside B is blocked on the part's contour lanes
 # against all n, or each one trails B on the score gap by more than the
-# other voters can add.  Per slice, before any B part is enumerated, when
-# more than half the n voters rank B on top: at k = 1 candidate 0 is then
-# the strict majority and Condorcet winner of every profile, which a rule
-# with a winner screen elects alone, and at k = m - 1 the lone outsider is
-# a strict Condorcet loser, which a rule so declared never elects; either
-# way the slice is clean.  A rule with a per-candidate
-# value is otherwise decided by its pick from each candidate's value on
-# that candidate's lanes alone; any other rule by its decision on the
-# unpacked lanes, without building a Profile.  Each slice keeps a memo from
+# other voters can add, or each one's value, with the other voters all
+# ranking it first, still loses to the values of B's members with the
+# other voters all ranking them last.  Per slice, before any B part is
+# enumerated, when more than half the n voters rank B on top: at k = 1
+# candidate 0 is then the strict majority and Condorcet winner of every
+# profile, which a rule with a winner screen elects alone, and at k = m -
+# 1 the lone outsider is a strict Condorcet loser, which a rule so
+# declared never elects; either way the slice is clean.  A rule with a
+# per-candidate value is otherwise decided by its pick from each
+# candidate's value on that candidate's lanes alone; any other rule by its
+# decision on the unpacked lanes, without building a Profile.  Each slice keeps a memo from
 # the tally or rank lanes a rule and its screen read to the winners, and
 # from one candidate's lanes, cut by one shift and one mask and stored
 # bitwise negated, to its value: a whole profile's lanes rarely repeat
@@ -583,7 +585,20 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int) -
     "blocked": every outsider's value on its contour lanes has a nonzero
     blocking set.  "score-gap": for every outsider c, k*score(c) less B's
     total score, plus n - support times the most one more voter can add to
-    it, k*w_1 less the k least weights, is below 0.
+    it, k*w_1 less the k least weights, is below 0.  "bound": the rule
+    elects the ``least`` of the per-candidate values, each of which never
+    falls as one voter moves its candidate down one place.  Each b in B
+    takes its worst value, the other voters adding to its last lane (rank
+    m, or the full upper contour), and each outsider c its best, the other
+    voters adding to its lane 0 (first place, or the empty contour); no
+    completion gives b more or c less.  c cannot win when it is not among
+    the least of B's worst values and its own best: some b's worst is then
+    below c's best, or ties it and second-order dominates it, as t12rule
+    breaks ties, and the truncated scores behind that dominance only rise
+    for b and fall for c from the bounds to any completion.  Where the rule
+    elects a strict majority winner and c's best has one, c's value is
+    undefined and c may win, so the screen does not fire; a b with one on
+    the B part alone never gets here, as the head screen settles it first.
     """
     m = kernel.m
     if "blocked" in kernel.loser_screens:
@@ -595,6 +610,16 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int) -
         scores = [sum(x * ranks[l * m + a] for l, x in enumerate(w) if x) for a in range(m)]
         slack = (n - support) * (k * w[0] - sum(w[m - k :])) - sum(scores[:k])
         return all(k * scores[c] + slack < 0 for c in range(k, m))
+    if "bound" in kernel.loser_screens:
+        cut, rest = kernel.cut, n - support
+        blocks = [list(_lanes(kernel, tally >> s & kernel.mask)[cut]) for s in kernel.shifts]
+        for a, lanes in enumerate(blocks):
+            lanes[-1 if a < k else 0] += rest
+        best = blocks[k:]
+        if kernel.always_elects == "majority" and any(2 * lanes[0] > n for lanes in best):
+            return False
+        worst = [kernel.value(m, n, lanes) for lanes in blocks[:k]]
+        return all(k not in kernel.least(worst + [kernel.value(m, n, lanes)]) for lanes in best)
     return False
 
 

@@ -6,7 +6,13 @@ from typing import Sequence
 import pytest
 from hypothesis import strategies as st
 
-from votelab import Profile, default_candidates
+from votelab import (
+    Profile,
+    convex_median_score,
+    default_candidates,
+    tradeoff_score,
+    young_score,
+)
 from votelab.search import _count_vectors, _split_types
 
 
@@ -191,3 +197,56 @@ def outsiders_are_condorcet_losers(p: Profile, k: int) -> bool:
         for b in range(m)
         if b != c
     )
+
+
+BOUND_SCORES = {
+    "convexmedian": convex_median_score, "t12rule": tradeoff_score, "young": young_score,
+}
+
+
+def bound_excludes_outsiders(p: Profile, k: int, rule_id: str) -> bool:
+    """Whether the B part alone shows every outsider c losing under
+    rule_id's score, least wins, even at c's best against each b's worst.
+    The worst profile of b in B adds n - s voters ranking b last to the B
+    part, and the best of c adds n - s ranking c first; both are built and
+    scored.  c is excluded when some b's worst score is below c's best or,
+    under t12rule, ties it and second-order dominates it on the integer
+    truncated scores of those two profiles.  Where the rule elects a
+    strict majority winner, a b with one in its worst profile excludes
+    every outsider, and an outsider with one in its best is never
+    excluded."""
+    m, n, score = p.m, p.n, BOUND_SCORES[rule_id]
+    head = _b_part(p, k)
+    rest = n - sum(c for c, _ in head)
+
+    def filled(a: int, last: bool) -> Profile:
+        others = tuple(b for b in range(m) if b != a)
+        ranking = others + (a,) if last else (a,) + others
+        return Profile(p.candidates, head + ((rest, ranking),) if rest else head)
+
+    def majority(q: Profile, a: int) -> bool:
+        return rule_id != "young" and majority_winner(q) == a
+
+    worst = {b: filled(b, True) for b in range(k)}
+    if any(majority(q, b) for b, q in worst.items()):
+        return True
+    for c in range(k, m):
+        best = filled(c, False)
+        if majority(best, c):
+            return False
+        low = score(best, c)
+        if not any(
+            score(q, b) < low
+            or rule_id == "t12rule" and score(q, b) == low and _dominates(q, b, best, c)
+            for b, q in worst.items()
+        ):
+            return False
+    return True
+
+
+def _dominates(p: Profile, b: int, q: Profile, c: int) -> bool:
+    """Whether b on p second-order dominates c on q: its truncated scores
+    at every integer depth up to m - 1 are at least c's, the last above."""
+    bt_b = [truncated_borda(p, b, t) for t in range(1, p.m)]
+    bt_c = [truncated_borda(q, c, t) for t in range(1, q.m)]
+    return bt_b[-1] > bt_c[-1] and all(x >= y for x, y in zip(bt_b, bt_c))

@@ -17,6 +17,7 @@ from votelab import (
     Profile,
     all_profiles,
     condorcet_winner,
+    convex_median_score,
     default_candidates,
     dodgson_score,
     positional_matrix,
@@ -24,6 +25,7 @@ from votelab import (
     tournament_matrix,
     tradeoff_score,
     winners,
+    young_score,
 )
 from votelab.rules import (
     RULE_IDS,
@@ -56,6 +58,7 @@ from votelab.search import (
 )
 
 from conftest import (
+    bound_excludes_outsiders,
     majority_winner,
     outsiders_are_condorcet_losers,
     profiles_with_support,
@@ -76,6 +79,7 @@ CONDORCET_RULES = ("simpson", "young", "dodgson", "clr", "black")
 MAJORITY_RULES = ("plurality", "runoff", "irv", "convexmedian", "t12rule")
 SCORING = {3: "scoring:5,2,0", 4: "scoring:6,3,1,0", 5: "scoring:9,4,3,1,0"}
 CONDORCET_LOSER_RULES = ("irv", "runoff", "borda", "black")  # never elect a strict Condorcet loser
+BOUND_RULES = ("convexmedian", "t12rule", "young")  # least value wins; values rise as it falls
 FIXED_VECTORS = {
     "plurality": ScoreVector.plurality,
     "borda": ScoreVector.borda,
@@ -253,8 +257,9 @@ def test_every_registered_rule_has_a_kernel_decision():
     The winner screens are the paper's grouping: the Condorcet-consistent
     rules, the majority-consistent ones, and none for the rest.  The loser
     screens: the veto core's blocking, the score gap of every positional
-    rule, which carries its integer weights, and the Condorcet loser that
-    irv, runoff, borda and black never elect."""
+    rule, which carries its integer weights, the Condorcet loser that
+    irv, runoff, borda and black never elect, and the value bounds of
+    convexmedian, t12rule and young."""
     assert set(RULE_IDS) == set(TALLY_RULES) | set(BALLOT_RULES)
     for m in (2, 3, 4):
         width = {None: 0, "ranks": m, "contours": 2 ** (m - 1), "prefixes": len(_prefix_lanes(m))}
@@ -278,6 +283,8 @@ def test_every_registered_rule_has_a_kernel_decision():
                 assert kernel.weights is None, rule_id
             if rule_id in CONDORCET_LOSER_RULES:
                 losers.add("condorcet-loser")
+            if rule_id in BOUND_RULES:
+                losers.add("bound")
             assert set(kernel.loser_screens) == losers, rule_id
     kernel = _kernel(SCORING[3], 3, 1, 1)
     assert (kernel.tally_bytes, kernel.stride, kernel.always_elects) == (18, 1, None)
@@ -380,6 +387,9 @@ def _screened_rules(p, k, vectors):
         fired["vetocore"] = "blocked"
     if outsiders_are_condorcet_losers(p, k):
         fired.update(dict.fromkeys(CONDORCET_LOSER_RULES, "condorcet-loser"))
+    for rule_id in BOUND_RULES:
+        if bound_excludes_outsiders(p, k, rule_id):
+            fired[rule_id] = "bound"
     return fired
 
 
@@ -390,12 +400,13 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
     it to n voters elects a candidate outside B under rules.report, for each
     rule declaring that screen: the score gap of plurality, borda,
     antiplurality and a scoring: vector, the veto core's blocking of every
-    outsider, and the strict Condorcet loser that irv, runoff, borda and
-    black never elect.  The last fires exactly where the search settles a
-    slice: k = m - 1 with more than n/2 voters in the B part; at k = 1 such
-    a B part shows candidate 0 as the strict majority and Condorcet winner.
-    One B part per orbit of S_k x S_{m-k} is checked, as every rule is
-    neutral; the completions are all checked."""
+    outsider, the value bounds of convexmedian, t12rule and young, and the
+    strict Condorcet loser that irv, runoff, borda and black never elect.
+    The last fires exactly where the search settles a slice: k = m - 1
+    with more than n/2 voters in the B part; at k = 1 such a B part shows
+    candidate 0 as the strict majority and Condorcet winner.  One B part
+    per orbit of S_k x S_{m-k} is checked, as every rule is neutral; the
+    completions are all checked."""
     labels = default_candidates(m)
     vectors = {rule_id: make(m).scores for rule_id, make in FIXED_VECTORS.items()}
     vectors[SCORING[m]] = parse_score_vector(SCORING[m][len("scoring:"):], m).scores
@@ -425,7 +436,7 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
                         ))
                         for rule_id in screened:
                             assert max(winners(rule_id, p)) < k, (rule_id, p, k)
-    assert set(fired) == {"score-gap", "blocked", "condorcet-loser"}, fired
+    assert set(fired) == {"score-gap", "blocked", "bound", "condorcet-loser"}, fired
 
 
 def test_condorcet_loser_declarations():
@@ -451,6 +462,53 @@ def test_condorcet_loser_declarations():
                 elects[rule_id] += 1
     assert losers > 2000
     assert set(elects) == {"plurality", "antiplurality", "simpson", "young", "vetocore"}, elects
+
+
+def _moved_down(p, ranking, pos):
+    """p with one voter ranking `ranking` swapping its places pos and pos + 1."""
+    swapped = ranking[:pos] + (ranking[pos + 1], ranking[pos]) + ranking[pos + 2 :]
+    ballots = [(c - (r == ranking), r) for c, r in p.ballots] + [(1, swapped)]
+    return Profile(p.candidates, tuple((c, r) for c, r in ballots if c))
+
+
+def test_bound_values_never_fall_as_a_candidate_moves_down():
+    """The premise of the bound screen: moving a candidate one place down
+    in one voter's ranking never lowers its Young score, its convex median
+    depth or its tradeoff depth (the depths where they are defined, the
+    candidate not a strict majority winner), and lowers none of its integer
+    truncated scores, on which t12rule breaks ties.  Checked for every
+    swap on every profile of up to 6 voters over 3 candidates and on
+    seeded profiles over 4 and 5."""
+    rng = random.Random(2023)
+    seeded = [random_profile(rng, m, rng.randint(2, 9)) for m in (4, 5) for _ in range(60)]
+    swaps = 0
+    for p in itertools.chain(all_profiles(3, 6), seeded):
+        m = p.m
+        for _, ranking in p.ballots:
+            for pos in range(m - 1):
+                a, q = ranking[pos], _moved_down(p, ranking, pos)
+                swaps += 1
+                assert young_score(q, a) >= young_score(p, a), (p, ranking, pos)
+                before, after = integer_truncated_scores(p, a), integer_truncated_scores(q, a)
+                assert all(x <= y for x, y in zip(after, before)), (p, ranking, pos)
+                if majority_winner(p) != a:
+                    for depth in (convex_median_score, tradeoff_score):
+                        assert depth(q, a) >= depth(p, a), (depth, p, ranking, pos)
+    assert swaps > 5000
+
+
+def test_dodgson_last_prefix_lane_is_not_the_worst():
+    """Why dodgson carries no bound screen: no one prefix lane is a
+    candidate's worst.  Here one more voter ranking candidate 0 last, on
+    its last prefix lane (3 > 2 > 1 > 0), leaves it a Dodgson score of 1,
+    while one ranking it last below 1 > 2 > 3 gives 2: candidate 0 trails
+    1, and the last lane puts 1 just above it."""
+    last = _prefixes(4)[-1]  # over the others relabelled b - 1
+    assert tuple(b + 1 for b in last) + (0,) == (3, 2, 1, 0)
+    part = ((2, (0, 1, 3, 2)), (1, (1, 2, 0, 3)), (1, (1, 3, 0, 2)))
+    for ranking, score in (((3, 2, 1, 0), 1), ((1, 2, 3, 0), 2)):
+        p = Profile(default_candidates(4), part + ((1, ranking),))
+        assert dodgson_score(p, 0) == oracle_dodgson_score(p, 0) == score, ranking
 
 
 def test_memo_key_determines_the_winners():
@@ -740,10 +798,11 @@ def test_orbit_reduced_slices_match_plain_enumeration_screened_tally_rules_m4(ru
     _assert_slices_match_plain(rule_id, 4, (1, 2, 3), 4)
 
 
-@pytest.mark.parametrize("rule_id", ["antiplurality", "borda", SCORING[4]])
+@pytest.mark.parametrize("rule_id", ["antiplurality", "borda", SCORING[4]] + list(BOUND_RULES))
 def test_orbit_reduced_slices_match_plain_enumeration_score_gap_rules_m4(monkeypatch, rule_id):
-    """The rules screened by the score gap at m = 4 and every k, up to 4
-    voters: slices where the screen settles some B parts and not others."""
+    """The rules screened by the score gap or by the value bounds at m = 4
+    and every k, up to 4 voters: slices where the screen settles some B
+    parts and not others."""
     settled = []
     screen = search._outsiders_lose
 
@@ -845,12 +904,23 @@ def _gap_screen(rule_id):
     return lambda p, k: score_gap_excludes_outsiders(p, k, FIXED_VECTORS[rule_id](p.m).scores)
 
 
+def _head_condorcet(p, k):
+    return _strict_winners(p, k)[0] is not None
+
+
+def _bound_screen(rule_id):
+    return lambda p, k: bound_excludes_outsiders(p, k, rule_id)
+
+
 # per rule, the references for the screens that settle a B part or a slice
 ORBIT_SCREENS = {
     "plurality": (_head_majority, _gap_screen("plurality")),
     "antiplurality": (_gap_screen("antiplurality"),),
     "vetocore": (veto_blocks_outsiders,),
     "irv": (_head_majority, outsiders_are_condorcet_losers),
+    "convexmedian": (_head_majority, _bound_screen("convexmedian")),
+    "t12rule": (_head_majority, _bound_screen("t12rule")),
+    "young": (_head_condorcet, _bound_screen("young")),
 }
 
 
@@ -860,17 +930,21 @@ ORBIT_SCREENS = {
     pytest.param(rule_id, *mkn, id="-".join(map(str, (rule_id,) + mkn)))
     for rule_id, slices in (
         ("antiplurality", ORBIT_SLICES), ("vetocore", [(3, 2, 5)]), ("irv", [(3, 2, 5)]),
+        ("convexmedian", [(3, 2, 5), (4, 2, 3)]), ("t12rule", [(3, 2, 5), (4, 2, 3)]),
+        ("young", [(3, 2, 5), (4, 2, 3)]),
     )
     for mkn in slices
 ])
 def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
     """The kernel evaluates each orbit of a slice once, except those whose
-    B part or slice a screen settles: the head screen of plurality and irv
-    (a candidate with more than n/2 first places on the B part alone), the
-    score gap of plurality and antiplurality, the veto core's blocking of
-    every outsider and the Condorcet loser irv never elects.  The settled
-    orbits are found by the references in conftest, on one profile of each
-    orbit."""
+    B part or slice a screen settles: the head screen of plurality, irv,
+    convexmedian and t12rule (a candidate with more than n/2 first places
+    on the B part alone) and of young (a candidate beating each other one
+    on more than n/2 of the B part's ballots), the score gap of plurality
+    and antiplurality, the veto core's blocking of every outsider, the
+    Condorcet loser irv never elects and the value bounds of convexmedian,
+    t12rule and young.  The settled orbits are found by the references in
+    conftest, on one profile of each orbit."""
     calls = []
     evaluate = search.rule_winners
 
