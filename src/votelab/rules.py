@@ -404,35 +404,73 @@ def _young(n: int, row: Sequence[int], pools: dict[int, int]):
     which its upper contour determines, so removals are searched per pool
     in increasing total size, which is exhaustive because the profile is
     anonymous.  Each size is walked depth first, pool by pool in the
-    order given, and a branch is cut once the voters still to remove cannot
-    close its largest open deficit.  The score does not depend on the order
-    of the pools; the removal returned, the first found, does.
+    order given, taking the fewest voters from each pool first, so the
+    removal returned is the lexicographically first of the least size.
+    The score does not depend on the order of the pools; that removal does.
+
+    A pool's count is not tried value by value: the cut below leaves one
+    interval of counts, computed in closed form.  After x voters leave
+    pool i, with ``rest`` still to remove from the later pools, of which
+    H_b rank b above cand, the most a completion can add to opponent b's
+    residual is min(rest, H_b) - (rest - min(rest, H_b)), so a branch with
+    res_b + 2 min(rest, H_b) - rest < 0 for some b returns None.  Against
+    an opponent the pool ranks below cand, x lowers res_b by x: with
+    rest <= H_b the cut reads x <= (left + res_b) / 2, and with rest > H_b
+    it reads res_b + 2 H_b - left >= 0, whatever x is.  Where that fails,
+    no count works, as then left - H_b > (left + res_b) / 2; where it
+    holds, every count below left - H_b is below (left + res_b) / 2 too.
+    So the top of the interval is (left + res_b) // 2.  Against an
+    opponent the pool ranks above cand, res_b + left >= 0 must hold
+    already, and the bottom is ceil((left - res_b) / 2) - H_b.  Every count
+    the interval drops has a branch that returns None, so the first
+    removal found, and with it every trace, is the one the plain walk
+    finds.
     """
     slack = [2 * x - n for x in row]
     start = -min(slack, default=0)
     if start <= 0:
         return 0, [0] * len(pools)
-    caps = list(pools.values())
-    signs = [[-1 if c >> b & 1 else 1 for b in range(len(row))] for c in pools]
-    tails = [sum(caps[i + 1 :]) for i in range(len(caps))]
+    contours, caps = list(pools), list(pools.values())
+    bits = range(len(row))
+    # tails[i], helps[i][b]: the voters in pools i, i+1, ..., and those of
+    # them ranking b above cand
+    tails, helps = [0], [[0] * len(row)]
+    for c, cap in zip(reversed(contours), reversed(caps)):
+        tails.append(tails[-1] + cap)
+        helps.append([h + cap if c >> b & 1 else h for b, h in zip(bits, helps[-1])])
+    tails.reverse()
+    helps.reverse()
 
     def first(i: int, left: int, res: list[int]) -> list[int] | None:
         """The lexicographically first voter counts for pools i, i+1, ...
         that remove left voters and leave every residual nonnegative, or
-        None.  res[j] is slack[j] less the signs of the voters removed so
-        far against opponent j; one more removal raises it by at most one."""
-        for x in range(max(0, left - tails[i]), min(caps[i], left) + 1):
-            after = [r - x * s for r, s in zip(res, signs[i])]
-            if left - x < -min(after):
-                continue
+        None.  res[b] is slack[b] less the signs of the voters removed so
+        far against opponent b."""
+        c, later = contours[i], helps[i + 1]
+        lo, hi = max(0, left - tails[i + 1]), min(caps[i], left)
+        for b in bits:
+            r = res[b]
+            if c >> b & 1:
+                if r + left < 0:
+                    return None
+                bound = (left - r + 1) // 2 - later[b]
+                if bound > lo:
+                    lo = bound
+            else:
+                if r + 2 * later[b] < left:
+                    return None
+                if (left + r) // 2 < hi:
+                    hi = (left + r) // 2
+        for x in range(lo, hi + 1):
             if x == left:
                 return [x] + [0] * (len(caps) - i - 1)
+            after = [r + x if c >> b & 1 else r - x for b, r in zip(bits, res)] if x else res
             rest = first(i + 1, left - x, after)
             if rest is not None:
                 return [x] + rest
         return None
 
-    for removed in range(start, sum(caps) + 1):
+    for removed in range(start, tails[0] + 1):
         comp = first(0, removed, slack)
         if comp is not None:
             return removed, comp
@@ -468,9 +506,10 @@ def young_decision(m, n, h, ballots):
         left = dict(zip(pools, comp))
         removed = [0] * len(counts)
         for i, contour in enumerate(up):
-            if left.get(contour):
-                removed[i] = min(left[contour], counts[i])
-                left[contour] -= removed[i]
+            take = left.get(contour)
+            if take:
+                removed[i] = min(take, counts[i])
+                left[contour] = take - removed[i]
         scores.append(score)
         removals[a] = removed
     return _argmin(scores), scores, {"removals": removals}
@@ -481,18 +520,30 @@ def young_decision(m, n, h, ballots):
 
 def dodgson_score(profile: Profile, cand: int) -> int:
     """Fewest adjacent swaps making cand beat everyone strictly."""
-    return _dodgson_of(profile.m, profile.n, profile.pair_counts, profile.ballots, cand)
+    m, n = profile.m, profile.n
+    row = _dodgson_row(m, n, profile.pair_counts, cand)
+    return _dodgson(n, row, _prefix_types(m, profile.ballots)[cand])
 
 
-def _dodgson_of(m: int, n: int, h: Sequence[int], ballots: Ballots, cand: int) -> int:
-    """_dodgson on cand's row of h and its voters pooled by the ordered
-    candidates they rank above it, opponent b relabelled b - (b > cand)."""
-    pools: dict[tuple[int, ...], int] = {}
+def _dodgson_row(m: int, n: int, h: Sequence[int], a: int) -> list[int]:
+    """a's row of h for _dodgson, indexed by candidate, with n in a's own
+    place, so that a has no deficit against itself."""
+    row = list(h[a * m : a * m + m])
+    row[a] = n
+    return row
+
+
+def _prefix_types(m: int, ballots: Ballots) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Per candidate, its voters pooled by the ordered candidates they rank
+    above it, as (count, above) types for _dodgson, above nearest first, in
+    order of first appearance; voters ranking it on top are left out.  One
+    pass over the ballots."""
+    pools: list[dict[tuple[int, ...], int]] = [{} for _ in range(m)]
     for count, ranking in ballots:
-        above = ranking[: ranking.index(cand)]
-        pools[above] = pools.get(above, 0) + count
-    types = [(c, tuple(b - (b > cand) for b in reversed(p))) for p, c in pools.items() if p]
-    return _dodgson(n, [h[cand * m + b] for b in range(m) if b != cand], types)
+        for d in range(1, m):
+            pool, above = pools[ranking[d]], ranking[d - 1 :: -1]
+            pool[above] = pool.get(above, 0) + count
+    return [[(count, above) for above, count in pool.items()] for pool in pools]
 
 
 def _dodgson_score(m: int, n: int, lanes: Sequence[int]) -> int:
@@ -507,80 +558,118 @@ def _dodgson(n: int, row: Sequence[int], types: Sequence[tuple[int, Sequence[int
     """Dodgson score of a candidate, given its duel counts h(cand, b)
     against its opponents, ``row``, and its voters pooled into (count,
     above) types, ``above`` the opponents ranked above it, nearest first,
-    as indices into row.
+    as indices into row.  An entry no type names, such as cand's own given
+    as n by `_dodgson_row`, must leave no deficit.
 
     Only upward moves of cand are searched: a swap not lifting cand never
     increases any h(cand, .), and displacing a blocker costs exactly as much
     as passing it.  The unrestricted-swap oracle in the search module
     cross-checks this restriction.
+
+    A swap closes at most one unit of cand's deficits, so the score is
+    their sum plus the fewest wasted swaps, those passing an opponent
+    against whom cand needs no more votes.  The waste is found by iterative
+    deepening over a budget for it.  Budget 0 is the tight pass: per type
+    at most left[j] voters lift past j, and none past an opponent with no
+    deficit left; where it closes every deficit, the score is their sum.
+    Each larger budget repeats the search, allowing that many wasted
+    swaps, until one closes every deficit; the first such budget is the
+    least waste, as every smaller one failed.
     """
     need = n // 2 + 1
     deficits = tuple(max(0, need - x) for x in row)
-    if not any(deficits):
+    total = sum(deficits)
+    if not total:
         return 0
     # For each type: a voter lifting cand by s positions gains one duel vote
     # against each of the s candidates immediately above cand.  Per type
     # the choice is the nonincreasing vector z, where z[d] voters lift past
     # depth d+1; its cost is sum(z).
 
-    # Lifting cand to the top of every ballot costs at most n * (m - 1)
-    # swaps, so this bound marks a state with no completion: it exceeds every
-    # feasible cost.
-    INFEASIBLE = n * len(row) + 1
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    # avail[i][j]: the voters of types i, i+1, ... ranking j above cand; no
+    # budget completes a state whose deficit against j exceeds it
+    avail = [[0] * len(row)]
+    for count, above in reversed(types):
+        voters = avail[-1][:]
+        for j in above:
+            voters[j] += count
+        avail.append(voters)
+    avail.reverse()
+    # failed[(i, defs)]: the largest budget known to leave the deficits defs
+    # open after types i, i+1, ...; a smaller one fails too
+    failed: dict[tuple[int, tuple[int, ...]], float] = {}
+    bounded: set[tuple[int, tuple[int, ...]]] = set()
 
-    def best(i: int, defs: tuple[int, ...]) -> int:
+    def closes(i: int, defs: tuple[int, ...], budget: int) -> bool:
+        """Whether types i, i+1, ... close the deficits defs with at most
+        budget wasted swaps."""
         if not any(defs):
-            return 0
+            return True
         if i == len(types):
-            return INFEASIBLE
+            return False
         key = (i, defs)
-        if key in memo:
-            return memo[key]
+        if failed.get(key, -1) >= budget:
+            return False
+        if not all(map(operator.le, defs, avail[i])):
+            failed[key] = math.inf
+            return False
+        if budget and key not in bounded:
+            # A voter can pass j closing a deficit only if every opponent
+            # it passes first still has one; each further voter passing j
+            # wastes a swap, and deficits never reopen.  The tight pass
+            # leaves this bound out: it only pays where some budget is spent.
+            bounded.add(key)
+            reach = [0] * len(row)
+            for count, above in types[i:]:
+                for j in above:
+                    if not defs[j]:
+                        break
+                    reach[j] += count
+            least = max(d - r for d, r in zip(defs, reach))
+            if least > 0:
+                failed[key] = max(failed.get(key, -1), least - 1)
+            if least > budget:
+                return False
         count, above = types[i]
-        # open_[d]: the largest deficit against a candidate at depth d + 1 or
-        # deeper; lifting more voters than that past depth d + 1 is pure waste
-        open_ = [0] * (len(above) + 1)
-        for d in range(len(above) - 1, -1, -1):
-            open_[d] = max(open_[d + 1], defs[above[d]])
-        result = INFEASIBLE
         # Depth-first over this type's z, one frame per ballot type.  A node
-        # has lifted past `depth` candidates, the last with `cap` voters, at
-        # `cost` swaps; with cap 0 it stops and hands the deficits `left` to
-        # the next type.
-        stack = [(0, count, 0, defs)]
+        # has lifted past `depth` candidates, the last with `cap` voters,
+        # leaving the deficits `left` and `spare` of the budget; depth -1
+        # stops there and hands them to the next type.  Larger lifts pop
+        # first, and stopping last.
+        stack = [(0, count, defs, budget)]
         while stack:
-            depth, cap, cost, left = stack.pop()
-            # each swap gains at most one needed duel vote, so the remaining
-            # deficit bounds the remaining cost from below
-            if cost + sum(left) >= result:
+            depth, cap, left, spare = stack.pop()
+            if depth < 0:
+                if closes(i + 1, left, spare):
+                    return True
                 continue
-            top = min(cap, open_[depth])
-            if not top:
-                result = min(result, cost + best(i + 1, left))
-                continue
-            j = above[depth]
-            # Largest lifts pop first.  Past a candidate with no deficit left
-            # a lift pays only deeper, so there stopping pops first.
-            stop = (depth, 0, cost, left)
-            if left[j]:
-                stack.append(stop)
-            for z in range(1, top + 1):
-                new = left[:j] + (max(0, left[j] - z),) + left[j + 1 :]
-                stack.append((depth + 1, z, cost + z, new))
-            if not left[j]:
-                stack.append(stop)
-        memo[key] = result
-        return result
+            stack.append((-1, 0, left, spare))
+            if depth < len(above):
+                j = above[depth]
+                have = left[j]
+                top = min(cap, have + spare)
+                for z in range(1, min(top, have) + 1):
+                    stack.append((depth + 1, z, left[:j] + (have - z,) + left[j + 1 :], spare))
+                if top > have:
+                    # past have, each further voter wastes its swap past j
+                    closed = left[:j] + (0,) + left[j + 1 :]
+                    for z in range(have + 1, top + 1):
+                        stack.append((depth + 1, z, closed, spare - z + have))
+        failed[key] = budget
+        return False
 
-    score = best(0, deficits)
-    assert score < INFEASIBLE, "lifting cand to the top of every ballot always works"
-    return score
+    waste = 0
+    while not closes(0, deficits, waste):
+        waste += 1
+    return total + waste
 
 
 def dodgson_decision(m, n, h, ballots):
     """The least Dodgson scores."""
-    scores = [_dodgson_of(m, n, h, ballots, a) for a in range(m)]
+    scores = [
+        _dodgson(n, _dodgson_row(m, n, h, a), types)
+        for a, types in enumerate(_prefix_types(m, ballots))
+    ]
     return _argmin(scores), scores, None
 
 

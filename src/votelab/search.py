@@ -460,6 +460,7 @@ class _Kernel(NamedTuple):
     contrib: tuple[int, ...]
     tally_bytes: int
     lane_format: str
+    lane: int  # bits of one lane
     reads_tournament: bool
     stride: int  # 0 for a rule packing no lanes after the tournament
     key_shift: int
@@ -485,7 +486,8 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
     keyed = tournament + (rule.stat == "ranks") if rule.stat in (None, "ranks") else 0
     return _Kernel(
         m, rule.decision(m), rule.always_elects, _contributions(m, k, size, rule.stat),
-        tally_bytes=size * m * (m + width), lane_format=fmt, reads_tournament=rule.tournament,
+        tally_bytes=size * m * (m + width), lane_format=fmt, lane=lane,
+        reads_tournament=rule.tournament,
         stride=stride, key_shift=0 if tournament else block, key_mask=(1 << block * keyed) - 1,
         value=rule.value, shifts=tuple(block + a * stride * lane for a in range(m)),
         mask=sum((1 << lane) - 1 << j * step * lane for j in range(width)),
@@ -529,7 +531,7 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, memo=None) -> Sequence[int
             stat = lanes[m * m :] if kernel.stride else None
             won = kernel.decide(m, n, h, stat)[0]
     if won is None:
-        won = _candidate_winners(kernel, n, tally, memo)
+        won = kernel.least(_values(kernel, n, tally, memo))
     if key is not None:
         if len(memo) >= _MEMO_ENTRIES:
             memo.clear()
@@ -577,7 +579,7 @@ def _slice_is_clean(kernel: _Kernel, k: int, n: int, support: int) -> bool:
     return k == kernel.m - 1 and "condorcet-loser" in kernel.loser_screens
 
 
-def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int) -> bool:
+def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int, memo) -> bool:
     """Whether the tallies of the B part, the support voters ranking B =
     {0..k-1} on top, alone show that no candidate outside B wins any
     profile of n voters extending it, by a loser screen the rule declares.
@@ -599,6 +601,9 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int) -
     elects a strict majority winner and c's best has one, c's value is
     undefined and c may win, so the screen does not fire; a b with one on
     the B part alone never gets here, as the head screen settles it first.
+    The bounds are added to the packed tally itself: no lane exceeds
+    support + rest = n, which its width holds, so each bound block is cut,
+    and its value kept in the slice's memo, like a candidate's own.
     """
     m = kernel.m
     if "blocked" in kernel.loser_screens:
@@ -611,22 +616,24 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int) -
         slack = (n - support) * (k * w[0] - sum(w[m - k :])) - sum(scores[:k])
         return all(k * scores[c] + slack < 0 for c in range(k, m))
     if "bound" in kernel.loser_screens:
-        cut, rest = kernel.cut, n - support
-        blocks = [list(_lanes(kernel, tally >> s & kernel.mask)[cut]) for s in kernel.shifts]
-        for a, lanes in enumerate(blocks):
-            lanes[-1 if a < k else 0] += rest
-        best = blocks[k:]
-        if kernel.always_elects == "majority" and any(2 * lanes[0] > n for lanes in best):
+        rest, shifts = n - support, kernel.shifts
+        last = rest << kernel.mask.bit_length() - kernel.lane
+        tally += sum(last << s for s in shifts[:k]) + sum(rest << s for s in shifts[k:])
+        first, outsiders = (1 << kernel.lane) - 1, shifts[k:]
+        if kernel.always_elects == "majority" and any(
+            2 * (tally >> s & first) > n for s in outsiders
+        ):
             return False
-        worst = [kernel.value(m, n, lanes) for lanes in blocks[:k]]
-        return all(k not in kernel.least(worst + [kernel.value(m, n, lanes)]) for lanes in best)
+        values = _values(kernel, n, tally, memo)
+        worst = values[:k]
+        return all(k not in kernel.least(worst + [value]) for value in values[k:])
     return False
 
 
-def _candidate_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, ...]:
-    """The rule's pick from each candidate's value, read from the memo
-    under the candidate's block, bitwise negated so that it never meets a
-    whole-profile key, or computed from the block's lanes."""
+def _values(kernel: _Kernel, n: int, tally: int, memo) -> list:
+    """Each candidate's value, read from the memo under the candidate's
+    block, bitwise negated so that it never meets a whole-profile key, or
+    computed from the block's lanes."""
     values = []
     for shift in kernel.shifts:
         block = tally >> shift & kernel.mask
@@ -639,7 +646,7 @@ def _candidate_winners(kernel: _Kernel, n: int, tally: int, memo) -> tuple[int, 
                     memo.clear()
                 memo[key] = value
         values.append(value)
-    return kernel.least(values)
+    return values
 
 
 def _fill(counts: list[int], lo: int, hi: int, total: int, contrib, tally: int):
@@ -707,7 +714,7 @@ def _min_violation(args):
         else:
             if kernel.always_elects and _screened_winner(kernel, n, _lanes(kernel, b_tally)):
                 continue  # every completion elects that candidate, which is in B, alone
-            if kernel.loser_screens and _outsiders_lose(kernel, k, n, support, b_tally):
+            if kernel.loser_screens and _outsiders_lose(kernel, k, n, support, b_tally, memo):
                 continue  # no completion elects a candidate outside B
             for tally in _fill(counts, split, len(counts), n - support, kernel.contrib, b_tally):
                 if stabiliser:

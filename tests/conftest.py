@@ -117,6 +117,42 @@ def majority_winner(profile: Profile) -> int | None:
     return None
 
 
+def young_input(profile: Profile, cand: int) -> tuple[list[int], dict[int, int]]:
+    """The input `rules._young` takes for cand: its duel counts h(cand, b)
+    against the other candidates in order, and its voters pooled by upper
+    contour, a bitmask over those candidates' positions in that order, in
+    order of first appearance; voters ranking cand on top are left out."""
+    m = profile.m
+    others = [b for b in range(m) if b != cand]
+    row = [sum(c for c, r in profile.ballots if r.index(cand) < r.index(b)) for b in others]
+    pools: dict[int, int] = {}
+    for count, ranking in profile.ballots:
+        above = ranking[: ranking.index(cand)]
+        contour = sum(1 << others.index(b) for b in above)
+        if contour:
+            pools[contour] = pools.get(contour, 0) + count
+    return row, pools
+
+
+def young_first_removal(n: int, row: Sequence[int], pools: dict[int, int]):
+    """Young's score and removal by brute force, on `rules._young`'s input:
+    for each removal size in turn, every vector of voters per pool in
+    lexicographic order, with no bound; the first that leaves cand weakly
+    unbeaten by every opponent b, 2 h'(cand, b) >= voters kept."""
+    caps = list(pools.values())
+    for size in range(sum(caps) + 1):
+        for removal in itertools.product(*(range(cap + 1) for cap in caps)):
+            if sum(removal) != size:
+                continue
+            kept = n - size
+            if all(
+                2 * (h - sum(x for x, c in zip(removal, pools) if not c >> b & 1)) >= kept
+                for b, h in enumerate(row)
+            ):
+                return size, list(removal)
+    raise AssertionError("removing every voter who ranks an opponent above cand works")
+
+
 def profiles_with_support(m: int, k: int, n: int, support: int):
     """Profiles with n voters of whom exactly `support` top-rank B = {0..k-1}.
 

@@ -25,7 +25,11 @@ from votelab.rules import RULE_IDS
 
 GOLDEN = Path(__file__).parent / "golden"
 # the profiles under golden/profiles, each with a score vector of its length
-GOLDEN_WINNERS = {"fourbloc": "scoring:3,1,1/2,0", "ties": "scoring:3,1,0"}
+GOLDEN_WINNERS = {
+    "fourbloc": "scoring:3,1,1/2,0",
+    "ties": "scoring:3,1,0",
+    "weighted5": "scoring:4,2,1,1,0",
+}
 
 FOUR_BLOC_TEXT = """\
 # four blocs over four candidates
@@ -283,9 +287,10 @@ class TestCli:
     @pytest.mark.parametrize("profile, vector", GOLDEN_WINNERS.items())
     def test_winners_scores_match_golden(self, profile, vector, capsys):
         """Every rule's `winners --scores --format json` output, byte for byte:
-        on the four-bloc profile and on a pairwise cycle whose first
+        on the four-bloc profile, on a pairwise cycle whose first
         preferences tie, so that instant runoff branches and Black's rule
-        falls back to Borda."""
+        falls back to Borda, and on eight weighted blocs over five
+        candidates, where a Dodgson score exceeds the deficit sum."""
         path = str(GOLDEN / "profiles" / f"{profile}.txt")
         for rule in RULE_IDS + (vector,):
             argv = ["winners", "--rule", rule, "--scores", "--format", "json", path]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -13,8 +14,10 @@ from votelab import (
     all_profiles,
     condorcet_winner,
     convex_median_score,
+    default_candidates,
     dodgson_score,
     exact,
+    oracle_dodgson_score,
     oracle_veto_core,
     oracle_young_score,
     random_profile,
@@ -27,9 +30,15 @@ from votelab import (
     young_score,
 )
 from votelab.cli import main
-from votelab.rules import RULE_IDS, ScoreVector, _rule
+from votelab.rules import RULE_IDS, ScoreVector, _rule, _young
 
-from conftest import profiles, relabel_profile, truncated_borda
+from conftest import (
+    profiles,
+    relabel_profile,
+    truncated_borda,
+    young_first_removal,
+    young_input,
+)
 
 
 def names(profile, choice):
@@ -238,6 +247,20 @@ class TestYoung:
             for a in range(5):
                 assert young_score(p, a) == oracle_young_score(p, a)
 
+    def test_interval_cuts_keep_the_first_removal(self):
+        """The per-pool intervals drop only branches with no completion: on
+        every candidate of every profile with 3 candidates and up to 6
+        voters and with 4 candidates and up to 4, the score and the removal
+        are those of trying every removal vector in lexicographic order,
+        size by size, with no bound."""
+        checked = 0
+        for p in itertools.chain(all_profiles(3, 6), all_profiles(4, 4)):
+            for a in range(p.m):
+                row, pools = young_input(p, a)
+                assert _young(p.n, row, pools) == young_first_removal(p.n, row, pools), (p, a)
+                checked += 1
+        assert checked == 3 * 923 + 4 * 20474
+
 
 class TestDodgson:
     def test_condorcet_winner_scores_zero(self, four_bloc):
@@ -262,6 +285,61 @@ class TestDodgson:
         p = Profile.from_names("abcdefg", [(1, "".join(o) + "a") for o in orders])
         assert len(p.ballots) == 300
         assert dodgson_score(p, 0) == 906
+
+    @staticmethod
+    def deficit_sum(p, a):
+        need = p.n // 2 + 1
+        return sum(max(0, need - p.pair_counts[a * p.m + b]) for b in range(p.m) if b != a)
+
+    def test_tight_pass_and_wasted_swaps_match_oracle(self):
+        """Seeded weighted profiles over 4 and 5 candidates, up to 7
+        voters: every score equals the unrestricted-swap oracle's, both
+        where the tight pass decides (the score is the deficit sum) and
+        where some swaps must be wasted."""
+        rng = random.Random(2407)
+        waste = collections.Counter()
+        for m in (4, 5):
+            types = list(itertools.permutations(range(m)))
+            for _ in range(30):
+                chosen = rng.sample(types, rng.randint(2, 4))
+                counts = [rng.randint(1, 3) for _ in chosen]
+                while sum(counts) > 7:
+                    counts.pop()
+                p = Profile(default_candidates(m), tuple(zip(counts, chosen)))
+                for a in range(m):
+                    score = dodgson_score(p, a)
+                    assert score == oracle_dodgson_score(p, a), (p, a)
+                    waste[score - self.deficit_sum(p, a)] += 1
+        assert waste[0] and max(waste) >= 2, waste
+
+    def test_weighted_five_candidates(self):
+        """Eight weighted blocs, 44 voters (tests/golden/profiles/weighted5.txt).
+        The tight pass decides a, c and e at their deficit sums; b needs four
+        wasted swaps, so budgets 1 to 4 run."""
+        p = Profile.from_names("abcde", [
+            (2, "acdeb"), (7, "cbead"), (4, "cdabe"), (5, "ceadb"),
+            (7, "dbcae"), (3, "dcbae"), (7, "dceab"), (9, "dceba"),
+        ])
+        assert [dodgson_score(p, a) for a in range(5)] == [42, 38, 5, 0, 34]
+        assert [self.deficit_sum(p, a) for a in range(5)] == [42, 34, 5, 0, 34]
+
+    def test_wasted_swaps_at_six_candidates(self):
+        """Two weighted m = 6 profiles whose scores exceed the deficit sum,
+        by 3 (candidate 0 of the first) and by 2 (candidate 4 of the
+        second), each a heavy case for a search bounded by the deficit sum
+        alone."""
+        first = Profile(default_candidates(6), (
+            (1, (1, 4, 0, 2, 3, 5)), (4, (1, 4, 2, 3, 5, 0)), (4, (1, 4, 3, 0, 2, 5)),
+            (5, (1, 5, 4, 0, 2, 3)), (7, (2, 1, 4, 5, 3, 0)), (6, (4, 1, 2, 5, 0, 3)),
+            (2, (4, 1, 5, 0, 3, 2)), (1, (5, 1, 3, 2, 0, 4)), (1, (5, 4, 0, 2, 1, 3)),
+        ))
+        second = Profile(default_candidates(6), (
+            (6, (0, 2, 3, 1, 4, 5)), (5, (1, 3, 0, 2, 5, 4)), (5, (2, 3, 4, 1, 0, 5)),
+            (5, (2, 5, 1, 0, 4, 3)), (5, (3, 1, 2, 0, 5, 4)),
+        ))
+        assert (first.n, second.n) == (31, 26)
+        assert (dodgson_score(first, 0), self.deficit_sum(first, 0)) == (48, 45)
+        assert (dodgson_score(second, 4), self.deficit_sum(second, 4)) == (46, 44)
 
 
 class TestCLR:
