@@ -82,7 +82,7 @@ class Violation:
     def __post_init__(self):
         if self.winners <= self.b_set:
             raise ValueError("not a violation: winners lie inside the qualified set")
-        if self.q is not None and not exact(self.support) > exact(self.q) * self.profile.n:
+        if self.q is not None and self.support <= exact(self.q).floor_times(self.profile.n):
             raise ValueError("not a violation: support does not exceed the quota share")
 
 
@@ -123,8 +123,8 @@ def _supported(rule_id: str, profile: Profile, qq: ExactNumber, groups):
     The rule id is checked here, so that a bad id raises whether or not a
     group qualifies; the winners need computing only when one does."""
     _rule(rule_id, profile.m)
-    threshold = qq * profile.n
-    return [(group, support) for group, support in groups if exact(support) > threshold]
+    threshold = qq.floor_times(profile.n)
+    return [(group, support) for group, support in groups if support > threshold]
 
 
 def check_qk_majority(rule_id: str, profile: Profile, q, k: int) -> Violation | None:

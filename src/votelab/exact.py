@@ -146,6 +146,20 @@ class ExactNumber:
             raise ValueError(f"{self} is irrational")
         return Fraction(self.p, self.s)
 
+    def floor_times(self, n: int) -> int:
+        """floor(self * n) for an integer n >= 0, in integers only.
+
+        self * n = (p*n + r*n*sqrt(d)) / s.  With R = r*n, isqrt(R*R*d) is
+        floor(|R|*sqrt(d)), and |R|*sqrt(d) is never an integer unless R = 0,
+        d being free of square factors; so floor(R*sqrt(d)) is that root, or
+        its negation less 1 when R < 0.  Adding the fractional part of
+        R*sqrt(d), in [0, 1), to p*n + floor(R*sqrt(d)) cannot carry the
+        quotient by s past the next integer.  A rational has R = 0.
+        """
+        radical = self.r * n
+        root = math.isqrt(radical * radical * self.d)
+        return (self.p * n + (root if radical >= 0 else -root - 1)) // self.s
+
     def __float__(self) -> float:
         return (self.p + self.r * math.sqrt(self.d)) / self.s
 

@@ -839,6 +839,17 @@ def tradeoff_score(profile: Profile, cand: int) -> ExactNumber:
 
 
 def _tradeoff_depth(m: int, n: int, col: Sequence[int]) -> ExactNumber:
+    """The depth at which g(t) = (3N-n) t^2 + (3C+N-n) t + C, which is
+    (3t+1) B_t - n t (t+1) on the piece [j, j+1], first turns positive.
+
+    The loop stops at the first j with g(j) <= 0 < g(j+1): g(1) = 4 B_1 - 2n
+    is not positive without a strict majority winner, and each piece starts
+    where the last one ends.  With a = 3N-n > 0, j lies between the roots
+    and j+1 past the larger, so the larger root is in [j, j+1).  With a < 0,
+    g is positive only between the roots, so j+1 lies between them and j at
+    or below the smaller, which is in [j, j+1).  Either root is
+    (-b + sqrt(b^2 - 4ac)) / (2a); with a = 0 the crossing is -C/b.
+    """
     if 2 * col[0] > n:
         raise ValueError("score undefined for a strict majority winner")
     for j, N, C in _piecewise_depth_pieces(col, m):
@@ -846,11 +857,10 @@ def _tradeoff_depth(m: int, n: int, col: Sequence[int]) -> ExactNumber:
         right = C + t1 * N
         if (3 * t1 + 1) * right <= n * t1 * (t1 + 1):
             continue
-        # Crossing inside [j, j+1): (3N-n) t^2 + (3C+N-n) t + C = 0.
-        roots = ExactNumber.quadratic_roots(3 * N - n, 3 * C + N - n, C)
-        in_piece = [t for t in roots if exact(j) <= t <= exact(j + 1)]
-        assert in_piece, "a sign change must bracket a root"
-        return in_piece[-1]
+        a, b = 3 * N - n, 3 * C + N - n
+        if a == 0:
+            return ExactNumber(-C, 0, 0, b)
+        return ExactNumber(-b, 1, b * b - 4 * a * C, 2 * a)
 
 
 def _tradeoff_value(m: int, n: int, col: Sequence[int]) -> tuple[ExactNumber, list[int]]:
@@ -993,8 +1003,8 @@ class _Rule:
     too, as each truncated score moves the same way as the depth.
     "condorcet-loser": the rule never elects a strict Condorcet loser, which
     the lone outsider is at k = m - 1 when more than half the voters rank B
-    on top.  The search runs the first three per B part, the fourth per
-    slice; reports never do.
+    on top.  The search runs the first three per B part; by the fourth
+    its loop over slices never dispatches such a slice; reports never do.
 
     ``value`` declares a per-candidate statistic, for a rule whose winners,
     past its winner screen, depend on each candidate's own lanes alone: the

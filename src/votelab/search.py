@@ -368,15 +368,18 @@ def _split_types(m: int, k: int):
 # against all n, or each one trails B on the score gap by more than the
 # other voters can add, or each one's value, with the other voters all
 # ranking it first, still loses to the values of B's members with the
-# other voters all ranking them last.  Per slice, before any B part is
-# enumerated, when more than half the n voters rank B on top: at k = 1
-# candidate 0 is then the strict majority and Condorcet winner of every
-# profile, which a rule with a winner screen elects alone, and at k = m -
-# 1 the lone outsider is a strict Condorcet loser, which a rule so
-# declared never elects; either way the slice is clean.  A rule with a
-# per-candidate value is otherwise decided by its pick from each
-# candidate's value on that candidate's lanes alone; any other rule by its
-# decision on the unpacked lanes, without building a Profile.  Each slice keeps a memo from
+# other voters all ranking them last.  Whole slices are settled by the
+# loop over slices, which never dispatches them, when more than half the
+# n voters rank B on top: at k = 1 candidate 0 is then the strict
+# majority and Condorcet winner of every profile, which a rule with a
+# winner screen elects alone, and at k = m - 1 the lone outsider is a
+# strict Condorcet loser, which a rule so declared never elects.  That
+# loop asks the rule's record once per query, and takes the supports
+# above q*n, or above the best share found so far, as an integer range
+# from the floor of that share times n.  A rule with a per-candidate
+# value is otherwise decided by its pick from each candidate's value on
+# that candidate's lanes alone; any other rule by its decision on the
+# unpacked lanes, without building a Profile.  Each slice keeps a memo from
 # the tally or rank lanes a rule and its screen read to the winners, and
 # from one candidate's lanes, cut by one shift and one mask and stored
 # bitwise negated, to its value: a whole profile's lanes rarely repeat
@@ -566,19 +569,6 @@ def _screened_winner(kernel: _Kernel, n: int, lanes) -> tuple[int] | None:
     return None
 
 
-def _slice_is_clean(kernel: _Kernel, k: int, n: int, support: int) -> bool:
-    """Whether (k, n, support) alone shows every profile of the slice clean:
-    with more than half the voters ranking B = {0..k-1} on top, at k = 1
-    candidate 0 is the strict majority and Condorcet winner, which a rule
-    with a winner screen elects alone, and at k = m - 1 the one outsider is
-    a strict Condorcet loser, which a rule so declared never elects."""
-    if 2 * support <= n:
-        return False
-    if k == 1:
-        return kernel.always_elects is not None
-    return k == kernel.m - 1 and "condorcet-loser" in kernel.loser_screens
-
-
 def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int, memo) -> bool:
     """Whether the tallies of the B part, the support voters ranking B =
     {0..k-1} on top, alone show that no candidate outside B wins any
@@ -695,8 +685,6 @@ def _min_violation(args):
     support and winners, or None when the slice is clean."""
     rule_id, m, k, n, support = args
     kernel = _kernel(rule_id, m, k, n)
-    if _slice_is_clean(kernel, k, n, support):
-        return None
     tables = _tables(m, k)
     split = tables.split
     counts = [0] * len(tables.types)
@@ -743,13 +731,28 @@ def _check_query(rule_id: str, m: int, k: int) -> None:
         )
 
 
-def _violations(rule_id: str, m: int, k: int, budget: SearchBudget, supports):
-    """For n = 1..max_voters, yield n and the minimal violations of the
-    slices with the supports that supports(n) names, in that order.
+def _settles_majority_slices(rule_id: str, m: int, k: int) -> bool:
+    """Whether every slice in which more than half the voters rank B =
+    {0..k-1} on top is clean for this rule and k: at k = 1 candidate 0 is
+    then the strict majority and Condorcet winner, which a rule with a
+    winner screen elects alone, and at k = m - 1 the one outsider is a
+    strict Condorcet loser, which a rule so declared never elects."""
+    rule = _rule(rule_id, m)
+    if k == 1:
+        return rule.always_elects is not None
+    return k == m - 1 and "condorcet-loser" in rule.loser_screens
 
-    Slices go to a process pool when the budget has more than one worker,
-    with at most one process per CPU: the pool starts all of them at once.
+
+def _violations(rule_id: str, m: int, k: int, budget: SearchBudget, floor):
+    """For n = 1..max_voters, yield n and the minimal violations of the
+    slices whose support exceeds floor(n), in increasing support.
+
+    Where `_settles_majority_slices` holds, the slices with 2 * support > n
+    are clean and are never dispatched.  Slices go to a process pool when
+    the budget has more than one worker, with at most one process per CPU:
+    the pool starts all of them at once.
     """
+    settled = _settles_majority_slices(rule_id, m, k)
     pool = None
     workers = min(budget.workers, os.cpu_count() or 1)
     if workers > 1:
@@ -760,7 +763,8 @@ def _violations(rule_id: str, m: int, k: int, budget: SearchBudget, supports):
         pool = ProcessPoolExecutor(workers)
     try:
         for n in range(1, budget.max_voters + 1):
-            slices = [(rule_id, m, k, n, s) for s in supports(n)]
+            top = n // 2 if settled else n
+            slices = [(rule_id, m, k, n, s) for s in range(floor(n) + 1, top + 1)]
             results = (pool.map if pool else map)(_min_violation, slices)
             yield n, [r for r in results if r is not None]
     finally:
@@ -783,10 +787,7 @@ def exhaustive_criterion_search(
     if not exact(0) < qq <= exact(1):
         raise ValueError("q must lie in (0, 1]")
 
-    def supports(n):
-        return [s for s in range(1, n + 1) if qq < Fraction(s, n)]
-
-    with contextlib.closing(_violations(rule_id, m, k, budget, supports)) as scan:
+    with contextlib.closing(_violations(rule_id, m, k, budget, qq.floor_times)) as scan:
         for n, hits in scan:
             if hits:
                 key, support, won = min(hits)
@@ -806,14 +807,16 @@ def max_violation(
     _check_query(rule_id, m, k)
     best = None  # (share, key, support, winners)
 
-    def supports(n):
-        return [s for s in range(1, n + 1) if best is None or Fraction(s, n) > best[0]]
+    def floor(n):
+        # the largest support whose share does not exceed the best so far
+        return 0 if best is None else best[0].numerator * n // best[0].denominator
 
-    with contextlib.closing(_violations(rule_id, m, k, budget, supports)) as scan:
+    with contextlib.closing(_violations(rule_id, m, k, budget, floor)) as scan:
         for n, hits in scan:
-            for key, support, won in hits:
-                if best is None or Fraction(support, n) > best[0]:
-                    best = Fraction(support, n), key, support, won
+            if hits:
+                # each hit's share beats the best so far; the last has the most support
+                key, support, won = hits[-1]
+                best = Fraction(support, n), key, support, won
     if best is None:
         return None
     share, key, support, won = best

@@ -111,3 +111,21 @@ def test_comparison_matches_float(p1, r1, d1, s1, p2, r2, d2, s2):
         assert (x > y) == (fx > fy)
     if x == y:
         assert abs(fx - fy) < 1e-9
+
+
+def test_floor_times_matches_exact_comparison():
+    """floor(q*n) is the largest support s with exact(s) > q*n false, for
+    every q = a/b with b < 20, four quadratic irrationals (the last with a
+    negative radical coefficient) and every n < 60; at q = 1 it is n, so
+    no support exceeds the share."""
+    quotas = [exact(Fraction(a, b)) for b in range(1, 20) for a in range(b + 1)]
+    quotas += [
+        ExactNumber(-1, 1, 33, 8), ExactNumber(-5, 1, 145, 12),
+        ExactNumber(1, 1, 17, 8), ExactNumber(7, -1, 17, 8),
+    ]
+    for q in quotas:
+        for n in range(60):
+            threshold = q * n
+            brute = max(s for s in range(n + 1) if not exact(s) > threshold)
+            assert q.floor_times(n) == brute, (q, n)
+    assert exact(1).floor_times(7) == 7

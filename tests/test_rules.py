@@ -30,7 +30,14 @@ from votelab import (
     young_score,
 )
 from votelab.cli import main
-from votelab.rules import RULE_IDS, ScoreVector, _rule, _young
+from votelab.rules import (
+    RULE_IDS,
+    ScoreVector,
+    _piecewise_depth_pieces,
+    _rule,
+    _tradeoff_depth,
+    _young,
+)
 
 from conftest import (
     profiles,
@@ -511,6 +518,36 @@ class TestTradeoffRule:
         p = Profile.from_names("ab", [(3, "ab")])
         with pytest.raises(ValueError):
             tradeoff_score(p, 0)
+
+    @staticmethod
+    def in_piece_depth(m, n, col):
+        """Both roots of the crossing piece's quadratic, keeping the largest
+        inside [j, j+1]."""
+        for j, N, C in _piecewise_depth_pieces(col, m):
+            if (3 * j + 4) * (C + (j + 1) * N) <= n * (j + 1) * (j + 2):
+                continue
+            roots = ExactNumber.quadratic_roots(3 * N - n, 3 * C + N - n, C)
+            in_piece = [t for t in roots if exact(j) <= t <= exact(j + 1)]
+            assert in_piece
+            return in_piece[-1]
+
+    def test_crossing_root_matches_in_piece_selection(self):
+        profiles = list(all_profiles(3, 6))
+        rng = random.Random(1212)
+        profiles += [
+            random_profile(rng, m, rng.randint(1, 40)) for m in range(4, 9) for _ in range(60)
+        ]
+        checked = 0
+        for p in profiles:
+            for a in range(p.m):
+                col = p.rank_counts[a :: p.m]
+                if 2 * col[0] > p.n:
+                    continue
+                depth = _tradeoff_depth(p.m, p.n, col)
+                expected = self.in_piece_depth(p.m, p.n, col)
+                assert (depth, repr(depth)) == (expected, repr(expected)), (p, a)
+                checked += 1
+        assert checked > 3000
 
 
 class TestRegistry:

@@ -29,6 +29,7 @@ from votelab import (
     worst_case_profile,
     young_score,
 )
+from votelab import search
 from votelab.search import smallest_worst_case_n
 
 F = Fraction
@@ -353,6 +354,29 @@ class TestExhaustiveSearch:
         )
         assert (found.profile.n, found.support) == (2, 1)
         assert found.profile.labels(found.winners) == ("a", "c")
+
+
+class TestSettledSlices:
+    @pytest.mark.parametrize("rule_id, k", [("irv", 1), ("plurality", 1), ("runoff", 2)])
+    def test_majority_slices_are_never_dispatched(self, monkeypatch, rule_id, k):
+        """At k = 1 for a rule with a winner screen, and at k = m - 1 for a
+        rule declaring the Condorcet-loser screen, the search loop hands
+        `_min_violation` no slice with more than half the voters ranking B
+        on top, and still hands it those with exactly half."""
+        dispatched = []
+        evaluate = search._min_violation
+
+        def counted(args):
+            dispatched.append(args)
+            return evaluate(args)
+
+        monkeypatch.setattr(search, "_min_violation", counted)
+        budget = SearchBudget(max_voters=12)
+        assert empirical_quota(rule_id, 3, k, budget) == F(1, 2)
+        assert exhaustive_criterion_search(rule_id, 3, k, F(2, 5), budget) is not None
+        assert exhaustive_criterion_search(rule_id, 3, k, F(1, 2), budget) is None
+        assert all(2 * s <= n for *_, n, s in dispatched)
+        assert any(2 * s == n for *_, n, s in dispatched)
 
 
 class TestEnumeration:

@@ -48,6 +48,7 @@ from votelab.search import (
     _count_vectors,
     _kernel,
     _min_violation,
+    _settles_majority_slices,
     _split_types,
     max_violation,
     oracle_dodgson_score,
@@ -944,7 +945,9 @@ def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
     and antiplurality, the veto core's blocking of every outsider, the
     Condorcet loser irv never elects and the value bounds of convexmedian,
     t12rule and young.  The settled orbits are found by the references in
-    conftest, on one profile of each orbit."""
+    conftest, on one profile of each orbit.  A slice the search loop never
+    dispatches, `_settles_majority_slices` holding and 2 * s > n, must have
+    every orbit settled."""
     calls = []
     evaluate = search.rule_winners
 
@@ -955,10 +958,13 @@ def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
     monkeypatch.setattr(search, "rule_winners", counted)
     settled = 0
     for s in range(1, n + 1):
-        calls.clear()
-        _min_violation((rule_id, m, k, n, s))
         orbits = list(_orbits(m, k, n, s).values())
         kept = [p for p in orbits if not any(screen(p, k) for screen in ORBIT_SCREENS[rule_id])]
         settled += len(orbits) - len(kept)
+        if 2 * s > n and _settles_majority_slices(rule_id, m, k):
+            assert not kept, s
+            continue
+        calls.clear()
+        _min_violation((rule_id, m, k, n, s))
         assert len(calls) == len(kept), s
     assert settled  # each case has orbits a screen settles
