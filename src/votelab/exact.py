@@ -301,12 +301,8 @@ class ExactNumber:
         negative = self._cmp(0) < 0
         x = -self if negative else self
         scale = 10**places
-        z = round(float(x) * scale)
-        # Fix up against the exact half-open window [z - 1/2, z + 1/2).
-        while x._cmp(Fraction(2 * z + 1, 2 * scale)) >= 0:
-            z += 1
-        while x._cmp(Fraction(2 * z - 1, 2 * scale)) < 0:
-            z -= 1
+        # floor(x * scale + 1/2) is floor((floor(2 x * scale) + 1) / 2)
+        z = (x.floor_times(2 * scale) + 1) // 2
         sign = "-" if negative and z else ""
         return f"{sign}{z // scale}.{z % scale:0{places}d}"
 

@@ -574,7 +574,9 @@ def _dodgson(n: int, row: Sequence[int], types: Sequence[tuple[int, Sequence[int
     deficit left; where it closes every deficit, the score is their sum.
     Each larger budget repeats the search, allowing that many wasted
     swaps, until one closes every deficit; the first such budget is the
-    least waste, as every smaller one failed.
+    least waste, as every smaller one failed.  A deficit larger than the
+    voters ranking its opponent above cand closes under no budget, so it
+    raises ValueError before the first pass.
     """
     need = n // 2 + 1
     deficits = tuple(max(0, need - x) for x in row)
@@ -595,6 +597,8 @@ def _dodgson(n: int, row: Sequence[int], types: Sequence[tuple[int, Sequence[int
             voters[j] += count
         avail.append(voters)
     avail.reverse()
+    if not all(map(operator.le, deficits, avail[0])):
+        raise ValueError("a deficit exceeds the voters ranking its opponent above the candidate")
     # failed[(i, defs)]: the largest budget known to leave the deficits defs
     # open after types i, i+1, ...; a smaller one fails too
     failed: dict[tuple[int, tuple[int, ...]], float] = {}
@@ -662,6 +666,30 @@ def _dodgson(n: int, row: Sequence[int], types: Sequence[tuple[int, Sequence[int
     while not closes(0, deficits, waste):
         waste += 1
     return total + waste
+
+
+def _dodgson_worst(m: int, n: int, lanes: Sequence[int], rest: int) -> int:
+    """An upper bound on a candidate's Dodgson score on every profile of n
+    voters adding rest voters to those its prefix lanes count.  Its score
+    only rises as it moves down a ballot, so let the rest rank it last, in
+    any order: h(cand, b) is then the counted voters' own.  Lifting x of
+    the rest from last to first costs x (m - 1) swaps and passes every
+    opponent whatever that order, and _dodgson on the counted voters' own
+    prefix types closes the deficits left.  That swap sequence exists in
+    every completion, so the least total over x is the bound.  x starts
+    where the counted voters can close every deficit left, as each opponent
+    needs at most n // 2 + 1 - x of them and they rank it above cand where
+    they do not rank cand above it; x = rest always can, as n // 2 + 1 <= n.
+    It stops once x (m - 1) alone reaches the least total so far."""
+    types = [(c, p[::-1]) for c, p in zip(lanes, _prefixes(m)) if c and p]
+    counted = sum(lanes)
+    row = [counted - sum(c for c, p in types if b in p) for b in range(m - 1)]
+    least = math.inf
+    for x in range(max(0, n // 2 + 1 - counted), rest + 1):
+        if x * (m - 1) >= least:
+            break
+        least = min(least, x * (m - 1) + _dodgson(n, [h + x for h in row], types))
+    return least
 
 
 def dodgson_decision(m, n, h, ballots):
@@ -995,12 +1023,14 @@ class _Rule:
     the sum of the k least weights to it.  "bound": the rule elects the
     ``least`` of its ``value``s, and a candidate's value never falls as one
     voter moves it down one place: a depth, as every truncated score falls,
-    or a Young score, as a removal that served the candidate one place
-    higher serves it still.  So its value is at most the one with the other
-    voters ranking it last and at least the one with them ranking it first,
-    and an outsider not among the least of B's worst values and its own
-    best never wins; t12rule's dominance tie-break holds at those bounds
-    too, as each truncated score moves the same way as the depth.
+    a Young score, as a removal that served the candidate one place higher
+    serves it still, or a Dodgson score, as a swap sequence for the lower
+    place, less its swap past the candidate just above, serves the higher.
+    So its value is at least the one with the other voters ranking it
+    first and at most the record's ``worst``, and an outsider not among
+    the least of B's worst values and its own best never wins; t12rule's
+    dominance tie-break holds at those bounds too, as each truncated score
+    moves the same way as the depth.
     "condorcet-loser": the rule never elects a strict Condorcet loser, which
     the lone outsider is at k = m - 1 when more than half the voters rank B
     on top.  The search runs the first three per B part; by the fourth
@@ -1017,6 +1047,14 @@ class _Rule:
     decision, which computes the same values through the same functions
     from the ballots, in any order, and names ballot types in its trace.
     None keeps the search on the decision.
+
+    ``worst(m, n, lanes, rest)`` bounds from above the value of a
+    candidate on every profile of n voters adding rest voters to those its
+    lanes count, for the "bound" screen.  None takes the value with the
+    rest added to its last lane, which ranks the candidate last whatever
+    the order above it on rank or contour lanes.  A last prefix lane fixes
+    that order, and no one order is a Dodgson score's worst, so dodgson
+    declares its own.
     """
 
     decision: Callable[[int], Decision]
@@ -1033,6 +1071,7 @@ class _Rule:
     least: Callable[[Sequence], tuple[int, ...]] = _argmin
     loser_screens: tuple[str, ...] = ()
     weights: Callable[[int], tuple[int, ...]] | None = None
+    worst: Callable[[int, int, Sequence[int], int], object] | None = None
 
     def __post_init__(self):
         if self.majority_sup is None and self.majority is not None:
@@ -1108,7 +1147,7 @@ _RULES: dict[str, _Rule] = {
         lambda m: dodgson_decision, True, "prefixes",
         majority=lambda k, m: (_clr_bound(k), Fraction(k, k + 1)),
         veto_sup=lambda l, half: (Fraction(5, 8), ONE), always_elects="condorcet",
-        value=_dodgson_score,
+        value=_dodgson_score, worst=_dodgson_worst, loser_screens=("bound",),
     ),
     "clr": _Rule(
         lambda m: clr_decision, True, None, lambda d: Fraction(d, 2), _clr_trace,

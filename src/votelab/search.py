@@ -367,8 +367,9 @@ def _split_types(m: int, k: int):
 # part: every candidate outside B is blocked on the part's contour lanes
 # against all n, or each one trails B on the score gap by more than the
 # other voters can add, or each one's value, with the other voters all
-# ranking it first, still loses to the values of B's members with the
-# other voters all ranking them last.  Whole slices are settled by the
+# ranking it first, still loses to B's members' worst values: by default
+# with the other voters all ranking them last, for dodgson with some of
+# those voters lifted past every opponent.  Whole slices are settled by the
 # loop over slices, which never dispatches them, when more than half the
 # n voters rank B on top: at k = 1 candidate 0 is then the strict
 # majority and Condorcet winner of every profile, which a rule with a
@@ -475,6 +476,7 @@ class _Kernel(NamedTuple):
     least: Callable[[Sequence], tuple[int, ...]]
     loser_screens: tuple[str, ...]
     weights: tuple[int, ...] | None
+    worst: Callable[[int, int, Sequence[int], int], object] | None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -496,6 +498,7 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
         mask=sum((1 << lane) - 1 << j * step * lane for j in range(width)),
         cut=slice(0, width * step, step or 1), least=rule.least,
         loser_screens=rule.loser_screens, weights=rule.weights and rule.weights(m),
+        worst=rule.worst,
     )
 
 
@@ -534,7 +537,7 @@ def rule_winners(kernel: _Kernel, n: int, tally: int, memo=None) -> Sequence[int
             stat = lanes[m * m :] if kernel.stride else None
             won = kernel.decide(m, n, h, stat)[0]
     if won is None:
-        won = kernel.least(_values(kernel, n, tally, memo))
+        won = kernel.least(_values(kernel, n, tally, memo, kernel.shifts))
     if key is not None:
         if len(memo) >= _MEMO_ENTRIES:
             memo.clear()
@@ -580,10 +583,11 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int, m
     it, k*w_1 less the k least weights, is below 0.  "bound": the rule
     elects the ``least`` of the per-candidate values, each of which never
     falls as one voter moves its candidate down one place.  Each b in B
-    takes its worst value, the other voters adding to its last lane (rank
-    m, or the full upper contour), and each outsider c its best, the other
-    voters adding to its lane 0 (first place, or the empty contour); no
-    completion gives b more or c less.  c cannot win when it is not among
+    takes its worst value, the record's ``worst`` of its lanes for the
+    other voters (by default the value with them added to its last lane,
+    rank m or the full upper contour), and each outsider c its best, the
+    other voters adding to its lane 0 (first place, or the empty contour);
+    no completion gives b more or c less.  c cannot win when it is not among
     the least of B's worst values and its own best: some b's worst is then
     below c's best, or ties it and second-order dominates it, as t12rule
     breaks ties, and the truncated scores behind that dominance only rise
@@ -591,9 +595,10 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int, m
     elects a strict majority winner and c's best has one, c's value is
     undefined and c may win, so the screen does not fire; a b with one on
     the B part alone never gets here, as the head screen settles it first.
-    The bounds are added to the packed tally itself: no lane exceeds
-    support + rest = n, which its width holds, so each bound block is cut,
-    and its value kept in the slice's memo, like a candidate's own.
+    The best and the default worst are added to the packed tally itself:
+    no lane exceeds support + rest = n, which its width holds, so each
+    bound block is cut, and its value kept in the slice's memo, like a
+    candidate's own.  A declared worst is computed from b's lanes alone.
     """
     m = kernel.m
     if "blocked" in kernel.loser_screens:
@@ -606,26 +611,32 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int, m
         slack = (n - support) * (k * w[0] - sum(w[m - k :])) - sum(scores[:k])
         return all(k * scores[c] + slack < 0 for c in range(k, m))
     if "bound" in kernel.loser_screens:
-        rest, shifts = n - support, kernel.shifts
-        last = rest << kernel.mask.bit_length() - kernel.lane
-        tally += sum(last << s for s in shifts[:k]) + sum(rest << s for s in shifts[k:])
-        first, outsiders = (1 << kernel.lane) - 1, shifts[k:]
+        rest, members, outsiders = n - support, kernel.shifts[:k], kernel.shifts[k:]
+        tally += sum(rest << s for s in outsiders)
+        first = (1 << kernel.lane) - 1
         if kernel.always_elects == "majority" and any(
             2 * (tally >> s & first) > n for s in outsiders
         ):
             return False
-        values = _values(kernel, n, tally, memo)
-        worst = values[:k]
-        return all(k not in kernel.least(worst + [value]) for value in values[k:])
+        if kernel.worst is None:
+            last = rest << kernel.mask.bit_length() - kernel.lane
+            worst = _values(kernel, n, tally + sum(last << s for s in members), memo, members)
+        else:
+            worst = [
+                kernel.worst(m, n, _lanes(kernel, tally >> s & kernel.mask)[kernel.cut], rest)
+                for s in members
+            ]
+        return all(k not in kernel.least(worst + [value])
+                   for value in _values(kernel, n, tally, memo, outsiders))
     return False
 
 
-def _values(kernel: _Kernel, n: int, tally: int, memo) -> list:
-    """Each candidate's value, read from the memo under the candidate's
-    block, bitwise negated so that it never meets a whole-profile key, or
-    computed from the block's lanes."""
+def _values(kernel: _Kernel, n: int, tally: int, memo, shifts: Sequence[int]) -> list:
+    """The value of each candidate whose block these shifts cut, read from
+    the memo under the block, bitwise negated so that it never meets a
+    whole-profile key, or computed from the block's lanes."""
     values = []
-    for shift in kernel.shifts:
+    for shift in shifts:
         block = tally >> shift & kernel.mask
         key = ~block
         value = None if memo is None else memo.get(key)

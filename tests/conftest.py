@@ -10,9 +10,11 @@ from votelab import (
     Profile,
     convex_median_score,
     default_candidates,
+    dodgson_score,
     tradeoff_score,
     young_score,
 )
+from votelab.rules import _dodgson
 from votelab.search import _count_vectors, _split_types
 
 
@@ -237,7 +239,37 @@ def outsiders_are_condorcet_losers(p: Profile, k: int) -> bool:
 
 BOUND_SCORES = {
     "convexmedian": convex_median_score, "t12rule": tradeoff_score, "young": young_score,
+    "dodgson": dodgson_score,
 }
+
+
+def dodgson_worst(p: Profile, k: int, b: int) -> int:
+    """An upper bound on b's Dodgson score in every completion of p's B
+    part to n voters: the least, over x, of x (m - 1) swaps lifting x of
+    the other n - s voters from a last place to the first, plus the fewest
+    swaps of the B part's own voters closing b's deficits on the profile
+    with x voters ranking b first and n - s - x ranking it last.  An x
+    leaving a deficit larger than the B part's voters ranking that
+    opponent above b is skipped.  Counted from the rankings."""
+    m, n = p.m, p.n
+    head = _b_part(p, k)
+    rest = n - sum(c for c, _ in head)
+    others = [d for d in range(m) if d != b]
+    types = [
+        (c, tuple(others.index(d) for d in reversed(r[: r.index(b)])))
+        for c, r in head
+        if r[0] != b
+    ]
+    above = [sum(c for c, r in head if r.index(d) < r.index(b)) for d in others]
+    last, first = tuple(others) + (b,), (b,) + tuple(others)
+    totals = []
+    for x in range(rest + 1):
+        ballots = head + tuple((c, r) for c, r in ((x, first), (rest - x, last)) if c)
+        row = [sum(c for c, r in ballots if r.index(b) < r.index(d)) for d in others]
+        if any(n // 2 + 1 - h > voters for h, voters in zip(row, above)):
+            continue
+        totals.append(x * (m - 1) + _dodgson(n, row, types))
+    return min(totals)
 
 
 def bound_excludes_outsiders(p: Profile, k: int, rule_id: str) -> bool:
@@ -245,8 +277,10 @@ def bound_excludes_outsiders(p: Profile, k: int, rule_id: str) -> bool:
     rule_id's score, least wins, even at c's best against each b's worst.
     The worst profile of b in B adds n - s voters ranking b last to the B
     part, and the best of c adds n - s ranking c first; both are built and
-    scored.  c is excluded when some b's worst score is below c's best or,
-    under t12rule, ties it and second-order dominates it on the integer
+    scored.  Under dodgson b's worst is `dodgson_worst` instead, as its
+    score on one such profile depends on the order above b.  c is
+    excluded when some b's worst score is below c's best or, under
+    t12rule, ties it and second-order dominates it on the integer
     truncated scores of those two profiles.  Where the rule elects a
     strict majority winner, a b with one in its worst profile excludes
     every outsider, and an outsider with one in its best is never
@@ -261,19 +295,23 @@ def bound_excludes_outsiders(p: Profile, k: int, rule_id: str) -> bool:
         return Profile(p.candidates, head + ((rest, ranking),) if rest else head)
 
     def majority(q: Profile, a: int) -> bool:
-        return rule_id != "young" and majority_winner(q) == a
+        return rule_id in ("convexmedian", "t12rule") and majority_winner(q) == a
 
     worst = {b: filled(b, True) for b in range(k)}
     if any(majority(q, b) for b, q in worst.items()):
         return True
+    if rule_id == "dodgson":
+        high = {b: dodgson_worst(p, k, b) for b in range(k)}
+    else:
+        high = {b: score(q, b) for b, q in worst.items()}
     for c in range(k, m):
         best = filled(c, False)
         if majority(best, c):
             return False
         low = score(best, c)
         if not any(
-            score(q, b) < low
-            or rule_id == "t12rule" and score(q, b) == low and _dominates(q, b, best, c)
+            high[b] < low
+            or rule_id == "t12rule" and high[b] == low and _dominates(q, b, best, c)
             for b, q in worst.items()
         ):
             return False

@@ -81,6 +81,26 @@ def test_decimal_rounding_half_up():
     assert exact(Fraction(107, 25)).decimal() == "4.280"
 
 
+def test_decimal_past_float_range():
+    """decimal rounds in integers: a value too small or too large for a
+    float renders exactly."""
+    assert ExactNumber(1, 0, 0, 10**400).decimal() == "0.000"
+    assert ExactNumber(10**400).decimal() == "1" + "0" * 400 + ".000"
+    assert ExactNumber(-(10**400) - 1, 0, 0, 2000).decimal() == "-5" + "0" * 396 + ".001"
+
+
+def test_decimal_is_the_half_up_neighbour():
+    """The decimal z / 1000 of x is the one with z - 1/2 <= 1000 x < z + 1/2,
+    checked by exact comparison for rationals and quadratic irrationals."""
+    values = [exact(Fraction(a, b)) for b in range(1, 40) for a in range(0, 3 * b)]
+    values += [ExactNumber(p, r, d, s) for p in range(-9, 10) for r in (-2, 1, 3)
+               for d in (2, 5, 33) for s in (1, 7, 8, 2000)]
+    for x in values:
+        text = abs(x).decimal()
+        z = int(text.replace(".", ""))
+        assert exact(Fraction(2 * z - 1, 2000)) <= abs(x) < exact(Fraction(2 * z + 1, 2000)), x
+
+
 def test_decimal_negative_values():
     """A negative value renders as "-" and the decimal of its absolute value;
     one that rounds to 0.000 has no sign."""

@@ -34,6 +34,7 @@ from votelab.rules import (
     RULE_IDS,
     ScoreVector,
     _piecewise_depth_pieces,
+    _dodgson,
     _rule,
     _tradeoff_depth,
     _young,
@@ -347,6 +348,18 @@ class TestDodgson:
         assert (first.n, second.n) == (31, 26)
         assert (dodgson_score(first, 0), self.deficit_sum(first, 0)) == (48, 45)
         assert (dodgson_score(second, 4), self.deficit_sum(second, 4)) == (46, 44)
+
+    def test_deficit_no_voters_can_close_raises(self):
+        """Five voters need 3 votes against each opponent.  One voter
+        ranking opponent 0 above the candidate cannot close its deficit of
+        3, so no budget of wasted swaps would: _dodgson raises at once
+        instead of raising the budget forever.  With three such voters it
+        closes in 3 swaps."""
+        with pytest.raises(ValueError, match="deficit exceeds"):
+            _dodgson(5, [0, 5], [(1, (0,))])
+        with pytest.raises(ValueError, match="deficit exceeds"):
+            _dodgson(5, [2, 1], [(3, (0,)), (1, (1, 0))])
+        assert _dodgson(5, [0, 5], [(3, (0,))]) == 3
 
 
 class TestCLR:

@@ -34,6 +34,7 @@ from votelab.rules import (
     _blocking_set,
     _convex_median_depth,
     _dodgson_score,
+    _dodgson_worst,
     _prefixes,
     _rule,
     _tradeoff_value,
@@ -60,6 +61,7 @@ from votelab.search import (
 
 from conftest import (
     bound_excludes_outsiders,
+    dodgson_worst,
     majority_winner,
     outsiders_are_condorcet_losers,
     profiles_with_support,
@@ -80,7 +82,8 @@ CONDORCET_RULES = ("simpson", "young", "dodgson", "clr", "black")
 MAJORITY_RULES = ("plurality", "runoff", "irv", "convexmedian", "t12rule")
 SCORING = {3: "scoring:5,2,0", 4: "scoring:6,3,1,0", 5: "scoring:9,4,3,1,0"}
 CONDORCET_LOSER_RULES = ("irv", "runoff", "borda", "black")  # never elect a strict Condorcet loser
-BOUND_RULES = ("convexmedian", "t12rule", "young")  # least value wins; values rise as it falls
+# least value wins; values rise as it falls
+BOUND_RULES = ("convexmedian", "t12rule", "young", "dodgson")
 FIXED_VECTORS = {
     "plurality": ScoreVector.plurality,
     "borda": ScoreVector.borda,
@@ -401,8 +404,9 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
     it to n voters elects a candidate outside B under rules.report, for each
     rule declaring that screen: the score gap of plurality, borda,
     antiplurality and a scoring: vector, the veto core's blocking of every
-    outsider, the value bounds of convexmedian, t12rule and young, and the
-    strict Condorcet loser that irv, runoff, borda and black never elect.
+    outsider, the value bounds of convexmedian, t12rule, young and
+    dodgson, and the strict Condorcet loser that irv, runoff, borda and
+    black never elect.
     The last fires exactly where the search settles a slice: k = m - 1
     with more than n/2 voters in the B part; at k = 1 such a B part shows
     candidate 0 as the strict majority and Condorcet winner.  One B part
@@ -411,7 +415,7 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
     labels = default_candidates(m)
     vectors = {rule_id: make(m).scores for rule_id, make in FIXED_VECTORS.items()}
     vectors[SCORING[m]] = parse_score_vector(SCORING[m][len("scoring:"):], m).scores
-    fired = collections.Counter()
+    fired, bounded = collections.Counter(), set()
     for k in range(1, m):
         b_types, o_types = _split_types(m, k)
         group = _group(m, k)
@@ -431,6 +435,7 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
                     if not screened:
                         continue
                     fired.update(screened.values())
+                    bounded.update(r for r, screen in screened.items() if screen == "bound")
                     for ovec in _count_vectors(n - s, len(o_types)):
                         p = Profile(labels, head.ballots + tuple(
                             (c, o_types[i]) for i, c in enumerate(ovec) if c
@@ -438,6 +443,7 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
                         for rule_id in screened:
                             assert max(winners(rule_id, p)) < k, (rule_id, p, k)
     assert set(fired) == {"score-gap", "blocked", "bound", "condorcet-loser"}, fired
+    assert bounded == set(BOUND_RULES), bounded
 
 
 def test_condorcet_loser_declarations():
@@ -474,12 +480,12 @@ def _moved_down(p, ranking, pos):
 
 def test_bound_values_never_fall_as_a_candidate_moves_down():
     """The premise of the bound screen: moving a candidate one place down
-    in one voter's ranking never lowers its Young score, its convex median
-    depth or its tradeoff depth (the depths where they are defined, the
-    candidate not a strict majority winner), and lowers none of its integer
-    truncated scores, on which t12rule breaks ties.  Checked for every
-    swap on every profile of up to 6 voters over 3 candidates and on
-    seeded profiles over 4 and 5."""
+    in one voter's ranking never lowers its Young or Dodgson score, its
+    convex median depth or its tradeoff depth (the depths where they are
+    defined, the candidate not a strict majority winner), and lowers none
+    of its integer truncated scores, on which t12rule breaks ties.  Checked
+    for every swap on every profile of up to 6 voters over 3 candidates
+    and on seeded profiles over 4 and 5."""
     rng = random.Random(2023)
     seeded = [random_profile(rng, m, rng.randint(2, 9)) for m in (4, 5) for _ in range(60)]
     swaps = 0
@@ -490,6 +496,7 @@ def test_bound_values_never_fall_as_a_candidate_moves_down():
                 a, q = ranking[pos], _moved_down(p, ranking, pos)
                 swaps += 1
                 assert young_score(q, a) >= young_score(p, a), (p, ranking, pos)
+                assert dodgson_score(q, a) >= dodgson_score(p, a), (p, ranking, pos)
                 before, after = integer_truncated_scores(p, a), integer_truncated_scores(q, a)
                 assert all(x <= y for x, y in zip(after, before)), (p, ranking, pos)
                 if majority_winner(p) != a:
@@ -499,17 +506,89 @@ def test_bound_values_never_fall_as_a_candidate_moves_down():
 
 
 def test_dodgson_last_prefix_lane_is_not_the_worst():
-    """Why dodgson carries no bound screen: no one prefix lane is a
+    """Why dodgson declares its own ``worst`` rather than the default, the
+    other voters added to a candidate's last lane: no one prefix lane is a
     candidate's worst.  Here one more voter ranking candidate 0 last, on
     its last prefix lane (3 > 2 > 1 > 0), leaves it a Dodgson score of 1,
     while one ranking it last below 1 > 2 > 3 gives 2: candidate 0 trails
-    1, and the last lane puts 1 just above it."""
+    1, and the last lane puts 1 just above it.  So the default would bound
+    its score by 1, below a completion's, while _dodgson_worst, which
+    lifts the added voter past every opponent whatever their order, gives
+    2.  The same happens to candidate 1 on a second part of 5 voters held
+    to 6, where the bound screen for B = {0, 1} would then fire: the
+    default worst 1 is below outsider 3's best of 2.  Yet one more voter
+    ranking 3 > 0 > 2 > 1 elects 3 alongside 1, so the declared worst,
+    2, keeps the screen from firing."""
     last = _prefixes(4)[-1]  # over the others relabelled b - 1
     assert tuple(b + 1 for b in last) + (0,) == (3, 2, 1, 0)
     part = ((2, (0, 1, 3, 2)), (1, (1, 2, 0, 3)), (1, (1, 3, 0, 2)))
     for ranking, score in (((3, 2, 1, 0), 1), ((1, 2, 3, 0), 2)):
         p = Profile(default_candidates(4), part + ((1, ranking),))
         assert dodgson_score(p, 0) == oracle_dodgson_score(p, 0) == score, ranking
+    lanes = _lane_vector(Profile(default_candidates(4), part), 0)
+    assert _dodgson_score(4, 5, lanes[:-1] + [lanes[-1] + 1]) == 1
+    assert _rule("dodgson", 4).worst is _dodgson_worst
+    assert _dodgson_worst(4, 5, lanes, 1) == 2
+
+    part = ((1, (0, 2, 1, 3)), (3, (1, 3, 0, 2)), (1, (0, 3, 1, 2)))
+    p = Profile(default_candidates(4), part + ((1, (3, 0, 2, 1)),))
+    assert [dodgson_score(p, a) for a in range(4)] == [3, 2, 9, 2]
+    assert set(winners("dodgson", p)) == {1, 3}
+    kernel = _kernel("dodgson", 4, 2, 6)
+    index = {r: t for t, r in enumerate(search._tables(4, 2).types)}
+    tally = sum(c * kernel.contrib[index[r]] for c, r in part)
+    assert search._outsiders_lose(kernel._replace(worst=None), 2, 6, 5, tally, {})
+    assert not search._outsiders_lose(kernel, 2, 6, 5, tally, {})
+
+
+def _lane_vector(p, a):
+    """a's prefix lanes on p, a list in _prefixes order."""
+    order, lanes = _prefix_lanes(p.m), [0] * len(_prefixes(p.m))
+    for u, c in _prefix_counts(p, a):
+        lanes[order.index(u)] = c
+    return lanes
+
+
+@pytest.mark.parametrize("m, max_voters", [(3, 7), (4, 5)])
+def test_dodgson_bounds_hold_on_every_completion(m, max_voters):
+    """On every completion of a B part to n voters, each b in B scores at
+    most _dodgson_worst of its B-part prefix lanes with the other n - s
+    voters to come, and each outsider at least _dodgson_score of its lanes
+    with those voters ranking it first, the two bounds the search's bound
+    screen compares.  Every k, one B part per orbit of S_k x S_{m-k}; the
+    completions are all checked against dodgson_score.  The worst agrees
+    with conftest's dodgson_worst, counted from the rankings, and some
+    completion attains it where no voter is to come."""
+    labels = default_candidates(m)
+    checked = 0
+    for k in range(1, m):
+        b_types, o_types = _split_types(m, k)
+        group = _group(m, k)
+        for n in range(1, max_voters + 1):
+            for s in range(1, n + 1):
+                for bvec in _count_vectors(s, len(b_types)):
+                    head = Profile(labels, tuple((c, b_types[i]) for i, c in enumerate(bvec) if c))
+                    if min(relabel_profile(head, g).ballots for g in group) != head.ballots:
+                        continue  # not its orbit's smallest
+                    filled = Profile(labels, head.ballots + ((n - s, o_types[0]),)) if n > s else head
+                    worst = [_dodgson_worst(m, n, _lane_vector(head, b), n - s) for b in range(k)]
+                    assert worst == [dodgson_worst(filled, k, b) for b in range(k)], head
+                    best = []
+                    for c in range(k, m):
+                        lanes = _lane_vector(head, c)
+                        lanes[0] += n - s
+                        best.append(_dodgson_score(m, n, lanes))
+                    for ovec in _count_vectors(n - s, len(o_types)):
+                        p = Profile(labels, head.ballots + tuple(
+                            (c, o_types[i]) for i, c in enumerate(ovec) if c
+                        ))
+                        scores = [dodgson_score(p, a) for a in range(m)]
+                        assert all(x <= y for x, y in zip(scores, worst)), (p, worst)
+                        assert all(x <= y for x, y in zip(best, scores[k:])), (p, best)
+                        checked += 1
+                    if n == s:
+                        assert worst == scores[:k], head
+    assert checked > 1000, checked
 
 
 def test_memo_key_determines_the_winners():
@@ -922,6 +1001,7 @@ ORBIT_SCREENS = {
     "convexmedian": (_head_majority, _bound_screen("convexmedian")),
     "t12rule": (_head_majority, _bound_screen("t12rule")),
     "young": (_head_condorcet, _bound_screen("young")),
+    "dodgson": (_head_condorcet, _bound_screen("dodgson")),
 }
 
 
@@ -932,7 +1012,7 @@ ORBIT_SCREENS = {
     for rule_id, slices in (
         ("antiplurality", ORBIT_SLICES), ("vetocore", [(3, 2, 5)]), ("irv", [(3, 2, 5)]),
         ("convexmedian", [(3, 2, 5), (4, 2, 3)]), ("t12rule", [(3, 2, 5), (4, 2, 3)]),
-        ("young", [(3, 2, 5), (4, 2, 3)]),
+        ("young", [(3, 2, 5), (4, 2, 3)]), ("dodgson", [(3, 2, 5), (4, 2, 3)]),
     )
     for mkn in slices
 ])
@@ -940,11 +1020,11 @@ def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
     """The kernel evaluates each orbit of a slice once, except those whose
     B part or slice a screen settles: the head screen of plurality, irv,
     convexmedian and t12rule (a candidate with more than n/2 first places
-    on the B part alone) and of young (a candidate beating each other one
-    on more than n/2 of the B part's ballots), the score gap of plurality
-    and antiplurality, the veto core's blocking of every outsider, the
-    Condorcet loser irv never elects and the value bounds of convexmedian,
-    t12rule and young.  The settled orbits are found by the references in
+    on the B part alone) and of young and dodgson (a candidate beating each
+    other one on more than n/2 of the B part's ballots), the score gap of
+    plurality and antiplurality, the veto core's blocking of every
+    outsider, the Condorcet loser irv never elects and the value bounds of
+    convexmedian, t12rule, young and dodgson.  The settled orbits are found by the references in
     conftest, on one profile of each orbit.  A slice the search loop never
     dispatches, `_settles_majority_slices` holding and 2 * s > n, must have
     every orbit settled."""
