@@ -43,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .exact import ExactNumber, exact
 # The tallies are read from Profile.pair_counts and rank_counts.  The two
@@ -1010,9 +1010,36 @@ class _Rule:
     ranking the qualified set on top) in which the B part alone shows such
     a winner against the whole voter count.  None makes no such claim.
 
-    ``loser_screens`` names the tests by which the search shows, from part
+    ``mutual_majority(m)`` holds the k at which the rule is proved to
+    satisfy mutual majority at m candidates: whenever more than half the
+    voters rank a k-set B on top, every winner is in B.  The search loop
+    never dispatches such a slice at those k; reports never read it.  Each
+    declaration rests on the rule's definition, never on its closed form,
+    so a search can still refute a closed form.  The proofs:
+    k = 1 for every rule with ``always_elects``: B's member is then the
+    strict first-place majority winner and Condorcet winner, which the
+    rule elects alone.
+    k = m - 1 for borda and black: every B voter ranks the lone outsider
+    last, so it loses every duel strictly; its Borda score is then below
+    the average, and black elects a Condorcet winner, never it, or the
+    Borda winners.
+    irv at every k: while a member of B is active, B's voters give their
+    first places to B, so the last active member holds more than n/2 of
+    them and is never the fewest.
+    runoff at k <= 2 and k = m - 1: two outsiders cannot both be
+    finalists, since with B's members they would hold more than n first
+    places, and a finalist in B beats an outsider by a strict majority.
+    simpson, young and clr at k = 2: some b in B has 2 h(b, b') >= n
+    against the other member and 2 h(b, c) > n against every outsider c,
+    so b has maximin >= n/2, Young score 0 and CLR deficit 0, while every
+    outsider c has 2 h(c, b) < n, so maximin < n/2, Young score >= 1 and
+    CLR deficit > 0.
+    dodgson at k >= 2, convexmedian at k = m - 1 and t12rule at k >= 2
+    have no proof, so they stay undeclared.
+
+    ``loser_screen`` names the test by which the search shows, from part
     of a slice's voters, that no candidate outside the qualified set B can
-    win, whatever the other voters do; each stays true as voters are added
+    win, whatever the other voters do; it stays true as voters are added
     to a fixed voter count n.  "blocked": the record's ``value`` is
     ``_blocked``'s, and a candidate whose value, on the voters ranking B on
     top alone and held to all n, has a nonzero blocking set is blocked on
@@ -1030,11 +1057,8 @@ class _Rule:
     first and at most the record's ``worst``, and an outsider not among
     the least of B's worst values and its own best never wins; t12rule's
     dominance tie-break holds at those bounds too, as each truncated score
-    moves the same way as the depth.
-    "condorcet-loser": the rule never elects a strict Condorcet loser, which
-    the lone outsider is at k = m - 1 when more than half the voters rank B
-    on top.  The search runs the first three per B part; by the fourth
-    its loop over slices never dispatches such a slice; reports never do.
+    moves the same way as the depth.  The search runs the screen per B
+    part; reports never do.
 
     ``value`` declares a per-candidate statistic, for a rule whose winners,
     past its winner screen, depend on each candidate's own lanes alone: the
@@ -1067,9 +1091,10 @@ class _Rule:
     veto_sup: Callable[[int, bool], object] | None = None
     text: dict[str, tuple[str, Fraction]] = field(default_factory=dict)
     always_elects: str | None = None
+    mutual_majority: Callable[[int], Container[int]] = lambda m: ()
     value: Callable[[int, int, Sequence[int]], object] | None = None
     least: Callable[[Sequence], tuple[int, ...]] = _argmin
-    loser_screens: tuple[str, ...] = ()
+    loser_screen: str | None = None
     weights: Callable[[int], tuple[int, ...]] | None = None
     worst: Callable[[int, int, Sequence[int], int], object] | None = None
 
@@ -1078,15 +1103,13 @@ class _Rule:
             object.__setattr__(self, "majority_sup", lambda k: self.majority(k, None))
 
 
-def _vector_rule(
-    make: Callable[[int], ScoreVector], den: int = 1, screens: tuple[str, ...] = (), **fields
-) -> _Rule:
+def _vector_rule(make: Callable[[int], ScoreVector], den: int = 1, **fields) -> _Rule:
     """The positional rule scoring m candidates with the vector make(m).
     Its decision sums the vector times ``den``, its weights' common
     denominator, so a total t is shown as the fraction t/den.  A lone
     candidate has no score vector; its one position counts 1 per voter.
     Its per-m quota is the scoring rule's, and the search screens it by the
-    score gap of those weights and by ``screens``."""
+    score gap of those weights."""
 
     @functools.cache
     def weights(m: int) -> tuple[int, ...]:
@@ -1098,11 +1121,11 @@ def _vector_rule(
 
     return _Rule(decide, False, "ranks", lambda t: Fraction(t, den),
                  majority=lambda k, m: scoring_rule_quota(make(m), k),
-                 loser_screens=("score-gap",) + screens, weights=weights, **fields)
+                 loser_screen="score-gap", weights=weights, **fields)
 
 
 _BORDA = _vector_rule(
-    ScoreVector.borda, screens=("condorcet-loser",), majority_sup=lambda k: ONE,
+    ScoreVector.borda, mutual_majority=lambda m: (m - 1,), majority_sup=lambda k: ONE,
     veto_sup=lambda l, half: (
         HALF if l == 1 else Fraction(3 * l - 1, 4 * l) if half else Fraction(l, l + 1)
     ),
@@ -1116,20 +1139,20 @@ _RULES: dict[str, _Rule] = {
     "plurality": _vector_rule(
         ScoreVector.plurality, majority_sup=lambda k: Fraction(k, k + 1),
         veto_sup=lambda l, half: ONE, text={"majority": ("k/(k+1)", ONE)},
-        always_elects="majority",
+        always_elects="majority", mutual_majority=lambda m: (1,),
     ),
     "runoff": _Rule(
         lambda m: runoff_decision, True, "ranks",
         majority=lambda k, m: HALF if k in (1, m - 1) else Fraction(k, k + 2),
         majority_sup=lambda k: max(HALF, Fraction(k, k + 2)),
         veto_sup=lambda l, half: HALF if l == 1 else ONE, text={"majority": ("k/(k+2)", ONE)},
-        always_elects="majority", loser_screens=("condorcet-loser",),
+        always_elects="majority", mutual_majority=lambda m: (1, 2, m - 1),
     ),
     "irv": _Rule(
         lambda m: instant_runoff_decision, False, "contours",
         majority=lambda k, m: HALF, veto_sup=lambda l, half: HALF,
         text=dict.fromkeys(("majority", "veto", "veto-half"), ("1/2", HALF)),
-        always_elects="majority", loser_screens=("condorcet-loser",),
+        always_elects="majority", mutual_majority=lambda m: range(1, m),
     ),
     "borda": _BORDA,
     "antiplurality": _vector_rule(
@@ -1138,16 +1161,19 @@ _RULES: dict[str, _Rule] = {
     ),
     "simpson": _Rule(
         lambda m: simpson_decision, True, None, **_SIMPSON_QUOTAS, always_elects="condorcet",
+        mutual_majority=lambda m: (1, 2),
     ),
     "young": _Rule(
         lambda m: young_decision, True, "contours", **_SIMPSON_QUOTAS,
-        always_elects="condorcet", value=_young_score, loser_screens=("bound",),
+        always_elects="condorcet", mutual_majority=lambda m: (1, 2), value=_young_score,
+        loser_screen="bound",
     ),
     "dodgson": _Rule(
         lambda m: dodgson_decision, True, "prefixes",
         majority=lambda k, m: (_clr_bound(k), Fraction(k, k + 1)),
         veto_sup=lambda l, half: (Fraction(5, 8), ONE), always_elects="condorcet",
-        value=_dodgson_score, worst=_dodgson_worst, loser_screens=("bound",),
+        mutual_majority=lambda m: (1,), value=_dodgson_score, worst=_dodgson_worst,
+        loser_screen="bound",
     ),
     "clr": _Rule(
         lambda m: clr_decision, True, None, lambda d: Fraction(d, 2), _clr_trace,
@@ -1157,7 +1183,7 @@ _RULES: dict[str, _Rule] = {
             "majority:odd": ("(5k^2-2k+1)/(8k^2)", Fraction(5, 8)),
             **dict.fromkeys(("veto", "veto-half"), ("5/8", Fraction(5, 8))),
         },
-        always_elects="condorcet",
+        always_elects="condorcet", mutual_majority=lambda m: (1, 2),
     ),
     "black": _Rule(
         lambda m: black_decision, True, None, Fraction,
@@ -1167,7 +1193,7 @@ _RULES: dict[str, _Rule] = {
             _BORDA.veto_sup(l, half) if l == 1 or half else Fraction(2 * l + 1, 2 * l + 4)
         ),
         text={**_BORDA.text, "veto": ("(2l+1)/(2l+4)", ONE)},
-        always_elects="condorcet", loser_screens=("condorcet-loser",),
+        always_elects="condorcet", mutual_majority=lambda m: (1, m - 1),
     ),
     "convexmedian": _Rule(
         lambda m: convex_median_decision, False, "ranks", lambda depth: Fraction(*depth),
@@ -1178,8 +1204,8 @@ _RULES: dict[str, _Rule] = {
             "veto": ("(3l-4)/(4l-4)", Fraction(3, 4)),
             "veto-half": ("(-7+3l+sqrt(17-10l+9l^2))/(8l-8)", Fraction(3, 4)),
         },
-        always_elects="majority", value=_convex_median_depth, least=_least_depths,
-        loser_screens=("bound",),
+        always_elects="majority", mutual_majority=lambda m: (1,), value=_convex_median_depth,
+        least=_least_depths, loser_screen="bound",
     ),
     "vetocore": _Rule(
         lambda m: proportional_veto_core_decision, False, "contours",
@@ -1190,11 +1216,12 @@ _RULES: dict[str, _Rule] = {
         text={"veto": ("l/(l+1)", ONE), "veto-half": ("1/2", HALF)},
         # the core is never empty (Moulin 1981), so its members, of value
         # (0, 0), are the least
-        value=_blocked, loser_screens=("blocked",),
+        value=_blocked, loser_screen="blocked",
     ),
     "t12rule": _Rule(
         lambda m: theorem12_decision, False, "ranks", always_elects="majority",
-        value=_tradeoff_value, least=_least_undominated, loser_screens=("bound",),
+        mutual_majority=lambda m: (1,), value=_tradeoff_value, least=_least_undominated,
+        loser_screen="bound",
     ),
 }
 

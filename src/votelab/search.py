@@ -362,29 +362,27 @@ def _split_types(m: int, k: int):
 # candidate's first places and duel votes, so a winner it finds wins every
 # completion of the B part alone, and none of them is evaluated.  That
 # winner is in B, since a B voter ranks every candidate of B above every
-# other, so no skipped profile is a violation.  The loser screens a rule's
-# record names are the dual tests, each sound for the same reason.  Per B
-# part: every candidate outside B is blocked on the part's contour lanes
-# against all n, or each one trails B on the score gap by more than the
-# other voters can add, or each one's value, with the other voters all
-# ranking it first, still loses to B's members' worst values: by default
-# with the other voters all ranking them last, for dodgson with some of
-# those voters lifted past every opponent.  Whole slices are settled by the
-# loop over slices, which never dispatches them, when more than half the
-# n voters rank B on top: at k = 1 candidate 0 is then the strict
-# majority and Condorcet winner of every profile, which a rule with a
-# winner screen elects alone, and at k = m - 1 the lone outsider is a
-# strict Condorcet loser, which a rule so declared never elects.  That
-# loop asks the rule's record once per query, and takes the supports
-# above q*n, or above the best share found so far, as an integer range
-# from the floor of that share times n.  A rule with a per-candidate
-# value is otherwise decided by its pick from each candidate's value on
-# that candidate's lanes alone; any other rule by its decision on the
-# unpacked lanes, without building a Profile.  Each slice keeps a memo from
-# the tally or rank lanes a rule and its screen read to the winners, and
-# from one candidate's lanes, cut by one shift and one mask and stored
-# bitwise negated, to its value: a whole profile's lanes rarely repeat
-# while one candidate's do.  The memo lives for one slice and is cleared at
+# other, so no skipped profile is a violation.  The loser screen a rule's
+# record names is the dual test, sound for the same reason.  Per B part:
+# every candidate outside B is blocked on the part's contour lanes against
+# all n, or each one trails B on the score gap by more than the other
+# voters can add, or each one's value, with the other voters all ranking
+# it first, still loses to B's members' worst values: by default with the
+# other voters all ranking them last, for dodgson with some of those
+# voters lifted past every opponent.  Whole slices are settled by the loop
+# over slices, which never dispatches them, when more than half the n
+# voters rank B on top and the rule's record declares mutual majority at
+# k: every winner of every profile there is in B.  That loop reads the
+# declaration once per query, and takes the supports above q*n, or above
+# the best share found so far, as an integer range from the floor of that
+# share times n.  A rule with a per-candidate value is otherwise decided
+# by its pick from each candidate's value on that candidate's lanes
+# alone; any other rule by its decision on the unpacked lanes, without
+# building a Profile.  Each slice keeps a memo from the tally or rank
+# lanes a rule and its screen read to the winners, and from one
+# candidate's lanes, cut by one shift and one mask and stored bitwise
+# negated, to its value: a whole profile's lanes rarely repeat while one
+# candidate's do.  The memo lives for one slice and is cleared at
 # a fixed size, so results and memory do not depend on the worker count.
 #
 # The candidate permutations fixing B (the group S_k x S_{m-k}) map a slice
@@ -455,7 +453,7 @@ class _Kernel(NamedTuple):
     and ``least``, never by ``decide``: ``tally >> shifts[a] & mask`` is
     a's lanes moved down to candidate 0's, the key of its value in the
     memo, and ``cut`` takes them from the unpacked block.
-    ``loser_screens`` and ``weights`` are the record's, the weights at m.
+    ``loser_screen`` and ``weights`` are the record's, the weights at m.
     """
 
     m: int
@@ -474,7 +472,7 @@ class _Kernel(NamedTuple):
     mask: int
     cut: slice
     least: Callable[[Sequence], tuple[int, ...]]
-    loser_screens: tuple[str, ...]
+    loser_screen: str | None
     weights: tuple[int, ...] | None
     worst: Callable[[int, int, Sequence[int], int], object] | None
 
@@ -497,7 +495,7 @@ def _kernel(rule_id: str, m: int, k: int, n: int) -> _Kernel:
         value=rule.value, shifts=tuple(block + a * stride * lane for a in range(m)),
         mask=sum((1 << lane) - 1 << j * step * lane for j in range(width)),
         cut=slice(0, width * step, step or 1), least=rule.least,
-        loser_screens=rule.loser_screens, weights=rule.weights and rule.weights(m),
+        loser_screen=rule.loser_screen, weights=rule.weights and rule.weights(m),
         worst=rule.worst,
     )
 
@@ -575,7 +573,7 @@ def _screened_winner(kernel: _Kernel, n: int, lanes) -> tuple[int] | None:
 def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int, memo) -> bool:
     """Whether the tallies of the B part, the support voters ranking B =
     {0..k-1} on top, alone show that no candidate outside B wins any
-    profile of n voters extending it, by a loser screen the rule declares.
+    profile of n voters extending it, by the loser screen the rule declares.
 
     "blocked": every outsider's value on its contour lanes has a nonzero
     blocking set.  "score-gap": for every outsider c, k*score(c) less B's
@@ -601,16 +599,16 @@ def _outsiders_lose(kernel: _Kernel, k: int, n: int, support: int, tally: int, m
     candidate's own.  A declared worst is computed from b's lanes alone.
     """
     m = kernel.m
-    if "blocked" in kernel.loser_screens:
+    if kernel.loser_screen == "blocked":
         blocks = (_lanes(kernel, tally >> kernel.shifts[c] & kernel.mask) for c in range(k, m))
         return all(kernel.value(m, n, lanes[kernel.cut])[0] for lanes in blocks)
-    if "score-gap" in kernel.loser_screens:
+    if kernel.loser_screen == "score-gap":
         # the weights fall with the rank, so the k least are the last k
         w, ranks = kernel.weights, _lanes(kernel, tally)[m * m :]
         scores = [sum(x * ranks[l * m + a] for l, x in enumerate(w) if x) for a in range(m)]
         slack = (n - support) * (k * w[0] - sum(w[m - k :])) - sum(scores[:k])
         return all(k * scores[c] + slack < 0 for c in range(k, m))
-    if "bound" in kernel.loser_screens:
+    if kernel.loser_screen == "bound":
         rest, members, outsiders = n - support, kernel.shifts[:k], kernel.shifts[k:]
         tally += sum(rest << s for s in outsiders)
         first = (1 << kernel.lane) - 1
@@ -713,7 +711,7 @@ def _min_violation(args):
         else:
             if kernel.always_elects and _screened_winner(kernel, n, _lanes(kernel, b_tally)):
                 continue  # every completion elects that candidate, which is in B, alone
-            if kernel.loser_screens and _outsiders_lose(kernel, k, n, support, b_tally, memo):
+            if kernel.loser_screen and _outsiders_lose(kernel, k, n, support, b_tally, memo):
                 continue  # no completion elects a candidate outside B
             for tally in _fill(counts, split, len(counts), n - support, kernel.contrib, b_tally):
                 if stabiliser:
@@ -742,28 +740,16 @@ def _check_query(rule_id: str, m: int, k: int) -> None:
         )
 
 
-def _settles_majority_slices(rule_id: str, m: int, k: int) -> bool:
-    """Whether every slice in which more than half the voters rank B =
-    {0..k-1} on top is clean for this rule and k: at k = 1 candidate 0 is
-    then the strict majority and Condorcet winner, which a rule with a
-    winner screen elects alone, and at k = m - 1 the one outsider is a
-    strict Condorcet loser, which a rule so declared never elects."""
-    rule = _rule(rule_id, m)
-    if k == 1:
-        return rule.always_elects is not None
-    return k == m - 1 and "condorcet-loser" in rule.loser_screens
-
-
 def _violations(rule_id: str, m: int, k: int, budget: SearchBudget, floor):
     """For n = 1..max_voters, yield n and the minimal violations of the
     slices whose support exceeds floor(n), in increasing support.
 
-    Where `_settles_majority_slices` holds, the slices with 2 * support > n
-    are clean and are never dispatched.  Slices go to a process pool when
+    Where the rule's record declares mutual majority at k, the slices with
+    2 * support > n are clean and are never dispatched.  Slices go to a process pool when
     the budget has more than one worker, with at most one process per CPU:
     the pool starts all of them at once.
     """
-    settled = _settles_majority_slices(rule_id, m, k)
+    settled = k in _rule(rule_id, m).mutual_majority(m)
     pool = None
     workers = min(budget.workers, os.cpu_count() or 1)
     if workers > 1:

@@ -223,18 +223,34 @@ def veto_blocks_outsiders(p: Profile, k: int) -> bool:
     return True
 
 
-def outsiders_are_condorcet_losers(p: Profile, k: int) -> bool:
-    """Whether the B part alone gives each outsider c a strict minority in
-    every duel: more than n/2 of the B part's voters, n the profile's,
-    rank the opponent above c."""
-    m, n = p.m, p.n
-    head = _b_part(p, k)
-    return all(
-        2 * sum(count for count, r in head if r.index(b) < r.index(c)) > n
-        for c in range(k, m)
-        for b in range(m)
-        if b != c
-    )
+def b_holds_a_majority(p: Profile, k: int) -> bool:
+    """Whether more than half of the profile's voters rank B = {0..k-1} on
+    top, so that a rule satisfying mutual majority at k elects only members
+    of B."""
+    return 2 * sum(c for c, _ in _b_part(p, k)) > p.n
+
+
+# The k at which each rule satisfies mutual majority at m candidates, as the
+# rule records declare them; a rule left out declares none.  Written out
+# here so that a record gaining or losing a cell fails a test.
+MUTUAL_MAJORITY = {
+    "plurality": lambda m: {1},
+    "runoff": lambda m: {1, 2, m - 1},
+    "irv": lambda m: set(range(1, m)),
+    "borda": lambda m: {m - 1},
+    "simpson": lambda m: {1, 2},
+    "young": lambda m: {1, 2},
+    "dodgson": lambda m: {1},
+    "clr": lambda m: {1, 2},
+    "black": lambda m: {1, m - 1},
+    "convexmedian": lambda m: {1},
+    "t12rule": lambda m: {1},
+}
+
+
+def mutual_majority_cells(rule_id: str, m: int) -> set[int]:
+    """The k, 1 <= k < m, at which MUTUAL_MAJORITY declares rule_id."""
+    return MUTUAL_MAJORITY.get(rule_id, lambda m: set())(m) & set(range(1, m))
 
 
 BOUND_SCORES = {

@@ -357,12 +357,18 @@ class TestExhaustiveSearch:
 
 
 class TestSettledSlices:
-    @pytest.mark.parametrize("rule_id, k", [("irv", 1), ("plurality", 1), ("runoff", 2)])
-    def test_majority_slices_are_never_dispatched(self, monkeypatch, rule_id, k):
-        """At k = 1 for a rule with a winner screen, and at k = m - 1 for a
-        rule declaring the Condorcet-loser screen, the search loop hands
-        `_min_violation` no slice with more than half the voters ranking B
-        on top, and still hands it those with exactly half."""
+    @pytest.mark.parametrize("rule_id, m, k, max_voters", [
+        pytest.param("irv", 3, 1, 12, id="irv-1"),
+        pytest.param("plurality", 3, 1, 12, id="plurality-1"),
+        pytest.param("runoff", 3, 2, 12, id="runoff-2"),
+        pytest.param("young", 3, 2, 12, id="young-2"),
+        pytest.param("irv", 4, 2, 8, id="irv-m4-2"),
+    ])
+    def test_majority_slices_are_never_dispatched(self, monkeypatch, rule_id, m, k, max_voters):
+        """At a k where the rule's record declares mutual majority, here k
+        = 1 for a rule with a winner screen, k = m - 1 and k = 2, the search
+        loop hands `_min_violation` no slice with more than half the voters
+        ranking B on top, and still hands it those with exactly half."""
         dispatched = []
         evaluate = search._min_violation
 
@@ -371,10 +377,10 @@ class TestSettledSlices:
             return evaluate(args)
 
         monkeypatch.setattr(search, "_min_violation", counted)
-        budget = SearchBudget(max_voters=12)
-        assert empirical_quota(rule_id, 3, k, budget) == F(1, 2)
-        assert exhaustive_criterion_search(rule_id, 3, k, F(2, 5), budget) is not None
-        assert exhaustive_criterion_search(rule_id, 3, k, F(1, 2), budget) is None
+        budget = SearchBudget(max_voters=max_voters)
+        assert empirical_quota(rule_id, m, k, budget) == F(1, 2)
+        assert exhaustive_criterion_search(rule_id, m, k, F(2, 5), budget) is not None
+        assert exhaustive_criterion_search(rule_id, m, k, F(1, 2), budget) is None
         assert all(2 * s <= n for *_, n, s in dispatched)
         assert any(2 * s == n for *_, n, s in dispatched)
 

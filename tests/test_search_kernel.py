@@ -49,7 +49,6 @@ from votelab.search import (
     _count_vectors,
     _kernel,
     _min_violation,
-    _settles_majority_slices,
     _split_types,
     max_violation,
     oracle_dodgson_score,
@@ -60,10 +59,11 @@ from votelab.search import (
 )
 
 from conftest import (
+    b_holds_a_majority,
     bound_excludes_outsiders,
     dodgson_worst,
     majority_winner,
-    outsiders_are_condorcet_losers,
+    mutual_majority_cells,
     profiles_with_support,
     relabel_profile,
     score_gap_excludes_outsiders,
@@ -260,10 +260,9 @@ def test_every_registered_rule_has_a_kernel_decision():
     or prefix lanes, a's block starting ``stride`` lanes after a - 1's.
     The winner screens are the paper's grouping: the Condorcet-consistent
     rules, the majority-consistent ones, and none for the rest.  The loser
-    screens: the veto core's blocking, the score gap of every positional
-    rule, which carries its integer weights, the Condorcet loser that
-    irv, runoff, borda and black never elect, and the value bounds of
-    convexmedian, t12rule and young."""
+    screen, at most one per rule: the veto core's blocking, the score gap
+    of every positional rule, which carries its integer weights, and the
+    value bounds of convexmedian, t12rule, young and dodgson."""
     assert set(RULE_IDS) == set(TALLY_RULES) | set(BALLOT_RULES)
     for m in (2, 3, 4):
         width = {None: 0, "ranks": m, "contours": 2 ** (m - 1), "prefixes": len(_prefix_lanes(m))}
@@ -279,20 +278,18 @@ def test_every_registered_rule_has_a_kernel_decision():
                 else "majority" if rule_id in MAJORITY_RULES else None
             )
             assert kernel.always_elects == screen, rule_id
-            losers = {"blocked"} if rule_id == "vetocore" else set()
+            loser = "blocked" if rule_id == "vetocore" else None
             if rule_id in FIXED_VECTORS:
-                losers.add("score-gap")
+                loser = "score-gap"
                 assert kernel.weights == tuple(FIXED_VECTORS[rule_id](m).scores), rule_id
             else:
                 assert kernel.weights is None, rule_id
-            if rule_id in CONDORCET_LOSER_RULES:
-                losers.add("condorcet-loser")
             if rule_id in BOUND_RULES:
-                losers.add("bound")
-            assert set(kernel.loser_screens) == losers, rule_id
+                loser = "bound"
+            assert kernel.loser_screen == loser, rule_id
     kernel = _kernel(SCORING[3], 3, 1, 1)
     assert (kernel.tally_bytes, kernel.stride, kernel.always_elects) == (18, 1, None)
-    assert (kernel.loser_screens, kernel.weights) == (("score-gap",), (5, 2, 0))
+    assert (kernel.loser_screen, kernel.weights) == ("score-gap", (5, 2, 0))
     assert _kernel("scoring:1/2,1/3,0", 3, 1, 1).weights == (3, 2, 0)
     with pytest.raises(ValueError, match="unknown rule id"):
         _kernel("nosuchrule", 3, 1, 1)
@@ -300,6 +297,21 @@ def test_every_registered_rule_has_a_kernel_decision():
         max_violation("nosuchrule", 3, 1, search.SearchBudget(max_voters=1))
     with pytest.raises(ValueError, match="3 weights for m=4"):
         max_violation(SCORING[3], 4, 1, search.SearchBudget(max_voters=1))
+
+
+def test_mutual_majority_records_match_the_table():
+    """Each record declares mutual majority at the k the table in conftest
+    writes out, at m = 2 to 7, a scoring: id at none; and every rule that
+    always elects a strict Condorcet or majority winner alone declares
+    k = 1, where B's one member with more than n/2 first places is both."""
+    for m in range(2, 8):
+        vector = "scoring:" + ",".join(map(str, range(m - 1, -1, -1)))
+        for rule_id in list(RULE_IDS) + [vector]:
+            rule = _rule(rule_id, m)
+            declared = {k for k in range(1, m) if k in rule.mutual_majority(m)}
+            assert declared == mutual_majority_cells(rule_id, m), (rule_id, m)
+            if rule.always_elects:
+                assert 1 in declared, (rule_id, m)
 
 
 def _strict_winners(p, k=None):
@@ -382,15 +394,20 @@ def _group(m, k):
 
 def _screened_rules(p, k, vectors):
     """The rules whose loser screen the references in conftest fire for on
-    p's B part, mapped to that screen."""
+    p's B part, mapped to that screen, and where more than half the voters
+    rank B on top, each rule the table in conftest declares at k, mapped to
+    "mutual-majority" unless a loser screen fires too."""
     fired = {}
+    if b_holds_a_majority(p, k):
+        fired.update(
+            (rule_id, "mutual-majority") for rule_id in RULE_IDS
+            if k in mutual_majority_cells(rule_id, p.m)
+        )
     for rule_id, vec in vectors.items():
         if score_gap_excludes_outsiders(p, k, vec):
             fired[rule_id] = "score-gap"
     if veto_blocks_outsiders(p, k):
         fired["vetocore"] = "blocked"
-    if outsiders_are_condorcet_losers(p, k):
-        fired.update(dict.fromkeys(CONDORCET_LOSER_RULES, "condorcet-loser"))
     for rule_id in BOUND_RULES:
         if bound_excludes_outsiders(p, k, rule_id):
             fired[rule_id] = "bound"
@@ -404,14 +421,13 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
     it to n voters elects a candidate outside B under rules.report, for each
     rule declaring that screen: the score gap of plurality, borda,
     antiplurality and a scoring: vector, the veto core's blocking of every
-    outsider, the value bounds of convexmedian, t12rule, young and
-    dodgson, and the strict Condorcet loser that irv, runoff, borda and
-    black never elect.
-    The last fires exactly where the search settles a slice: k = m - 1
-    with more than n/2 voters in the B part; at k = 1 such a B part shows
-    candidate 0 as the strict majority and Condorcet winner.  One B part
-    per orbit of S_k x S_{m-k} is checked, as every rule is neutral; the
-    completions are all checked."""
+    outsider and the value bounds of convexmedian, t12rule, young and
+    dodgson.  Where more than n/2 voters are in the B part, as in every
+    slice the search settles by a declaration, every completion is also
+    checked for each rule the table in conftest declares at k; at k = 1
+    such a B part shows candidate 0 as the strict majority and Condorcet
+    winner.  One B part per orbit of S_k x S_{m-k} is checked,
+    as every rule is neutral; the completions are all checked."""
     labels = default_candidates(m)
     vectors = {rule_id: make(m).scores for rule_id, make in FIXED_VECTORS.items()}
     vectors[SCORING[m]] = parse_score_vector(SCORING[m][len("scoring:"):], m).scores
@@ -428,8 +444,6 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
                     # the screens read the B part and n alone
                     filled = Profile(labels, head.ballots + ((n - s, o_types[0]),)) if n > s else head
                     screened = _screened_rules(filled, k, vectors)
-                    losers = "condorcet-loser" in screened.values()
-                    assert losers == (k == m - 1 and 2 * s > n)
                     if k == 1 and 2 * s > n:
                         assert _strict_winners(filled, k) == (0, 0)
                     if not screened:
@@ -442,33 +456,92 @@ def test_loser_screens_hold_on_every_completion(m, max_voters):
                         ))
                         for rule_id in screened:
                             assert max(winners(rule_id, p)) < k, (rule_id, p, k)
-    assert set(fired) == {"score-gap", "blocked", "bound", "condorcet-loser"}, fired
+    assert set(fired) == {"score-gap", "blocked", "bound", "mutual-majority"}, fired
     assert bounded == set(BOUND_RULES), bounded
 
 
-def test_condorcet_loser_declarations():
-    """irv, runoff, borda and black, which the search screens by the strict
-    Condorcet loser, never elect one: on every profile of up to 7 voters over
-    3 candidates and on seeded profiles over 4 and 5.  Of the other rules,
-    plurality, antiplurality, simpson, young and the veto core elect one on
-    some of these profiles, so they could not carry the screen; dodgson,
-    clr, convexmedian and the t12 rule elect none here, but nothing shows
-    they never do, so they do not carry it either."""
-    rng = random.Random(2022)
-    seeded = [random_profile(rng, m, rng.randint(3, 12)) for m in (4, 5) for _ in range(600)]
-    elects = collections.Counter()
-    losers = 0
+def _majority_profile(rng, m):
+    """A seeded profile over m candidates in which more than half of 3 to
+    12 voters rank B = {0..k-1} on top, k drawn from 1..m-1, each ranking
+    B and the rest in shuffled order; the other voters rank at random."""
+    k, n = rng.randrange(1, m), rng.randint(3, 12)
+    support = rng.randint(n // 2 + 1, n)
+    ballots = []
+    for i in range(n):
+        head, tail = list(range(k)), list(range(k, m))
+        if i >= support:
+            head, tail = [], head + tail
+        rng.shuffle(head)
+        rng.shuffle(tail)
+        ballots.append((1, tuple(head + tail)))
+    return Profile(default_candidates(m), tuple(ballots))
+
+
+# Per undeclared (rule, k), a profile on which more than half the voters
+# rank B = {0..k-1} on top and the rule elects a candidate outside B, as
+# the exhaustive search first finds it at q = 1/2.
+MUTUAL_MAJORITY_WITNESSES = {
+    ("black", 2): ((1, (0, 1, 2, 3)), (4, (1, 0, 2, 3)), (3, (2, 3, 0, 1))),
+    ("clr", 3): (
+        (1, (0, 1, 2, 3)), (1, (1, 2, 0, 3)), (3, (2, 0, 1, 3)), (2, (3, 0, 1, 2)),
+        (2, (3, 1, 2, 0)),
+    ),
+    ("young", 3): ((1, (0, 1, 2, 3)), (1, (1, 2, 0, 3)), (1, (3, 2, 0, 1))),
+    ("simpson", 3): ((1, (0, 1, 2, 3, 4)), (1, (1, 2, 0, 3, 4)), (1, (3, 2, 0, 1, 4))),
+    ("t12rule", 2): ((2, (0, 1, 2)), (4, (1, 0, 2)), (4, (2, 0, 1)), (1, (2, 1, 0))),
+}
+# Undeclared cells with no proof and no counterexample: none up to 8 voters
+# at m = 4 (exhaustive search at q = 1/2), nor on the profiles below.
+UNPROVED = {"dodgson": lambda m: set(range(2, m)), "convexmedian": lambda m: {m - 1}}
+
+
+def test_mutual_majority_declarations():
+    """Every (rule, k) the table in conftest declares elects only members
+    of B = {0..k-1} wherever more than half the voters rank B on top: on
+    every profile of up to 7 voters over 3 candidates and on 600 seeded
+    such profiles each over 5 and 6 candidates.  irv, runoff, borda and
+    black, declared at k = m - 1, never elect a strict Condorcet loser
+    there, which the lone outsider then is.  Of the undeclared cells,
+    those of antiplurality, borda, plurality, simpson, young and the veto
+    core elect an outsider on these profiles.  Each witness above elects
+    one for black at m = 4, k = 2, clr and young at m = 4, k = 3, simpson
+    at m = 5, k = 3 and t12rule at m = 3, k = 2, and is the first
+    violation the search finds at q = 1/2, which a record declaring its
+    cell would hide.  dodgson at k >= 2 and convexmedian at k = m - 1
+    elect none here and are listed as unproved, not declared."""
+    rng = random.Random(2027)
+    seeded = [_majority_profile(rng, m) for m in (5, 6) for _ in range(600)]
+    elected = set()  # (rule id, m, k) electing a candidate outside B
+    majorities = losers = 0
     for p in itertools.chain(all_profiles(3, 7), seeded):
         m, h = p.m, p.pair_counts
+        held = [k for k in range(1, m) if b_holds_a_majority(p, k)]
         loser = [c for c in range(m) if all(2 * h[b * m + c] > p.n for b in range(m) if b != c)]
-        if not loser:
-            continue
-        losers += 1
+        majorities += bool(held)
+        losers += bool(loser)
         for rule_id in RULE_IDS:
-            if loser[0] in winners(rule_id, p):
-                elects[rule_id] += 1
-    assert losers > 2000
-    assert set(elects) == {"plurality", "antiplurality", "simpson", "young", "vetocore"}, elects
+            won = winners(rule_id, p)
+            elected.update((rule_id, m, k) for k in held if max(won) >= k)
+            if rule_id in CONDORCET_LOSER_RULES:
+                assert not set(loser) & won, (rule_id, p)
+    assert majorities > 1500 and losers > 2000
+    for rule_id, m, k in elected:
+        assert k not in mutual_majority_cells(rule_id, m), (rule_id, m, k)
+    assert {rule_id for rule_id, _, _ in elected} == {
+        "antiplurality", "borda", "plurality", "simpson", "young", "vetocore",
+    }, elected
+    for rule_id in CONDORCET_LOSER_RULES:
+        assert all(m - 1 in mutual_majority_cells(rule_id, m) for m in range(2, 8)), rule_id
+    for (rule_id, k), ballots in MUTUAL_MAJORITY_WITNESSES.items():
+        p = Profile(default_candidates(len(ballots[0][1])), ballots)
+        assert b_holds_a_majority(p, k) and max(winners(rule_id, p)) >= k, rule_id
+        assert k not in mutual_majority_cells(rule_id, p.m), rule_id
+        budget = search.SearchBudget(max_voters=p.n)
+        found = search.exhaustive_criterion_search(rule_id, p.m, k, Fraction(1, 2), budget)
+        assert found is not None and found.profile == p, rule_id
+    for rule_id, cells in UNPROVED.items():
+        for m in range(3, 8):
+            assert not cells(m) & mutual_majority_cells(rule_id, m), (rule_id, m)
 
 
 def _moved_down(p, ranking, pos):
@@ -992,16 +1065,18 @@ def _bound_screen(rule_id):
     return lambda p, k: bound_excludes_outsiders(p, k, rule_id)
 
 
-# per rule, the references for the screens that settle a B part or a slice
+# per rule, the references for the screens that settle a B part
 ORBIT_SCREENS = {
     "plurality": (_head_majority, _gap_screen("plurality")),
     "antiplurality": (_gap_screen("antiplurality"),),
     "vetocore": (veto_blocks_outsiders,),
-    "irv": (_head_majority, outsiders_are_condorcet_losers),
+    "irv": (_head_majority,),
     "convexmedian": (_head_majority, _bound_screen("convexmedian")),
     "t12rule": (_head_majority, _bound_screen("t12rule")),
     "young": (_head_condorcet, _bound_screen("young")),
     "dodgson": (_head_condorcet, _bound_screen("dodgson")),
+    "simpson": (_head_condorcet,),
+    "clr": (_head_condorcet,),
 }
 
 
@@ -1013,21 +1088,23 @@ ORBIT_SCREENS = {
         ("antiplurality", ORBIT_SLICES), ("vetocore", [(3, 2, 5)]), ("irv", [(3, 2, 5)]),
         ("convexmedian", [(3, 2, 5), (4, 2, 3)]), ("t12rule", [(3, 2, 5), (4, 2, 3)]),
         ("young", [(3, 2, 5), (4, 2, 3)]), ("dodgson", [(3, 2, 5), (4, 2, 3)]),
+        ("simpson", [(3, 2, 5)]), ("clr", [(3, 2, 5)]),
     )
     for mkn in slices
 ])
 def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
     """The kernel evaluates each orbit of a slice once, except those whose
-    B part or slice a screen settles: the head screen of plurality, irv,
+    B part a screen settles: the head screen of plurality, irv,
     convexmedian and t12rule (a candidate with more than n/2 first places
-    on the B part alone) and of young and dodgson (a candidate beating each
-    other one on more than n/2 of the B part's ballots), the score gap of
-    plurality and antiplurality, the veto core's blocking of every
-    outsider, the Condorcet loser irv never elects and the value bounds of
-    convexmedian, t12rule, young and dodgson.  The settled orbits are found by the references in
-    conftest, on one profile of each orbit.  A slice the search loop never
-    dispatches, `_settles_majority_slices` holding and 2 * s > n, must have
-    every orbit settled."""
+    on the B part alone) and of young, dodgson, simpson and clr (a
+    candidate beating each other one on more than n/2 of the B part's
+    ballots), the score gap of plurality and antiplurality, the veto
+    core's blocking of every outsider and the value bounds of
+    convexmedian, t12rule, young and dodgson.  The settled orbits are
+    found by the references in conftest, on one profile of each orbit.
+    Where the table in conftest declares the rule at k, the search loop
+    dispatches no slice in which more than half the voters rank B on top,
+    and every other slice."""
     calls = []
     evaluate = search.rule_winners
 
@@ -1036,15 +1113,22 @@ def test_one_evaluation_per_orbit(monkeypatch, rule_id, m, k, n):
         return evaluate(*args)
 
     monkeypatch.setattr(search, "rule_winners", counted)
-    settled = 0
+    declared = k in mutual_majority_cells(rule_id, m)
+    settled, left = 0, []
     for s in range(1, n + 1):
         orbits = list(_orbits(m, k, n, s).values())
+        if declared and all(b_holds_a_majority(p, k) for p in orbits):
+            settled += len(orbits)
+            continue
+        left.append(s)
         kept = [p for p in orbits if not any(screen(p, k) for screen in ORBIT_SCREENS[rule_id])]
         settled += len(orbits) - len(kept)
-        if 2 * s > n and _settles_majority_slices(rule_id, m, k):
-            assert not kept, s
-            continue
         calls.clear()
         _min_violation((rule_id, m, k, n, s))
         assert len(calls) == len(kept), s
+    dispatched = []
+    monkeypatch.setattr(search, "_min_violation", lambda args: dispatched.append(args))
+    for _ in search._violations(rule_id, m, k, search.SearchBudget(max_voters=n), lambda n: 0):
+        pass
+    assert [s for *_, size, s in dispatched if size == n] == left
     assert settled  # each case has orbits a screen settles
