@@ -35,8 +35,6 @@ other name: callers ask for it by its id, through ``report`` or
 
 from __future__ import annotations
 
-import bisect
-import collections
 import functools
 import itertools
 import math
@@ -57,6 +55,9 @@ Decision = Callable[
     [int, int, Sequence[int] | None, Sequence[int] | Ballots | None],
     tuple[tuple[int, ...], list | None, dict | None],
 ]
+# The most candidates a search takes.  Past it a report does not pack the
+# contour lanes, m 2^(m-1) of them, and irv tallies from the ballots.
+SEARCH_MAX_M = 7
 
 
 @dataclass(frozen=True)
@@ -159,24 +160,11 @@ def _layout(m: int, stat: str | None):
 
 
 def _packed(m: int, ballots: Ballots):
-    """The contour lanes counted from the ballots: a list of them all up to
-    m = 7, the most candidates a search takes.  Past that, as a block grows
-    as 2^m, per candidate its nonzero lanes as (U, count) pairs, U the
-    bitmask of the candidates ranked above it, not relabelled, fewest
-    members first, and ends, where ends[j] pairs have at most j members."""
-    if m > 7:
-        blocks = [collections.defaultdict(int) for _ in range(m)]
-        for count, ranking in ballots:
-            above = 0
-            for a in ranking:
-                blocks[a][above] += count
-                above |= 1 << a
-        sized = []
-        for block in blocks:
-            pairs = sorted(block.items(), key=lambda lane: lane[0].bit_count())
-            sizes = [u.bit_count() for u, _ in pairs]
-            sized.append((pairs, [bisect.bisect_right(sizes, j) for j in range(m)]))
-        return sized
+    """The contour lanes counted from the ballots, a list of them all, up to
+    SEARCH_MAX_M candidates; past that, as a block grows as 2^m, the
+    ballots unchanged."""
+    if m > SEARCH_MAX_M:
+        return ballots
     lanes_of, width = _layout(m, "contours")[::3]
     lanes = [0] * (m * width)
     for count, ranking in ballots:
@@ -266,7 +254,7 @@ def runoff_decision(m, n, h, pos):
 def _transfer_getters(m: int, active: frozenset[int]) -> tuple[tuple[int, Callable], ...]:
     """Per active candidate a, a getter of its contour lanes c(a, U) whose U
     holds no other active candidate, from the list of lanes _packed gives
-    up to m = 7."""
+    up to SEARCH_MAX_M candidates."""
     width, held = _layout(m, "contours")[3], sum(1 << a for a in active)
     getters = []
     for a in active:
@@ -278,12 +266,12 @@ def _transfer_getters(m: int, active: frozenset[int]) -> tuple[tuple[int, Callab
     return tuple(getters)
 
 
-def instant_runoff_decision(m, n, h, contours):
+def instant_runoff_decision(m, n, h, packed):
     """Iteratively delete a candidate with the fewest top positions: a's
     among the active candidates sums its contour lanes c(a, U), as _packed
-    gives them, of every U holding none of the others.  Past m = 7 such a U
-    has at most m - |active| members, so a's nonzero lanes are scanned up
-    to that size.
+    gives them, of every U holding none of the others.  Past SEARCH_MAX_M
+    candidates _packed gives the ballots, and each adds its count to its
+    first active candidate, the one whose U holds none of the others.
 
     When several candidates tie at the minimum, the winners are the union
     over all ways of deleting one of them (deleting the whole tied group at
@@ -301,14 +289,15 @@ def instant_runoff_decision(m, n, h, contours):
         hit = winners_of.get(active)
         if hit is not None:
             return hit
-        if m > 7:
-            held, most = sum(1 << a for a in active), m - len(active)
-            tally = {
-                a: sum(c for u, c in contours[a][0][: contours[a][1][most]] if not u & held)
-                for a in active
-            }
+        if m > SEARCH_MAX_M:
+            tally = dict.fromkeys(active, 0)
+            for count, ranking in packed:
+                for a in ranking:
+                    if a in active:
+                        tally[a] += count
+                        break
         else:
-            tally = {a: sum(get(contours)) for a, get in _transfer_getters(m, active)}
+            tally = {a: sum(get(packed)) for a, get in _transfer_getters(m, active)}
         tallies[active] = tally
         low = min(tally.values())
         out: set[int] = set()
@@ -985,9 +974,10 @@ class _Rule:
     and ``stat`` names the lanes the exhaustive search packs after them
     (``_layout``): none (None), the rank counts ("ranks"), or per candidate
     its contour or prefix lanes ("contours", "prefixes").  The decision
-    gets those lanes, the ballots if the rule has a ``value``, and None for
-    any statistic the record leaves out, as the search memoises it on the
-    declared ones.  ``show`` turns a raw score into the report's score and
+    gets those lanes, the ballots if the rule has a ``value`` or, in a
+    report past SEARCH_MAX_M candidates, if it reads contour lanes, and
+    None for any statistic the record leaves out, as the search memoises
+    it on the declared ones.  ``show`` turns a raw score into the report's score and
     ``explain`` turns the raw trace of a profile with m candidates into the
     report's; None keeps the raw value.
 
@@ -1262,7 +1252,9 @@ def report(rule_id: str, profile: Profile) -> ScoreReport:
     h = profile.pair_counts if rule.tournament else None
     if rule.stat in (None, "ranks"):
         stat = rule.stat and profile.rank_counts
-    else:  # irv is decided on contour lanes; the others' traces name ballot types
+    else:
+        # irv is decided on contour lanes up to SEARCH_MAX_M candidates and on
+        # the ballots past it; the others' traces name ballot types
         stat = profile.ballots if rule.value else _packed(m, profile.ballots)
     won, raw, trace = rule.decision(m)(m, profile.n, h, stat)
     if raw is None:

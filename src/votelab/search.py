@@ -22,7 +22,7 @@ from .criteria import Violation
 from .errors import SearchBudgetExceeded
 from .exact import exact
 from .model import ChoiceSet, Profile, default_candidates
-from .rules import Decision, _layout, _rule
+from .rules import SEARCH_MAX_M, Decision, _layout, _rule
 
 ENV_MAX_VOTERS = "VOTELAB_MAX_VOTERS"
 
@@ -730,12 +730,12 @@ def _check_query(rule_id: str, m: int, k: int) -> None:
     _rule(rule_id, m)  # raises on an unknown id or a vector of the wrong length
     if not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
-    if m > 7:
+    if m > SEARCH_MAX_M:
         # _tables keeps one m!-long pull per non-identity element of
         # S_k x S_{m-k}: 3.6 million entries at m = 7, k = 1
         entries = (math.factorial(k) * math.factorial(m - k) - 1) * math.factorial(m)
         raise ValueError(
-            f"searches need m <= 7: the orbit tables for m={m}, k={k} "
+            f"searches need m <= {SEARCH_MAX_M}: the orbit tables for m={m}, k={k} "
             f"would hold {entries:,} entries"
         )
 

@@ -20,6 +20,7 @@ from votelab import (
     oracle_dodgson_score,
     oracle_veto_core,
     oracle_young_score,
+    parallel_universe_irv,
     random_profile,
     report,
     scoring_winners,
@@ -32,6 +33,7 @@ from votelab import (
 from votelab.cli import main
 from votelab.rules import (
     RULE_IDS,
+    SEARCH_MAX_M,
     ScoreVector,
     _piecewise_depth_pieces,
     _dodgson,
@@ -160,8 +162,8 @@ class TestInstantRunoff:
 
     @pytest.mark.parametrize("m", [7, 8, 30])
     def test_many_candidates_match_plain_elimination(self, m):
-        # past m = 7 a report counts the contour lanes in a dict of the
-        # nonzero ones: a list would hold m 2^(m-1) lanes
+        # up to SEARCH_MAX_M candidates a report reads contour lanes, past it
+        # the ballots; both must follow the plain elimination
         rng = random.Random(m)
         for _ in range(3):
             # each candidate tops one group, of a size no other group has
@@ -184,6 +186,37 @@ class TestInstantRunoff:
             assert [r["eliminated"] for r in rep.trace["rounds"]] == order
             if len(active) == 1:
                 assert rep.winners == active
+
+    @staticmethod
+    def _tie_branching(rng, m, count):
+        """``count`` seeded profiles over m candidates, 4..12 groups of 1..3
+        voters each, whose elimination branches on a tie."""
+        found = []
+        while len(found) < count:
+            groups = rng.randint(4, 12)
+            ballots = tuple((rng.randint(1, 3), tuple(rng.sample(range(m), m))) for _ in range(groups))
+            p = Profile(default_candidates(m), ballots)
+            if report("irv", p).trace["tie_branching"]:
+                found.append(p)
+        return found
+
+    def test_ties_past_the_search_bound_match_parallel_universes(self):
+        """Past SEARCH_MAX_M candidates the union over tied deletions is the
+        union over every elimination order, tried one by one."""
+        for p in self._tie_branching(random.Random(8), SEARCH_MAX_M + 1, 5):
+            assert winners("irv", p) == parallel_universe_irv(p), p
+
+    def test_last_ranked_candidate_changes_nothing(self):
+        """A candidate every voter ranks last never takes a first place, so
+        adding one past SEARCH_MAX_M candidates keeps the winners and the
+        first-round scores, and it scores 0: the contour lanes and the
+        ballot tally decide one election."""
+        m = SEARCH_MAX_M
+        for p in self._tie_branching(random.Random(31), m, 200):
+            padded = Profile(default_candidates(m + 1), tuple((c, (*r, m)) for c, r in p.ballots))
+            rep, wide = report("irv", p), report("irv", padded)
+            assert wide.winners == rep.winners, p
+            assert wide.scores == {**rep.scores, m: 0}, p
 
 
 class TestSimpson:
